@@ -60,7 +60,15 @@ from .gas import (
     run_gas,
     run_seed,
 )
-from .poly import BinaryPolynomial, BitVector, PolyStats, bits_to_int, int_to_bits, loads_poly
+from .poly import (
+    BinaryPolynomial,
+    BitVector,
+    CapExceededError,
+    PolyStats,
+    bits_to_int,
+    int_to_bits,
+    loads_poly,
+)
 from .simulator import (
     IdealSampler,
     SampleOutcome,
@@ -68,7 +76,6 @@ from .simulator import (
     amplified_probability,
     apply,
     dump_amplitudes,
-    ideal_gas_sample,
     load_amplitudes,
     marked_probability,
     sample,

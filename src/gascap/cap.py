@@ -36,7 +36,7 @@ class CapInstance:
     n_ap: int
     n_ch: int
     alpha: float
-    distances: np.ndarray          # shape (n_ap, n_ut), strictly positive
+    distances: np.ndarray          # shape (n_ap, n_ut), positive and finite
     assoc: tuple[tuple[int, ...], ...]  # assoc[i] = user indices served by AP i
     epsilon: float = 0.01
 
@@ -46,14 +46,16 @@ class CapInstance:
         object.__setattr__(self, "assoc", tuple(tuple(sorted(g)) for g in self.assoc))
         if self.n_ap < 1 or self.n_ch < 1:
             raise ValueError("n_ap and n_ch must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be positive and finite")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
         if d.ndim != 2 or d.shape[0] != self.n_ap:
             raise ValueError(f"distances must be a (n_ap, n_ut) matrix, got {d.shape}")
         if not np.all(d > 0):
             raise ValueError("all distances must be strictly positive")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("all distances must be finite")
         n_ut = d.shape[1]
         seen: list[int] = []
         for i, group in enumerate(self.assoc):

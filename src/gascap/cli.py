@@ -54,6 +54,7 @@ from .gas import (
     run_gas,
     run_seed,
 )
+from .simulator import IdealSampler
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -252,8 +253,14 @@ def cmd_solve(args) -> int:
             encoding = form.encoding.value
             if backend == "statevector":
                 width = formulation_width(form, d_sum=table.d_sum)
-        lo = poly.exhaustive_min()[1]
-        hi = poly.exhaustive_max()[1]
+        # one value table per formulation gives the range and serves every run
+        sampler = None
+        if backend == "ideal":
+            sampler = IdealSampler(poly)
+            lo, hi = float(sampler.sorted_values[0]), float(sampler.sorted_values[-1])
+        else:
+            values = poly.evaluate_all()
+            lo, hi = float(values.min()), float(values.max())
         span = hi - lo if hi > lo else 1.0
         cfg = GasConfig(
             backend=backend,
@@ -268,7 +275,7 @@ def cmd_solve(args) -> int:
         classical = []
         quantum = []
         for run in range(args.runs):
-            trace = run_gas(poly, cfg, rng=run_seed(run, master))
+            trace = run_gas(poly, cfg, rng=run_seed(run, master), sampler=sampler)
             cum_c, cum_q = 1, 0
             best = trace.iterations[0].y_i if trace.iterations else trace.best_y
             for it in trace.iterations:

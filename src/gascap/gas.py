@@ -21,12 +21,8 @@ import numpy as np
 
 from .cap import CapInstance, CoeffTable, assignment_interference
 from .circuits import build_grover, build_state_prep, coefficient_width
-from .poly import BinaryPolynomial, BitVector
+from .poly import BinaryPolynomial, BitVector, BudgetExceededError
 from .simulator import IdealSampler, StateVector, apply, sample
-
-
-class BudgetExceededError(RuntimeError):
-    """A classical enumeration or simulation exceeded its configured cap."""
 
 
 @dataclass(frozen=True)
@@ -80,16 +76,24 @@ class GasTrace:
 
 
 def run_gas(
-    p: BinaryPolynomial, cfg: GasConfig, rng: np.random.Generator | None = None
+    p: BinaryPolynomial,
+    cfg: GasConfig,
+    rng: np.random.Generator | None = None,
+    *,
+    sampler: IdealSampler | None = None,
 ) -> GasTrace:
-    """One seeded search run over the polynomial's full bit cube."""
+    """One seeded search run over the polynomial's full bit cube.
+
+    On the ideal backend the draws come from ``sampler``, which must have
+    been built from ``p``; pass one to share its value table between runs,
+    or leave it out to build one here.  The statevector backend ignores it.
+    """
     rng = rng if rng is not None else np.random.default_rng(cfg.master_seed)
     n = p.n_vars
     sqrt_space = math.sqrt(2.0 ** n)
 
     if cfg.backend == "ideal":
-        sampler = IdealSampler(p)
-        draw = sampler.sample
+        draw = (sampler if sampler is not None else IdealSampler(p)).sample
     else:
         base_m = cfg.value_width if cfg.value_width is not None else coefficient_width(p)
 
@@ -157,8 +161,13 @@ def run_batch(
     p: BinaryPolynomial, cfg: GasConfig, n_runs: int
 ) -> list[GasTrace]:
     """Independent seeded runs; run i uses the stream (master_seed, i), so
-    different formulations executed with the same config are seed-paired."""
-    return [run_gas(p, cfg, rng=run_seed(i, cfg.master_seed)) for i in range(n_runs)]
+    different formulations executed with the same config are seed-paired.
+    On the ideal backend all runs share one value table."""
+    sampler = IdealSampler(p) if cfg.backend == "ideal" else None
+    return [
+        run_gas(p, cfg, rng=run_seed(i, cfg.master_seed), sampler=sampler)
+        for i in range(n_runs)
+    ]
 
 
 # -- classical references -------------------------------------------------

@@ -23,6 +23,15 @@ BitVector = tuple[int, ...]
 DEFAULT_EXHAUSTIVE_CAP = 24
 
 
+class BudgetExceededError(RuntimeError):
+    """A classical enumeration or simulation exceeded its configured cap."""
+
+
+class CapExceededError(BudgetExceededError, ValueError):
+    """A problem is too large for an exhaustive value table or a simulated
+    state.  Also a ValueError, since the size comes from the caller's input."""
+
+
 def _canonical_terms(terms: Mapping[Sequence[int], float]) -> dict[tuple[int, ...], float]:
     out: dict[tuple[int, ...], float] = {}
     for support, coeff in terms.items():
@@ -169,21 +178,26 @@ class BinaryPolynomial:
 
     def evaluate_all(self) -> np.ndarray:
         """Values on all 2^n assignments, indexed with x_0 as the most
-        significant bit so that array order equals lexicographic order."""
+        significant bit so that array order equals lexicographic order.
+
+        Viewed as a 2 x ... x 2 cube with axis j for x_j, each term adds its
+        coefficient in place to the sub-cube where every variable of its
+        support is 1 (the whole cube for the constant term).
+        Terms are added in dict order, the order ``evaluate`` uses, so every
+        entry equals ``evaluate`` of its bit vector exactly.
+        """
         n = self.n_vars
         if n > DEFAULT_EXHAUSTIVE_CAP:
-            raise ValueError(f"n_vars={n} above exhaustive cap {DEFAULT_EXHAUSTIVE_CAP}")
-        size = 1 << n
-        idx = np.arange(size, dtype=np.uint64)
-        values = np.zeros(size, dtype=np.float64)
+            raise CapExceededError(f"n_vars={n} above exhaustive cap {DEFAULT_EXHAUSTIVE_CAP}")
+        values = np.zeros(1 << n, dtype=np.float64)
+        cube = values.reshape((2,) * n)
         for support, coeff in self.terms.items():
-            if not support:
-                values += coeff
-                continue
-            sel = np.ones(size, dtype=bool)
+            idx: list = [slice(None)] * n
             for j in support:
-                sel &= ((idx >> np.uint64(n - 1 - j)) & np.uint64(1)).astype(bool)
-            values[sel] += coeff
+                idx[j] = 1
+            # the trailing Ellipsis keeps a full-support index a 0-d view
+            face = cube[(*idx, Ellipsis)]
+            face += coeff
         return values
 
     # -- analysis -----------------------------------------------------
@@ -210,14 +224,14 @@ class BinaryPolynomial:
         Ties break to the lexicographically smallest bit vector.
         """
         if self.n_vars > cap:
-            raise ValueError(f"n_vars={self.n_vars} above exhaustive cap {cap}")
+            raise CapExceededError(f"n_vars={self.n_vars} above exhaustive cap {cap}")
         values = self.evaluate_all()
         best = int(np.argmin(values))  # argmin returns the first = lex smallest
         return int_to_bits(best, self.n_vars), float(values[best])
 
     def exhaustive_max(self, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> tuple[BitVector, float]:
         if self.n_vars > cap:
-            raise ValueError(f"n_vars={self.n_vars} above exhaustive cap {cap}")
+            raise CapExceededError(f"n_vars={self.n_vars} above exhaustive cap {cap}")
         values = self.evaluate_all()
         best = int(np.argmax(values))
         return int_to_bits(best, self.n_vars), float(values[best])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CircuitSpec
-from .poly import BinaryPolynomial, BitVector, int_to_bits
+from .poly import BinaryPolynomial, BitVector, CapExceededError, int_to_bits
 
 DEFAULT_QUBIT_CAP = 24
 
@@ -76,7 +76,7 @@ def apply(c: CircuitSpec, s: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> State
     if s.n_qubits != n_total:
         raise ValueError(f"state has {s.n_qubits} qubits, circuit needs {n_total}")
     if n_total > cap:
-        raise ValueError(f"{n_total} qubits above the simulation cap of {cap}")
+        raise CapExceededError(f"{n_total} qubits above the simulation cap of {cap}")
     amps = s.amplitudes.copy()
     size = amps.size
     idx = np.arange(size, dtype=np.uint64)
@@ -159,13 +159,16 @@ def amplified_probability(t: int, n_states: int, l_ops: int) -> float:
 class IdealSampler:
     """Amplification outcomes for a polynomial from its classical value table.
 
-    The value table over all 2^n keys is computed once; each threshold then
-    costs a binary search plus an O(1) draw.
+    The value table over all 2^n keys is computed once, at construction, and
+    sorted; each threshold then costs a binary search plus an O(1) draw.
+    Build one sampler per polynomial and share it between runs: the table
+    also gives the objective's range, ``sorted_values[0]`` to
+    ``sorted_values[-1]``.
     """
 
     def __init__(self, p: BinaryPolynomial, cap: int = DEFAULT_QUBIT_CAP):
         if p.n_vars > cap:
-            raise ValueError(f"n_vars={p.n_vars} above the ideal-backend cap {cap}")
+            raise CapExceededError(f"n_vars={p.n_vars} above the ideal-backend cap {cap}")
         self.n_vars = p.n_vars
         self.values = p.evaluate_all()
         self.order = np.argsort(self.values, kind="stable")
@@ -187,14 +190,6 @@ class IdealSampler:
         else:
             pick = self.order[t + int(rng.integers(n - t))]
         return int_to_bits(int(pick), self.n_vars)
-
-
-def ideal_gas_sample(
-    p: BinaryPolynomial, y: float, l_ops: int, rng: np.random.Generator
-) -> BitVector:
-    """One-shot convenience wrapper; for repeated thresholds on the same
-    polynomial build an IdealSampler once instead."""
-    return IdealSampler(p).sample(y, l_ops, rng)
 
 
 def dump_amplitudes(s: StateVector, path) -> None:

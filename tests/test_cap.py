@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -101,6 +102,27 @@ def test_instance_validation():
         CapInstance(**{**good, "assoc": ((0,), (0,))})
     with pytest.raises(ValueError):
         CapInstance(**{**good, "epsilon": 0.0})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("alpha", math.inf), ("alpha", math.nan),
+    ("epsilon", math.inf), ("epsilon", math.nan),
+])
+def test_instance_rejects_non_finite_parameters(field, value):
+    good = dict(n_ap=2, n_ch=1, alpha=1.0,
+                distances=np.ones((2, 2)), assoc=((0,), (1,)))
+    with pytest.raises(ValueError, match="finite"):
+        CapInstance(**{**good, field: value})
+
+
+@pytest.mark.parametrize("cells", [[(0, 0)], [(0, 2), (0, 3)]])
+def test_instance_rejects_infinite_distances(instance, cells):
+    # 1e400 parses as inf; at AP 1's users it zeroed the interference in C_01
+    data = instance_to_dict(instance)
+    for i, u in cells:
+        data["distances"][i][u] = float("1e400")
+    with pytest.raises(ValueError, match="finite"):
+        instance_from_dict(data)
 
 
 def test_channel_surplus_warns_but_builds():

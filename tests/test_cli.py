@@ -1,6 +1,10 @@
 import csv
+import hashlib
 import json
 
+import pytest
+
+from gascap import BinaryPolynomial
 from gascap.cap import instance_to_dict, reference_instance, synthetic_instance
 from gascap.cli import main
 
@@ -173,3 +177,57 @@ def test_budget_exit_code(tmp_path):
     path.write_text(json.dumps(instance_to_dict(inst)))
     assert main(["solve", "--instance", str(path), "--formulation", "hubo-asc",
                  "--out", str(tmp_path / "y")]) == 3
+
+
+def test_cap_exceeded_exit_code(tmp_path, capsys):
+    # the one-hot objective has 9 * 4 = 36 variables, above the table cap of 24
+    assert main(["solve", "--synthetic", "9,4", "--formulation", "qubo",
+                 "--out", str(tmp_path / "c")]) == 3
+    assert "n_vars=36" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cells", [[(0, 0)], [(0, 2), (0, 3)]])
+def test_non_finite_distance_exit_code(tmp_path, capsys, cells):
+    data = instance_to_dict(reference_instance())
+    for i, u in cells:
+        data["distances"][i][u] = "INF"
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(data).replace('"INF"', "1e400"))
+    assert main(["formulate", "--instance", str(path), "--out", str(tmp_path / "f")]) == 1
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend,kinds", [
+    ("ideal", ["qubo", "hubo-asc", "hubo-desc", "quadratized"]),
+    ("sv", ["hubo-asc", "hubo-desc"]),
+])
+def test_solve_builds_one_value_table_per_formulation(tmp_path, monkeypatch, backend, kinds):
+    calls = []
+    original = BinaryPolynomial.evaluate_all
+
+    def counted(self):
+        calls.append(self.n_vars)
+        return original(self)
+
+    monkeypatch.setattr(BinaryPolynomial, "evaluate_all", counted)
+    argv = ["solve", "--backend", backend, "--runs", "3", "--budget-classical", "20",
+            "--seed", "1", "--out", str(tmp_path / "t")]
+    for kind in kinds:
+        argv += ["--formulation", kind]
+    assert main(argv) == 0
+    assert len(calls) == len(kinds)
+
+
+def test_solve_output_is_pinned(tmp_path):
+    # sha256 of the outputs before the value table was shared between runs
+    out = tmp_path / "pin"
+    assert main(["solve", "--backend", "ideal", "--formulation", "hubo-asc",
+                 "--formulation", "hubo-desc", "--runs", "5", "--seed", "7",
+                 "--out", str(out)]) == 0
+    want = {
+        "summary.json": "12a4b890d8cf49ec83951bad5f302e05b8b640a6665fce169668a8618b262615",
+        "trace_hubo-asc.csv": "1dac4e0c205183521a4b6c9e22bc6596d474905e93d20dcd8186bdfd6e9285d8",
+        "trace_hubo-desc.csv": "6beaa09ca2c73e2b4dd81dcf419fd3001421ca1153bbe83eac61960bb3c38c4b",
+    }
+    for name, digest in want.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest

@@ -205,3 +205,16 @@ def test_run_batch_is_seed_paired(hubo_asc, hubo_desc):
         x.iterations[0].l_i == y.iterations[0].l_i for x, y in zip(a1, d)
         if x.iterations and y.iterations
     )
+
+
+def test_run_batch_shares_one_value_table(hubo_asc, monkeypatch):
+    cfg = GasConfig(max_classical_iters=30, master_seed=55)
+    p = hubo_asc.objective
+    solo = [run_gas(p, cfg, rng=run_seed(i, 55)) for i in range(4)]
+    calls = []
+    original = BinaryPolynomial.evaluate_all
+    monkeypatch.setattr(BinaryPolynomial, "evaluate_all",
+                        lambda self: calls.append(1) or original(self))
+    batch = run_batch(p, cfg, 4)
+    assert len(calls) == 1
+    assert [t.iterations for t in batch] == [t.iterations for t in solo]

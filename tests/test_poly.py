@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gascap import BinaryPolynomial, bits_to_int, int_to_bits, loads_poly
 
@@ -144,7 +146,27 @@ def test_evaluate_all_matches_pointwise():
     p = random_poly(rng, 6, int_coeffs=False)
     values = p.evaluate_all()
     for x in range(1 << 6):
-        assert values[x] == pytest.approx(p.evaluate(int_to_bits(x, 6)))
+        assert values[x] == p.evaluate(int_to_bits(x, 6))
+
+
+@st.composite
+def polynomials(draw):
+    n = draw(st.integers(0, 10))
+    support = st.lists(st.integers(0, n - 1), unique=True, max_size=n).map(tuple) if n else st.just(())
+    coeff = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    terms = draw(st.dictionaries(support, coeff, max_size=24))
+    return BinaryPolynomial(n, terms)
+
+
+@given(polynomials())
+@example(BinaryPolynomial.zero(3))
+@example(BinaryPolynomial.constant(-2.5, 4))
+@settings(deadline=None)
+def test_evaluate_all_equals_evaluate_exactly(p):
+    values = p.evaluate_all()
+    assert values.shape == (1 << p.n_vars,)
+    for x in range(1 << p.n_vars):
+        assert values[x] == p.evaluate(int_to_bits(x, p.n_vars))
 
 
 def test_dump_format_and_round_trip():

@@ -5,6 +5,8 @@ import pytest
 
 from gascap import (
     BinaryPolynomial,
+    BudgetExceededError,
+    CapExceededError,
     IdealSampler,
     SampleOutcome,
     StateVector,
@@ -12,7 +14,6 @@ from gascap import (
     apply,
     build_grover,
     build_state_prep,
-    ideal_gas_sample,
     marked_probability,
     sample,
     value_register_width,
@@ -210,15 +211,28 @@ def test_ideal_sampler_marked_draws_are_marked():
         assert sampler.sample(-0.5, 1, rng) == (1, 1)
 
 
-def test_ideal_gas_sample_wrapper():
+def test_ideal_sampler_single_draw():
     p = BinaryPolynomial(2, {(0,): 1.0, (1,): 1.0})
-    x = ideal_gas_sample(p, 0.5, 0, np.random.default_rng(2))
+    x = IdealSampler(p).sample(0.5, 0, np.random.default_rng(2))
     assert len(x) == 2
 
 
 def test_ideal_sampler_cap():
     with pytest.raises(ValueError):
         IdealSampler(BinaryPolynomial.zero(25))
+
+
+def test_every_size_cap_raises_the_budget_error_type():
+    big = BinaryPolynomial.zero(25)
+    calls = (big.evaluate_all, big.exhaustive_min, big.exhaustive_max,
+             lambda: IdealSampler(big),
+             # the cap is checked before the amplitudes are touched
+             lambda: apply(CircuitSpec(25, 0, ()), StateVector(25, np.zeros(1))))
+    for call in calls:
+        with pytest.raises(CapExceededError) as info:
+            call()
+        assert isinstance(info.value, BudgetExceededError)
+        assert isinstance(info.value, ValueError)
 
 
 def test_amplitude_dump_round_trip(tmp_path):
