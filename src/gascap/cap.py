@@ -147,13 +147,20 @@ def interference_coeff(inst: CapInstance, i: int, k: int) -> float:
         raise ValueError("association sets must be nonempty")
 
     def gain(ap: int, users: Sequence[int]) -> float:
-        return float(np.sum(inst.distances[ap, list(users)] ** (-inst.alpha)))
+        # overflow to inf is caught below, by the finiteness check on C_ik
+        with np.errstate(over="ignore"):
+            return float(np.sum(inst.distances[ap, list(users)] ** (-inst.alpha)))
 
     s_i = gain(i, inst.assoc[i])      # AP i to its own users
     s_k = gain(k, inst.assoc[k])
     i_ik = gain(i, inst.assoc[k])     # AP i to AP k's users
     i_ki = gain(k, inst.assoc[i])
-    return -math.log2(1.0 + s_i / i_ik) - math.log2(1.0 + s_k / i_ki)
+    if i_ik == 0.0 or i_ki == 0.0:
+        raise ValueError(f"cross-gain path loss between APs {i} and {k} underflows to zero")
+    c = -math.log2(1.0 + s_i / i_ik) - math.log2(1.0 + s_k / i_ki)
+    if not math.isfinite(c):
+        raise ValueError(f"co-channel cost C_{i}{k} is not finite")
+    return c
 
 
 def coeff_table(inst: CapInstance) -> CoeffTable:

@@ -138,8 +138,8 @@ def build_qubo(
     inst: CapInstance, w: float = 1.0, table: CoeffTable | None = None
 ) -> Formulation:
     """One-hot objective: co-channel costs plus w per-AP one-hot penalties."""
-    if w <= 0:
-        raise ValueError("penalty weight w must be positive")
+    if not (math.isfinite(w) and w > 0):
+        raise ValueError(f"penalty weight w must be finite and positive, got {w}")
     table = table if table is not None else coeff_table(inst)
     return _qubo_from_table(table, inst.n_ch, w)
 
@@ -185,8 +185,8 @@ def build_hubo(
     """Binary-encoded objective of degree at most 2 N_B."""
     if not enc.is_binary:
         raise ValueError("build_hubo requires a binary encoding")
-    if w_prime <= 0:
-        raise ValueError("penalty weight must be positive")
+    if not (math.isfinite(w_prime) and w_prime > 0):
+        raise ValueError(f"penalty weight must be finite and positive, got {w_prime}")
     if inst.n_ch < 2:
         raise ValueError("binary encodings need at least 2 channels")
     table = table if table is not None else coeff_table(inst)

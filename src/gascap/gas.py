@@ -96,15 +96,27 @@ def run_gas(
         draw = (sampler if sampler is not None else IdealSampler(p)).sample
     else:
         base_m = cfg.value_width if cfg.value_width is not None else coefficient_width(p)
+        # the threshold moves only when a draw improves, so A_y|0> and G are
+        # built once per threshold (G only once some draw needs it); apply
+        # copies its input, so the prepared state is reused as is
+        at_y: float | None = None
+        m = base_m
+        prepared: StateVector | None = None
+        grover = None
 
         def draw(y: float, l_ops: int, gen: np.random.Generator) -> BitVector:
-            # the folded constant moves with the threshold; widen the value
-            # register when a large y would push it out of coefficient range
-            m = max(base_m, coefficient_width(p, y))
-            prep = build_state_prep(p, y, m)
-            state = apply(prep, StateVector.zero(prep.n_qubits))
+            nonlocal at_y, m, prepared, grover
+            if y != at_y:
+                # the folded constant moves with the threshold; widen the value
+                # register when a large y would push it out of coefficient range
+                at_y, m = y, max(base_m, coefficient_width(p, y))
+                prep = build_state_prep(p, y, m)
+                prepared = apply(prep, StateVector.zero(prep.n_qubits))
+                grover = None
+            state = prepared
             if l_ops:
-                grover = build_grover(p, y, m)
+                if grover is None:
+                    grover = build_grover(p, y, m)
                 for _ in range(l_ops):
                     state = apply(grover, state)
             return sample(state, gen, n, m).key_bits

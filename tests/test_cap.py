@@ -125,6 +125,28 @@ def test_instance_rejects_infinite_distances(instance, cells):
         instance_from_dict(data)
 
 
+def test_interference_coeff_rejects_path_loss_underflow(instance):
+    # finite distances, but 1e200 ** -2 underflows: AP 0's gain at AP 1's
+    # users is zero and C_01 would divide by it
+    data = instance_to_dict(instance)
+    data["alpha"] = 2.0
+    data["distances"][0][2] = data["distances"][0][3] = 1e200
+    far = instance_from_dict(data)
+    with pytest.raises(ValueError, match="underflows"):
+        interference_coeff(far, 0, 1)
+    with pytest.raises(ValueError):
+        coeff_table(far)
+
+
+def test_interference_coeff_rejects_non_finite_cost(instance):
+    # own-user distances of 1e-200 overflow the gain to inf, so C_01 = -inf
+    data = instance_to_dict(instance)
+    data["alpha"] = 2.0
+    data["distances"][0][0] = data["distances"][0][1] = 1e-200
+    with pytest.raises(ValueError, match="not finite"):
+        interference_coeff(instance_from_dict(data), 0, 1)
+
+
 def test_channel_surplus_warns_but_builds():
     with pytest.warns(UserWarning, match="trivial"):
         inst = CapInstance(n_ap=2, n_ch=2, alpha=1.0,

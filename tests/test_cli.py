@@ -231,3 +231,37 @@ def test_solve_output_is_pinned(tmp_path):
     }
     for name, digest in want.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_solve_statevector_output_is_pinned(tmp_path):
+    # sha256 of the outputs when every gate was simulated on its own and
+    # every draw rebuilt its circuits
+    out = tmp_path / "pin-sv"
+    assert main(["solve", "--backend", "sv", "--formulation", "hubo-asc",
+                 "--formulation", "hubo-desc", "--runs", "3", "--seed", "4",
+                 "--out", str(out)]) == 0
+    want = {
+        "summary.json": "35212763d624e0e615270a1228afe95c70ae6460ca6e7ebab0df3b4502e2f7ee",
+        "trace_hubo-asc.csv": "93da34da30b605b689b9cdbce3374ab0c81d75885b2aed86afdbedef4f887377",
+        "trace_hubo-desc.csv": "fe7b545ab226f188776ae8a1bf6d606801fb347b6b5a5b47c7e4706a45b4716b",
+    }
+    for name, digest in want.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("penalty", ["nan", "inf", "-inf"])
+def test_non_finite_penalty_exit_code(tmp_path, capsys, penalty):
+    assert main(["solve", "--formulation", "qubo", f"--penalty={penalty}", "--runs", "2",
+                 "--out", str(tmp_path / "p")]) == 1
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_path_loss_underflow_exit_code(tmp_path, capsys):
+    # finite distances whose cross gains underflow to zero at alpha = 2
+    data = instance_to_dict(reference_instance())
+    data["alpha"] = 2.0
+    data["distances"][0][2] = data["distances"][0][3] = 1e200
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(data))
+    assert main(["formulate", "--instance", str(path), "--out", str(tmp_path / "f")]) == 1
+    assert "invalid input" in capsys.readouterr().err

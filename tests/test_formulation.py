@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -120,6 +121,14 @@ def test_qubo_quadratic_term_count(instance, qubo):
 def test_qubo_rejects_nonpositive_penalty(instance):
     with pytest.raises(ValueError):
         build_qubo(instance, 0.0)
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+def test_builders_reject_non_finite_penalty(instance, w):
+    with pytest.raises(ValueError, match="finite"):
+        build_qubo(instance, w)
+    with pytest.raises(ValueError, match="finite"):
+        build_hubo(instance, Encoding.BINARY_ASCENDING, w)
 
 
 def test_qubo_max_matches_closed_form():

@@ -218,3 +218,19 @@ def test_run_batch_shares_one_value_table(hubo_asc, monkeypatch):
     batch = run_batch(p, cfg, 4)
     assert len(calls) == 1
     assert [t.iterations for t in batch] == [t.iterations for t in solo]
+
+
+def test_statevector_builds_circuits_once_per_threshold(hubo_asc, monkeypatch):
+    import gascap.gas as gas
+    built = {"prep": [], "grover": []}
+    for name, key in (("build_state_prep", "prep"), ("build_grover", "grover")):
+        original = getattr(gas, name)
+        monkeypatch.setattr(gas, name, lambda p, y, m, _f=original, _k=key:
+                            built[_k].append(y) or _f(p, y, m))
+    cfg = GasConfig(backend="statevector", max_classical_iters=40, master_seed=3)
+    trace = run_gas(hubo_asc.objective, cfg, rng=run_seed(0, 3))
+    thresholds = list(dict.fromkeys(it.y_i for it in trace.iterations))
+    amplified = list(dict.fromkeys(it.y_i for it in trace.iterations if it.l_i))
+    assert len(thresholds) > 1 and amplified
+    assert built["prep"] == thresholds
+    assert built["grover"] == amplified

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gascap import (
     BinaryPolynomial,
@@ -18,7 +20,7 @@ from gascap import (
     sample,
     value_register_width,
 )
-from gascap.circuits import CircuitSpec, GateSpec
+from gascap.circuits import CircuitSpec, GateSpec, formulation_width
 from gascap.poly import bits_to_int, int_to_bits
 
 
@@ -40,7 +42,117 @@ def test_apply_rejects_mismatch_and_cap():
         apply(c, StateVector.zero(2))
     big = CircuitSpec(25, 0, ())
     with pytest.raises(ValueError):
-        apply(big, StateVector.zero(25))
+        # the cap is checked before the amplitudes are read
+        apply(big, StateVector(25, np.zeros(1)))
+
+
+def test_norm_drift_is_a_value_error():
+    c = CircuitSpec(1, 0, (GateSpec("h", target=0),))
+    with pytest.raises(ValueError, match="norm drifted"):
+        apply(c, StateVector(1, np.array([1, 1], complex)))
+
+
+# -- gate-by-gate reference ---------------------------------------------------
+# Every gate on its own: each phase gate through a full-array mask, the
+# (inverse) QFT as a dense matrix.  ``apply`` must match it.
+
+
+def _iqft_matrix(m: int, inverse: bool) -> np.ndarray:
+    size = 1 << m
+    grid = np.outer(np.arange(size), np.arange(size))
+    sign = -1.0 if inverse else 1.0
+    return np.exp(sign * 2j * np.pi * grid / size) / math.sqrt(size)
+
+
+def apply_gate_by_gate(c: CircuitSpec, s: StateVector) -> np.ndarray:
+    n_total, m = c.n_qubits, c.m_val
+    amps = s.amplitudes.astype(np.complex128)
+    idx = np.arange(amps.size, dtype=np.uint64)
+
+    def weight(q):
+        return 1 << (n_total - 1 - q)
+
+    for g in c.gates:
+        if g.kind == "h":
+            a = amps.reshape(1 << g.target, 2, weight(g.target))
+            top, bot = a[:, 0, :].copy(), a[:, 1, :].copy()
+            inv = 1.0 / math.sqrt(2.0)
+            a[:, 0, :] = (top + bot) * inv
+            a[:, 1, :] = (top - bot) * inv
+        elif g.kind in ("r", "cr"):
+            mask = np.uint64(sum(weight(q) for q in (g.target, *g.controls)))
+            amps[(idx & mask) == mask] *= np.exp(1j * g.theta)
+        elif g.kind == "z":
+            amps[(idx & np.uint64(weight(g.target))) != 0] *= -1.0
+        elif g.kind in ("iqft", "qft"):
+            mat = _iqft_matrix(m, inverse=(g.kind == "iqft"))
+            amps = (amps.reshape(-1, 1 << m) @ mat.T).reshape(-1)
+        elif g.kind == "diffusion":
+            first = amps[0]
+            amps = -amps
+            amps[0] = first
+        else:
+            raise ValueError(f"unknown gate kind {g.kind!r}")
+    return amps
+
+
+@st.composite
+def circuits(draw):
+    n_total = draw(st.integers(1, 8))
+    m = draw(st.integers(0, n_total))
+    qubit = st.integers(0, n_total - 1)
+    theta = st.floats(-10.0, 10.0, allow_nan=False)
+
+    def phase_gate():
+        order = draw(st.permutations(range(n_total)))
+        k = draw(st.integers(0, min(3, n_total - 1)))
+        kind = "cr" if k else "r"
+        return GateSpec(kind, target=order[0], controls=tuple(order[1:1 + k]), theta=draw(theta))
+
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["phases", "h", "z", "iqft", "qft", "diffusion"]))
+        if kind == "phases":
+            gates.extend(phase_gate() for _ in range(draw(st.integers(1, 8))))
+        elif kind in ("h", "z"):
+            gates.append(GateSpec(kind, target=draw(qubit)))
+        else:
+            gates.append(GateSpec(kind))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=1 << n_total) + 1j * rng.normal(size=1 << n_total)
+    state = StateVector(n_total, amps / np.linalg.norm(amps))
+    return CircuitSpec(n_total - m, m, tuple(gates)), state
+
+
+@given(circuits())
+@settings(deadline=None)
+def test_apply_matches_gate_by_gate_reference(case):
+    c, state = case
+    got = apply(c, state).amplitudes
+    assert np.max(np.abs(got - apply_gate_by_gate(c, state))) <= 1e-12
+
+
+def test_apply_leaves_its_input_unchanged():
+    c = CircuitSpec(1, 1, (GateSpec("h", target=0), GateSpec("r", target=1, theta=0.7),
+                           GateSpec("z", target=0), GateSpec("iqft")))
+    state = StateVector(2, np.full(4, 0.5, dtype=complex))
+    apply(c, state)
+    assert np.array_equal(state.amplitudes, np.full(4, 0.5))
+
+
+@pytest.mark.parametrize("y", [0.0, 1.3, 2.5, 5.0])
+def test_grover_operator_matches_reference_on_bundled_objective(hubo_asc, table, y):
+    # the register width solve uses: 8 key + 5 value qubits, 700 gates per G
+    p = hubo_asc.objective
+    m = formulation_width(hubo_asc, d_sum=table.d_sum)
+    prep, grover = build_state_prep(p, y, m), build_grover(p, y, m)
+    state = apply(prep, StateVector.zero(prep.n_qubits))
+    want = StateVector(prep.n_qubits, apply_gate_by_gate(prep, StateVector.zero(prep.n_qubits)))
+    for _ in range(3):
+        assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-12
+        state = apply(grover, state)
+        want = StateVector(want.n_qubits, apply_gate_by_gate(grover, want))
+    assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-12
 
 
 def test_norm_preserved_gate_by_gate():
