@@ -41,6 +41,7 @@ from .formulation import (
     build_formulation,
     build_hubo,
     build_qubo,
+    build_quadratized,
     channel_codeword,
     channel_indicator,
     decode,

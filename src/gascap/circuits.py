@@ -35,7 +35,7 @@ from .poly import BinaryPolynomial
 GateKind = str  # "h", "r", "cr", "z", "iqft", "qft", "diffusion"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateSpec:
     kind: GateKind
     target: int | None = None
@@ -156,7 +156,7 @@ def closed_form_qubits(
         raise ValueError("d_sum must be positive")
     if kind == "qubo":
         return n_ap * n_ch + qubo_width(n_ap, n_ch, d_sum, w)
-    if kind in ("hubo-asc", "hubo-desc", "hubo"):
+    if kind in ("hubo-asc", "hubo-desc"):
         return n_ap * bits_per_channel(n_ch) + hubo_width_closed_form(d_sum)
     raise ValueError(f"unknown formulation kind {kind!r}")
 
@@ -248,7 +248,7 @@ class ResourceReport:
         return max(self.cr_counts, default=0)
 
 
-def _cnot_total(r_count: int, cr_counts: dict[int, int]) -> int:
+def _cnot_total(cr_counts: dict[int, int]) -> int:
     return sum(cnot_cost(k) * v for k, v in cr_counts.items())
 
 
@@ -280,7 +280,7 @@ def enumerate_resources(c: CircuitSpec, degree: int | None = None) -> ResourceRe
         cr_counts=cr,
         iqft_count=iqft,
         ancillae=max(0, degree - 1),
-        cnot_count=_cnot_total(r, cr),
+        cnot_count=_cnot_total(cr),
     )
 
 
@@ -310,9 +310,9 @@ def closed_form_resources(n_ap: int, n_ch: int, kind: str) -> ResourceReport:
         return ResourceReport(
             n_key=n, m_val=beta, h_count=n + beta, r_count=beta,
             cr_counts=cr, iqft_count=1, ancillae=1,
-            cnot_count=_cnot_total(beta, cr),
+            cnot_count=_cnot_total(cr),
         )
-    if kind in ("hubo-asc", "hubo-desc", "hubo"):
+    if kind in ("hubo-asc", "hubo-desc"):
         n_b = bits_per_channel(n_ch)
         n = n_ap * n_b
         beta = hubo_gate_beta(n_ap)
@@ -330,7 +330,7 @@ def closed_form_resources(n_ap: int, n_ch: int, kind: str) -> ResourceReport:
         return ResourceReport(
             n_key=n, m_val=beta, h_count=n + beta, r_count=beta,
             cr_counts=cr, iqft_count=1, ancillae=max(0, 2 * n_b - 1),
-            cnot_count=_cnot_total(beta, cr),
+            cnot_count=_cnot_total(cr),
         )
     raise ValueError(f"unknown formulation kind {kind!r}")
 
@@ -344,7 +344,6 @@ def formulation_resources(
     circuit = build_state_prep(form.objective, 0.0, m)
     report = enumerate_resources(circuit, degree=form.objective.degree)
     if with_closed_form:
-        kind = "qubo" if form.encoding is Encoding.ONE_HOT else "hubo"
-        closed = closed_form_resources(form.n_ap, form.n_ch, kind)
+        closed = closed_form_resources(form.n_ap, form.n_ch, form.kind)
         report = replace(report, closed_form=closed)
     return report

@@ -39,11 +39,10 @@ from .circuits import (
 )
 from .formulation import (
     build_formulation,
+    build_quadratized,
     decode,
-    default_quadratization_scale,
     dumps_formulation,
     formulation_from_table,
-    quadratize,
     variable_counts,
 )
 from .gas import (
@@ -122,9 +121,7 @@ def cmd_formulate(args) -> int:
     counts = variable_counts(inst.n_ap, inst.n_ch)
     for kind in args.formulation:
         if kind == "quadratized":
-            base = build_formulation(inst, "hubo-asc", args.penalty, table)
-            quad = quadratize(base.objective, default_quadratization_scale(base.objective))
-            poly = quad.poly
+            poly = build_quadratized(inst, args.penalty, table).poly
             name = "quadratized"
             header = (
                 f'# {{"encoding": "quadratized(binary_ascending)", '
@@ -180,7 +177,7 @@ def cmd_estimate(args) -> int:
         d_sum = table.d_sum
         for kind in ("qubo", "hubo-asc", "hubo-desc"):
             closed_total = closed_form_qubits(n_ap, n_ch, d_sum, 1.0, kind)
-            closed = closed_form_resources(n_ap, n_ch, "qubo" if kind == "qubo" else "hubo")
+            closed = closed_form_resources(n_ap, n_ch, kind)
             row = {
                 "formulation": kind,
                 "encoding": kind if kind == "qubo" else kind.replace("hubo-", "binary_"),
@@ -243,9 +240,7 @@ def cmd_solve(args) -> int:
     for kind in args.formulation:
         width = None
         if kind == "quadratized":
-            base = build_formulation(inst, "hubo-asc", args.penalty, table)
-            quad = quadratize(base.objective, default_quadratization_scale(base.objective))
-            poly = quad.poly
+            poly = build_quadratized(inst, args.penalty, table).poly
             encoding = "quadratized(binary_ascending)"
         else:
             form = build_formulation(inst, kind, args.penalty, table)

@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Sequence
 
 from .cap import CapInstance, CoeffTable, coeff_table
-from .poly import BinaryPolynomial, BitVector, bits_to_int
+from .poly import BinaryPolynomial, BitVector, bits_to_int, int_to_bits
 
 
 class Encoding(Enum):
@@ -63,6 +63,11 @@ class Formulation:
     @property
     def n_vars(self) -> int:
         return self.objective.n_vars
+
+    @property
+    def kind(self) -> str:
+        """Formulation kind name: 'qubo', 'hubo-asc' or 'hubo-desc'."""
+        return next(k for k, e in KIND_ENCODINGS.items() if e is self.encoding)
 
     @property
     def slots_per_ap(self) -> int:
@@ -134,17 +139,23 @@ def channel_indicator(i: int, c: int, inst: CapInstance, enc: Encoding) -> Binar
 # -- builders -----------------------------------------------------------
 
 
+def _check_penalty(w: float) -> None:
+    if not (math.isfinite(w) and w > 0):
+        raise ValueError(f"penalty weight must be finite and positive, got {w}")
+
+
 def build_qubo(
     inst: CapInstance, w: float = 1.0, table: CoeffTable | None = None
 ) -> Formulation:
     """One-hot objective: co-channel costs plus w per-AP one-hot penalties."""
-    if not (math.isfinite(w) and w > 0):
-        raise ValueError(f"penalty weight w must be finite and positive, got {w}")
     table = table if table is not None else coeff_table(inst)
     return _qubo_from_table(table, inst.n_ch, w)
 
 
 def _qubo_from_table(table: CoeffTable, n_ch: int, w: float) -> Formulation:
+    _check_penalty(w)
+    if n_ch < 1:
+        raise ValueError("the one-hot encoding needs at least 1 channel")
     n_ap = table.n_ap
     n_vars = n_ap * n_ch
     layout = {(i, c): i * n_ch + (c - 1) for i in range(n_ap) for c in range(1, n_ch + 1)}
@@ -183,58 +194,97 @@ def build_hubo(
     table: CoeffTable | None = None,
 ) -> Formulation:
     """Binary-encoded objective of degree at most 2 N_B."""
-    if not enc.is_binary:
-        raise ValueError("build_hubo requires a binary encoding")
-    if not (math.isfinite(w_prime) and w_prime > 0):
-        raise ValueError(f"penalty weight must be finite and positive, got {w_prime}")
-    if inst.n_ch < 2:
-        raise ValueError("binary encodings need at least 2 channels")
     table = table if table is not None else coeff_table(inst)
     return _hubo_from_table(table, inst.n_ch, enc, w_prime)
+
+
+def _add_exact(terms: dict[tuple[int, ...], float], support: tuple[int, ...], coeff: float):
+    """Add ``coeff`` at ``support``, dropping a sum that is exactly zero, as
+    ``BinaryPolynomial.add`` does: a later term at that support goes to the
+    end of the dict."""
+    total = terms.get(support, 0.0) + coeff
+    if total == 0.0:
+        terms.pop(support, None)
+    else:
+        terms[support] = total
 
 
 def _hubo_from_table(
     table: CoeffTable, n_ch: int, enc: Encoding, w_prime: float
 ) -> Formulation:
+    if not enc.is_binary:
+        raise ValueError("build_hubo requires a binary encoding")
+    _check_penalty(w_prime)
+    if n_ch < 2:
+        raise ValueError("binary encodings need at least 2 channels")
     n_ap = table.n_ap
     n_b = bits_per_channel(n_ch)
     n_vars = n_ap * n_b
     layout = {(i, r): i * n_b + (r - 1) for i in range(n_ap) for r in range(1, n_b + 1)}
+    codewords = [channel_codeword(c, n_ch, enc) for c in range(1, n_ch + 1)]
 
-    codewords = {c: channel_codeword(c, n_ch, enc) for c in range(1, n_ch + 1)}
-    indicators = {
-        (i, c): codeword_indicator(i, codewords[c], n_vars, n_b)
-        for i in range(n_ap)
-        for c in range(1, n_ch + 1)
-    }
+    # The co-channel indicator of a pair, sum_c [AP i on c][AP k on c], is one
+    # polynomial on 2 N_B variables up to relabeling: AP "0" holds variables
+    # 0..N_B-1 and AP "1" holds N_B..2N_B-1.  Its coefficients are integers,
+    # so expanding it once gives the same bits as expanding it per pair.
+    template = BinaryPolynomial.zero(2 * n_b)
+    for bits in codewords:
+        template = template.add(
+            codeword_indicator(0, bits, 2 * n_b, n_b).multiply(
+                codeword_indicator(1, bits, 2 * n_b, n_b)
+            )
+        )
+    # relabeling keeps each support sorted, since AP i's variables precede
+    # AP k's for i < k; split each support into its AP "0" and AP "1" halves
+    halves = [
+        (tuple(j for j in s if j < n_b), tuple(j - n_b for j in s if j >= n_b))
+        for s in template.terms
+    ]
+    coeffs = list(template.terms.values())
+    low = [[tuple(j + i * n_b for j in lo) for lo, _ in halves] for i in range(n_ap)]
+    high = [[tuple(j + k * n_b for j in hi) for _, hi in halves] for k in range(n_ap)]
 
-    objective = BinaryPolynomial.zero(n_vars)
+    terms: dict[tuple[int, ...], float] = {}
     for i in range(n_ap):
         for k in range(i + 1, n_ap):
-            pair = BinaryPolynomial.zero(n_vars)
-            for c in range(1, n_ch + 1):
-                pair = pair.add(indicators[(i, c)].multiply(indicators[(k, c)]))
-            objective = objective.add(pair.scale(float(table.d[i, k])))
+            d = float(table.d[i, k])
+            for lo, hi, v in zip(low[i], high[k], coeffs):
+                _add_exact(terms, lo + hi, v * d)
 
     # penalize codewords whose decoded channel falls outside 1..n_ch
-    used = {bits_to_int(cw) for cw in codewords.values()}
+    used = {bits_to_int(cw) for cw in codewords}
     for value in range(1 << n_b):
         if value in used:
             continue
-        bits = tuple((value >> (n_b - 1 - r)) & 1 for r in range(n_b))
+        penalty = codeword_indicator(0, int_to_bits(value, n_b), n_b, n_b).scale(w_prime)
         for i in range(n_ap):
-            objective = objective.add(
-                codeword_indicator(i, bits, n_vars, n_b).scale(w_prime)
-            )
+            for s, c in penalty.terms.items():
+                _add_exact(terms, tuple(j + i * n_b for j in s), c)
 
     return Formulation(
         encoding=enc,
-        objective=objective,
+        objective=BinaryPolynomial(n_vars, terms),
         penalty=w_prime,
         n_ap=n_ap,
         n_ch=n_ch,
         var_layout=layout,
     )
+
+
+KIND_ENCODINGS = {
+    "qubo": Encoding.ONE_HOT,
+    "hubo-asc": Encoding.BINARY_ASCENDING,
+    "hubo-desc": Encoding.BINARY_DESCENDING,
+}
+
+
+def _from_table(table: CoeffTable, n_ch: int, kind: str, penalty: float) -> Formulation:
+    enc = KIND_ENCODINGS.get(kind)
+    if enc is None:
+        raise ValueError(f"unknown formulation kind {kind!r}")
+    if enc is Encoding.ONE_HOT:
+        return _qubo_from_table(table, n_ch, penalty)
+    return _hubo_from_table(table, n_ch, enc, penalty)
 
 
 def build_formulation(
@@ -244,13 +294,8 @@ def build_formulation(
     table: CoeffTable | None = None,
 ) -> Formulation:
     """Dispatch by name: 'qubo', 'hubo-asc', or 'hubo-desc'."""
-    if kind == "qubo":
-        return build_qubo(inst, penalty, table)
-    if kind == "hubo-asc":
-        return build_hubo(inst, Encoding.BINARY_ASCENDING, penalty, table)
-    if kind == "hubo-desc":
-        return build_hubo(inst, Encoding.BINARY_DESCENDING, penalty, table)
-    raise ValueError(f"unknown formulation kind {kind!r}")
+    table = table if table is not None else coeff_table(inst)
+    return _from_table(table, inst.n_ch, kind, penalty)
 
 
 def formulation_from_table(
@@ -258,13 +303,7 @@ def formulation_from_table(
 ) -> Formulation:
     """Build directly from a coefficient table (used with CoeffTable.uniform
     for normalized resource analysis)."""
-    if kind == "qubo":
-        return _qubo_from_table(table, n_ch, penalty)
-    if kind == "hubo-asc":
-        return _hubo_from_table(table, n_ch, Encoding.BINARY_ASCENDING, penalty)
-    if kind == "hubo-desc":
-        return _hubo_from_table(table, n_ch, Encoding.BINARY_DESCENDING, penalty)
-    raise ValueError(f"unknown formulation kind {kind!r}")
+    return _from_table(table, n_ch, kind, penalty)
 
 
 # -- quadratization -----------------------------------------------------
@@ -276,54 +315,74 @@ class Quadratization:
     aux_map: tuple[tuple[tuple[int, int], int], ...]  # ((var_a, var_b), aux_index)
 
 
+def _count_pairs(freq: dict[tuple[int, int], int], support: tuple[int, ...], delta: int):
+    for a_pos in range(len(support)):
+        for b_pos in range(a_pos + 1, len(support)):
+            pair = (support[a_pos], support[b_pos])
+            count = freq.get(pair, 0) + delta
+            if count:
+                freq[pair] = count
+            else:
+                del freq[pair]
+
+
 def quadratize(p: BinaryPolynomial, scale: float) -> Quadratization:
     """Reduce to degree <= 2 by repeatedly replacing a variable pair (a, b)
     with a fresh auxiliary y and adding scale * (ab - 2ay - 2by + 3y), which
     vanishes exactly when y = ab.
 
     The pair occurring in the most degree->=3 terms is substituted first,
-    ties broken lexicographically.
+    ties broken lexicographically.  The pair counts are kept up to date as
+    terms are rewritten, and each rewritten term keeps its place in the
+    term order.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    terms = dict(p.terms)
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
+    # [support, coeff] slots in term order, and each support's slot
+    slots = [[s, c] for s, c in p.terms.items()]
+    index = {s: j for j, (s, _) in enumerate(slots)}
+    freq: dict[tuple[int, int], int] = {}
+    for s in index:
+        if len(s) >= 3:
+            _count_pairs(freq, s, 1)
     n_vars = p.n_vars
     aux_map: list[tuple[tuple[int, int], int]] = []
 
-    while True:
-        freq: dict[tuple[int, int], int] = {}
-        for support in terms:
-            if len(support) < 3:
-                continue
-            for a_pos in range(len(support)):
-                for b_pos in range(a_pos + 1, len(support)):
-                    pair = (support[a_pos], support[b_pos])
-                    freq[pair] = freq.get(pair, 0) + 1
-        if not freq:
-            break
-        best = max(freq.items(), key=lambda kv: (kv[1], tuple(-i for i in kv[0])))[0]
-        a, b = best
+    while freq:
+        a, b = max(freq, key=lambda pair: (freq[pair], -pair[0], -pair[1]))
         y = n_vars
         n_vars += 1
         aux_map.append(((a, b), y))
 
-        new_terms: dict[tuple[int, ...], float] = {}
-        for support, coeff in terms.items():
-            if len(support) >= 3 and a in support and b in support:
-                support = tuple(sorted(set(support) - {a, b} | {y}))
-            new_terms[support] = new_terms.get(support, 0.0) + coeff
-        penalty = {
-            (a, b): scale,
-            tuple(sorted((a, y))): -2.0 * scale,
-            tuple(sorted((b, y))): -2.0 * scale,
-            (y,): 3.0 * scale,
-        }
-        for support, coeff in penalty.items():
-            new_terms[support] = new_terms.get(support, 0.0) + coeff
-        terms = {s: c for s, c in new_terms.items() if c != 0.0}
+        for j, slot in enumerate(slots):
+            s = slot[0]
+            if len(s) < 3 or a not in s or b not in s:
+                continue
+            # y is fresh, so the rewritten support is new and y sorts last
+            new = tuple(v for v in s if v != a and v != b) + (y,)
+            _count_pairs(freq, s, -1)
+            if len(new) >= 3:
+                _count_pairs(freq, new, 1)
+            del index[s]
+            index[new] = j
+            slot[0] = new
+
+        # Only (a, b) can already be present, since y is fresh.  A sum there
+        # that cancels to exactly 0.0 stays in its slot until BinaryPolynomial
+        # drops it: no degree->=3 term holds both a and b any more, so (a, b)
+        # is never substituted again and no later term lands on it.
+        j = index.get((a, b))
+        if j is not None:
+            slots[j][1] += scale
+        else:
+            index[(a, b)] = len(slots)
+            slots.append([(a, b), scale])
+        for support, coeff in (((a, y), -2.0 * scale), ((b, y), -2.0 * scale), ((y,), 3.0 * scale)):
+            index[support] = len(slots)
+            slots.append([support, coeff])
 
     return Quadratization(
-        poly=BinaryPolynomial(n_vars, terms), aux_map=tuple(aux_map)
+        poly=BinaryPolynomial(n_vars, dict(slots)), aux_map=tuple(aux_map)
     )
 
 
@@ -337,6 +396,15 @@ def default_quadratization_scale(p: BinaryPolynomial) -> float:
     """
     high = sum(abs(c) for s, c in p.terms.items() if len(s) >= 3)
     return 1.0 + 2.0 * high
+
+
+def build_quadratized(
+    inst: CapInstance, penalty: float = 1.0, table: CoeffTable | None = None
+) -> Quadratization:
+    """The ascending binary objective reduced to degree 2 with
+    ``default_quadratization_scale``, as ``formulate`` and ``solve`` use it."""
+    base = build_formulation(inst, "hubo-asc", penalty, table)
+    return quadratize(base.objective, default_quadratization_scale(base.objective))
 
 
 # -- counting and decoding ----------------------------------------------

@@ -206,7 +206,7 @@ def test_hubo_beta_reference():
 def test_hubo_closed_form_two_cr():
     for n_ap, n_ch in [(6, 3), (10, 5)]:
         n_b = (n_ch - 1).bit_length()
-        closed = closed_form_resources(n_ap, n_ch, "hubo")
+        closed = closed_form_resources(n_ap, n_ch, "hubo-asc")
         assert closed.cr(2) == math.comb(n_ap * n_b, 2) * hubo_gate_beta(n_ap)
 
 
@@ -245,3 +245,32 @@ def test_gate_and_circuit_validation():
         GateSpec("cr", target=0, controls=())
     with pytest.raises(ValueError):
         CircuitSpec(1, 1, (GateSpec("h", target=5),))
+
+
+def test_gate_spec_is_slotted_value_type():
+    from dataclasses import replace
+
+    from gascap.circuits import GateSpec
+    g = GateSpec("cr", target=3, controls=(0, 1), theta=0.25)
+    assert not hasattr(g, "__dict__")
+    assert g == GateSpec("cr", target=3, controls=(0, 1), theta=0.25)
+    assert hash(g) == hash(GateSpec("cr", target=3, controls=(0, 1), theta=0.25))
+    assert g.inverse() == GateSpec("cr", target=3, controls=(0, 1), theta=-0.25)
+    assert replace(g, theta=0.5).theta == 0.5
+    with pytest.raises(AttributeError):
+        g.theta = 1.0
+
+
+def test_closed_forms_take_only_real_kinds():
+    with pytest.raises(ValueError, match="unknown formulation kind"):
+        closed_form_resources(6, 3, "hubo")
+    with pytest.raises(ValueError, match="unknown formulation kind"):
+        closed_form_qubits(6, 3, 15.0, 1.0, "hubo")
+    assert closed_form_resources(6, 3, "hubo-desc") == closed_form_resources(6, 3, "hubo-asc")
+
+
+def test_formulation_resources_attaches_closed_form_of_its_kind():
+    t = CoeffTable.uniform(6, 1.0)
+    for kind in ("qubo", "hubo-asc", "hubo-desc"):
+        rep = formulation_resources(formulation_from_table(t, 3, kind, 1.0), d_sum=t.d_sum)
+        assert rep.closed_form == closed_form_resources(6, 3, kind)

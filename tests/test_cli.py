@@ -265,3 +265,29 @@ def test_path_loss_underflow_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["formulate", "--instance", str(path), "--out", str(tmp_path / "f")]) == 1
     assert "invalid input" in capsys.readouterr().err
+
+
+def test_formulate_output_is_pinned(tmp_path):
+    # sha256 of the outputs when each objective was built with one immutable
+    # add per AP pair and quadratize recounted every pair on every step
+    out = tmp_path / "pin-f"
+    assert main(["formulate", "--synthetic", "8,5", "--formulation", "qubo",
+                 "--formulation", "hubo-asc", "--formulation", "hubo-desc",
+                 "--formulation", "quadratized", "--seed", "3", "--out", str(out)]) == 0
+    want = {
+        "qubo.poly": "fdcb496832de323da5be031308aa3d50ed35f3741af1c904c27a52f080d13100",
+        "hubo-asc.poly": "39d7f79df06a7e2eb3095064ef8495ffbb14d9e4064817fbc1660dda0494743a",
+        "hubo-desc.poly": "ea50d40f7f8c1ce869fbf3caec73ad86c8a93609e4ffb6501bb57268a0bc2884",
+        "quadratized.poly": "dca21633ae5974e4bb1d671b14fc098668e841b2531df76c350ec6c54dd60892",
+        "summary.json": "f4e11feeabe5d2c1c96be479e9952032d9d22af0794fb4a19d652fb3abb19ea5",
+    }
+    for name, digest in want.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_estimate_output_is_pinned(tmp_path):
+    # sha256 of resources.csv when the closed forms took a "hubo" kind alias
+    out = tmp_path / "pin-e"
+    assert main(["estimate", "--sweep", "4:10:2", "--enum-cap", "10", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "resources.csv").read_bytes()).hexdigest()
+    assert digest == "6fd8879a9978d8b402936cc96b6f591cc0da0b2a21622458906b7098f2f3f2db"

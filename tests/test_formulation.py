@@ -1,15 +1,21 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gascap import (
     BinaryPolynomial,
+    CoeffTable,
     Encoding,
     assignment_interference,
     bits_per_channel,
+    build_formulation,
     build_hubo,
+    build_quadratized,
     build_qubo,
     channel_codeword,
     channel_indicator,
@@ -21,8 +27,14 @@ from gascap import (
     synthetic_instance,
     variable_counts,
 )
-from gascap.formulation import codeword_indicator, dumps_formulation
-from gascap.poly import int_to_bits
+from gascap.formulation import (
+    Quadratization,
+    _hubo_from_table,
+    codeword_indicator,
+    dumps_formulation,
+    formulation_from_table,
+)
+from gascap.poly import bits_to_int, int_to_bits
 
 ASC = Encoding.BINARY_ASCENDING
 DESC = Encoding.BINARY_DESCENDING
@@ -319,3 +331,212 @@ def test_formulation_dump_has_header(hubo_desc):
     text = dumps_formulation(hubo_desc)
     first = text.splitlines()[0]
     assert first.startswith("#") and '"binary_descending"' in first and '"n_vars": 8' in first
+
+
+# -- input validation -----------------------------------------------------
+
+
+@pytest.mark.parametrize("n_ch,kind,penalty", [
+    (3, "hubo-asc", math.nan),
+    (3, "hubo-desc", -1.0),
+    (3, "qubo", math.inf),
+    (3, "qubo", 0.0),
+    (1, "hubo-desc", 1.0),
+    (1, "hubo-asc", 1.0),
+    (0, "qubo", 1.0),
+])
+def test_formulation_from_table_validates_inputs(n_ch, kind, penalty):
+    with pytest.raises(ValueError):
+        formulation_from_table(CoeffTable.uniform(4, 1.0), n_ch, kind, penalty)
+
+
+def test_formulation_from_table_one_hot_single_channel():
+    form = formulation_from_table(CoeffTable.uniform(4, 1.0), 1, "qubo", 1.0)
+    assert form.n_vars == 4
+
+
+def test_build_formulation_rejects_unknown_kind(instance, table):
+    with pytest.raises(ValueError, match="unknown formulation kind"):
+        build_formulation(instance, "hubo", 1.0, table)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, -1.0])
+def test_quadratize_rejects_non_finite_scale(hubo_asc, scale):
+    with pytest.raises(ValueError, match="finite"):
+        quadratize(hubo_asc.objective, scale)
+
+
+def test_formulation_kind_names(qubo, hubo_asc, hubo_desc):
+    assert [f.kind for f in (qubo, hubo_asc, hubo_desc)] == ["qubo", "hubo-asc", "hubo-desc"]
+
+
+def test_build_quadratized_is_quadratized_hubo_asc(instance, table, hubo_asc):
+    q = build_quadratized(instance, 1.0, table)
+    want = quadratize(hubo_asc.objective, default_quadratization_scale(hubo_asc.objective))
+    assert q == want
+    assert list(q.poly.terms.items()) == list(want.poly.terms.items())
+
+
+# -- fast paths against their per-pair and per-substitution references ----
+
+
+def hubo_from_table_reference(table, n_ch, enc, w_prime):
+    """Expansion with one immutable ``add`` per AP pair, kept as the slow
+    reference for the template-based ``_hubo_from_table``."""
+    n_ap = table.n_ap
+    n_b = bits_per_channel(n_ch)
+    n_vars = n_ap * n_b
+    codewords = {c: channel_codeword(c, n_ch, enc) for c in range(1, n_ch + 1)}
+    indicators = {
+        (i, c): codeword_indicator(i, codewords[c], n_vars, n_b)
+        for i in range(n_ap)
+        for c in range(1, n_ch + 1)
+    }
+    objective = BinaryPolynomial.zero(n_vars)
+    for i in range(n_ap):
+        for k in range(i + 1, n_ap):
+            pair = BinaryPolynomial.zero(n_vars)
+            for c in range(1, n_ch + 1):
+                pair = pair.add(indicators[(i, c)].multiply(indicators[(k, c)]))
+            objective = objective.add(pair.scale(float(table.d[i, k])))
+    used = {bits_to_int(cw) for cw in codewords.values()}
+    for value in range(1 << n_b):
+        if value in used:
+            continue
+        bits = tuple((value >> (n_b - 1 - r)) & 1 for r in range(n_b))
+        for i in range(n_ap):
+            objective = objective.add(codeword_indicator(i, bits, n_vars, n_b).scale(w_prime))
+    return objective
+
+
+def quadratize_reference(p, scale):
+    """Substitution that recounts every pair and rebuilds the term dict on
+    each step, kept as the slow reference for ``quadratize``."""
+    terms = dict(p.terms)
+    n_vars = p.n_vars
+    aux_map = []
+    while True:
+        freq = {}
+        for support in terms:
+            if len(support) < 3:
+                continue
+            for a_pos in range(len(support)):
+                for b_pos in range(a_pos + 1, len(support)):
+                    pair = (support[a_pos], support[b_pos])
+                    freq[pair] = freq.get(pair, 0) + 1
+        if not freq:
+            break
+        best = max(freq.items(), key=lambda kv: (kv[1], tuple(-i for i in kv[0])))[0]
+        a, b = best
+        y = n_vars
+        n_vars += 1
+        aux_map.append(((a, b), y))
+        new_terms = {}
+        for support, coeff in terms.items():
+            if len(support) >= 3 and a in support and b in support:
+                support = tuple(sorted(set(support) - {a, b} | {y}))
+            new_terms[support] = new_terms.get(support, 0.0) + coeff
+        penalty = {
+            (a, b): scale,
+            tuple(sorted((a, y))): -2.0 * scale,
+            tuple(sorted((b, y))): -2.0 * scale,
+            (y,): 3.0 * scale,
+        }
+        for support, coeff in penalty.items():
+            new_terms[support] = new_terms.get(support, 0.0) + coeff
+        terms = {s: c for s, c in new_terms.items() if c != 0.0}
+    return Quadratization(poly=BinaryPolynomial(n_vars, terms), aux_map=tuple(aux_map))
+
+
+# a few values repeat across pairs, 0 drops a pair, and opposite signs make
+# AP-local terms cancel exactly and come back at the end of the dict
+D_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.5, 1.835, -0.75]),
+    st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def pair_tables(draw):
+    n_ap = draw(st.integers(2, 9))
+    d = np.zeros((n_ap, n_ap))
+    for i in range(n_ap):
+        for k in range(i + 1, n_ap):
+            d[i, k] = d[k, i] = draw(D_VALUES)
+    # only n_ap and d are read, so the table may hold zero or negative d_ik
+    return SimpleNamespace(n_ap=n_ap, d=d)
+
+
+@given(
+    pair_tables(),
+    st.integers(2, 9),
+    st.sampled_from([ASC, DESC]),
+    st.one_of(st.sampled_from([1.0, 2.5]), st.floats(1e-3, 1e3)),
+)
+@example(SimpleNamespace(n_ap=4, d=np.array([[0, 1, -1, 1], [1, 0, 0, 0], [-1, 0, 0, 2], [1, 0, 2, 0.0]])),
+         3, ASC, 1.0)
+@settings(deadline=None, max_examples=40)
+def test_hubo_template_matches_per_pair_expansion(table, n_ch, enc, w_prime):
+    got = _hubo_from_table(table, n_ch, enc, w_prime).objective
+    want = hubo_from_table_reference(table, n_ch, enc, w_prime)
+    assert got.n_vars == want.n_vars
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("kind", ["hubo-asc", "hubo-desc"])
+def test_hubo_template_matches_on_uniform_sweep(kind):
+    for n_ap in range(4, 11):
+        t = CoeffTable.uniform(n_ap, 1.0)
+        form = formulation_from_table(t, n_ap // 2, kind, 1.0)
+        want = hubo_from_table_reference(t, n_ap // 2, form.encoding, 1.0)
+        assert list(form.objective.terms.items()) == list(want.terms.items())
+
+
+@st.composite
+def high_degree_polynomials(draw):
+    n = draw(st.integers(0, 10))
+    support = st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 6)).map(
+        lambda s: tuple(sorted(s))) if n else st.just(())
+    coeff = st.one_of(st.integers(-4, 4).map(float),
+                      st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    terms = draw(st.dictionaries(support, coeff, max_size=20))
+    return BinaryPolynomial(n, terms)
+
+
+def first_pair(p):
+    freq = {}
+    for s in p.terms:
+        if len(s) >= 3:
+            for pair in itertools.combinations(s, 2):
+                freq[pair] = freq.get(pair, 0) + 1
+    if not freq:
+        return None
+    return max(freq, key=lambda pair: (freq[pair], -pair[0], -pair[1]))
+
+
+@given(high_degree_polynomials(), st.sampled_from([1.0, 3.0, 0.5, 17.25]), st.booleans())
+@example(BinaryPolynomial(4, {(0, 1, 2): 1.0, (0, 1, 3): 2.0, (0, 1): -3.0, (2,): 1.0}), 3.0, False)
+@settings(deadline=None)
+def test_quadratize_matches_reference(p, scale, cancel):
+    pair = first_pair(p)
+    if cancel and pair is not None:
+        # an existing (a, b) term that the first penalty cancels exactly
+        terms = dict(p.terms)
+        terms[pair] = -scale
+        p = BinaryPolynomial(p.n_vars, terms)
+    got = quadratize(p, scale)
+    want = quadratize_reference(p, scale)
+    assert got.aux_map == want.aux_map
+    assert got.poly.n_vars == want.poly.n_vars
+    assert list(got.poly.terms.items()) == list(want.poly.terms.items())
+
+
+def test_quadratize_matches_reference_on_objectives(hubo_asc, hubo_desc):
+    t = CoeffTable.uniform(8, 1.0)
+    forms = [hubo_asc, hubo_desc, formulation_from_table(t, 4, "hubo-asc", 2.5)]
+    for form in forms:
+        scale = default_quadratization_scale(form.objective)
+        got = quadratize(form.objective, scale)
+        want = quadratize_reference(form.objective, scale)
+        assert got.aux_map == want.aux_map
+        assert list(got.poly.terms.items()) == list(want.poly.terms.items())
