@@ -114,8 +114,8 @@ def coefficient_width(p: BinaryPolynomial, y: float = 0.0) -> int:
     """Smallest m admitting every coefficient (constant folded with -y).
 
     This is how the reference binary-encoding circuits are sized: value-range
-    overflow is tolerated because each measured sample is re-evaluated
-    classically before the threshold moves.
+    overflow is tolerated because each measured key is valued exactly from
+    the classical value table before the threshold moves.
     """
     m = 1
     const = p.constant_term - y

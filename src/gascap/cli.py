@@ -49,6 +49,7 @@ from .gas import (
     BudgetExceededError,
     GasConfig,
     brute_force_cap,
+    co_channel_partition,
     log2_expected_queries,
     run_gas,
     run_seed,
@@ -220,6 +221,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.runs <= 0:
+        raise ValueError(f"--runs must be positive, got {args.runs}")
     inst = _load_instance(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -249,13 +252,8 @@ def cmd_solve(args) -> int:
             if backend == "statevector":
                 width = formulation_width(form, d_sum=table.d_sum)
         # one value table per formulation gives the range and serves every run
-        sampler = None
-        if backend == "ideal":
-            sampler = IdealSampler(poly)
-            lo, hi = float(sampler.sorted_values[0]), float(sampler.sorted_values[-1])
-        else:
-            values = poly.evaluate_all()
-            lo, hi = float(values.min()), float(values.max())
+        sampler = IdealSampler(poly)
+        lo, hi = float(sampler.sorted_values[0]), float(sampler.sorted_values[-1])
         span = hi - lo if hi > lo else 1.0
         cfg = GasConfig(
             backend=backend,
@@ -349,7 +347,7 @@ def cmd_verify(args) -> int:
         dec = decode(form, x)
         check(f"{kind} optimum value matches", abs(v - oracle.best_value) <= 1e-3,
               f"got {v:.4f}")
-        ok = dec.valid and _partition(dec.assignment) == GOLDEN_PARTITION
+        ok = dec.valid and co_channel_partition(dec.assignment) == GOLDEN_PARTITION
         check(f"{kind} optimum decodes to the golden partition", ok, str(dec))
 
     qubo = build_formulation(inst, "qubo", 1.0, table)
@@ -370,13 +368,6 @@ def cmd_verify(args) -> int:
         print(f"[{mark}] {name}{suffix}")
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
     return EXIT_OK if not failed else EXIT_MISMATCH
-
-
-def _partition(assignment) -> frozenset[frozenset[int]]:
-    groups: dict[int, set[int]] = {}
-    for ap, ch in enumerate(assignment):
-        groups.setdefault(ch, set()).add(ap)
-    return frozenset(frozenset(g) for g in groups.values())
 
 
 def _echo(args) -> dict:

@@ -1,12 +1,12 @@
 """Threshold-descent search with amplitude amplification.
 
 Each iteration amplifies the states whose objective value lies strictly
-below the running minimum y_i, measures one candidate, re-evaluates it
-classically (which also absorbs any value-register approximation from
-real-valued coefficients), and tightens the threshold on improvement.  The
-rotation count L_i is drawn uniformly from {0, ..., ceil(k - 1)} where the
-reach k grows by lambda = 8/7 after every non-improving iteration, capped
-at sqrt(2^n).
+below the running minimum y_i, measures one candidate key, looks its exact
+objective value up in the classical value table (which also absorbs any
+value-register approximation from real-valued coefficients), and tightens
+the threshold on improvement.  The rotation count L_i is drawn uniformly
+from {0, ..., ceil(k - 1)} where the reach k grows by lambda = 8/7 after
+every non-improving iteration, capped at sqrt(2^n).
 
 Accounting: classical queries = objective evaluations = iterations + 1 (the
 initial uniform sample); quantum queries = Grover operators applied, with an
@@ -21,7 +21,7 @@ import numpy as np
 
 from .cap import CapInstance, CoeffTable, assignment_interference
 from .circuits import build_grover, build_state_prep, coefficient_width
-from .poly import BinaryPolynomial, BitVector, BudgetExceededError
+from .poly import BinaryPolynomial, BitVector, BudgetExceededError, bits_to_int, int_to_bits
 from .simulator import IdealSampler, StateVector, apply, sample
 
 
@@ -84,16 +84,19 @@ def run_gas(
 ) -> GasTrace:
     """One seeded search run over the polynomial's full bit cube.
 
-    On the ideal backend the draws come from ``sampler``, which must have
-    been built from ``p``; pass one to share its value table between runs,
-    or leave it out to build one here.  The statevector backend ignores it.
+    ``sampler`` must have been built from ``p``; pass one to share its value
+    table between runs, or leave it out to build one here.  Its table gives
+    the value of every drawn key on both backends, and its draws are the
+    ideal backend's outcomes.
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.master_seed)
     n = p.n_vars
     sqrt_space = math.sqrt(2.0 ** n)
+    sampler = sampler if sampler is not None else IdealSampler(p)
+    values = sampler.values
 
     if cfg.backend == "ideal":
-        draw = (sampler if sampler is not None else IdealSampler(p)).sample
+        draw = sampler.sample
     else:
         base_m = cfg.value_width if cfg.value_width is not None else coefficient_width(p)
         # the threshold moves only when a draw improves, so A_y|0> and G are
@@ -104,7 +107,7 @@ def run_gas(
         prepared: StateVector | None = None
         grover = None
 
-        def draw(y: float, l_ops: int, gen: np.random.Generator) -> BitVector:
+        def draw(y: float, l_ops: int, gen: np.random.Generator) -> int:
             nonlocal at_y, m, prepared, grover
             if y != at_y:
                 # the folded constant moves with the threshold; widen the value
@@ -119,7 +122,7 @@ def run_gas(
                     grover = build_grover(p, y, m)
                 for _ in range(l_ops):
                     state = apply(grover, state)
-            return sample(state, gen, n, m).key_bits
+            return bits_to_int(sample(state, gen, n, m).key_bits)
 
     trace = GasTrace()
     x = tuple(int(b) for b in rng.integers(0, 2, size=n))
@@ -141,8 +144,10 @@ def run_gas(
             break
 
         l_i = int(rng.integers(0, math.ceil(k - 1.0) + 1))
-        x_new = draw(trace.best_y, l_i, rng)
-        y_new = p.evaluate(x_new)
+        key = draw(trace.best_y, l_i, rng)
+        # evaluate_all equals evaluate bit for bit, so the table is exact
+        y_new = float(values[key])
+        x_new = int_to_bits(key, n)
         improved = y_new < trace.best_y
         trace.iterations.append(
             GasIteration(
@@ -174,8 +179,8 @@ def run_batch(
 ) -> list[GasTrace]:
     """Independent seeded runs; run i uses the stream (master_seed, i), so
     different formulations executed with the same config are seed-paired.
-    On the ideal backend all runs share one value table."""
-    sampler = IdealSampler(p) if cfg.backend == "ideal" else None
+    All runs share one value table."""
+    sampler = IdealSampler(p)
     return [
         run_gas(p, cfg, rng=run_seed(i, cfg.master_seed), sampler=sampler)
         for i in range(n_runs)
@@ -185,6 +190,17 @@ def run_batch(
 # -- classical references -------------------------------------------------
 
 
+ORACLE_CHUNK = 1 << 16  # assignments scored per numpy pass in brute_force_cap
+
+
+def co_channel_partition(assignment) -> frozenset[frozenset[int]]:
+    """The APs grouped by the channel they share."""
+    groups: dict[int, set[int]] = {}
+    for ap, ch in enumerate(assignment):
+        groups.setdefault(ch, set()).add(ap)
+    return frozenset(frozenset(g) for g in groups.values())
+
+
 @dataclass(frozen=True)
 class BruteForceResult:
     best_assignment: tuple[int, ...]
@@ -192,36 +208,43 @@ class BruteForceResult:
     evaluations: int
 
     def co_channel_partition(self) -> frozenset[frozenset[int]]:
-        groups: dict[int, set[int]] = {}
-        for ap, ch in enumerate(self.best_assignment):
-            groups.setdefault(ch, set()).add(ap)
-        return frozenset(frozenset(g) for g in groups.values())
+        return co_channel_partition(self.best_assignment)
 
 
 def brute_force_cap(
     inst: CapInstance, table: CoeffTable, budget: int = 10_000_000
 ) -> BruteForceResult:
     """Exhaustive scan of all N_CH^N_AP assignments (lexicographic order,
-    first minimum kept)."""
-    space = inst.n_ch ** inst.n_ap
+    first minimum kept).
+
+    Assignments are enumerated as mixed-radix numbers, AP 0 most significant,
+    ``ORACLE_CHUNK`` at a time.  Each pair's ``d_ik`` is added where the two
+    APs share a channel, from +0.0 and in ``assignment_interference``'s pair
+    order, so every total has the same bits as that function's.  The winner
+    is scored once more by ``assignment_interference``, which must agree.
+    """
+    n_ap, n_ch = inst.n_ap, inst.n_ch
+    space = n_ch ** n_ap
     if space > budget:
         raise BudgetExceededError(
             f"search space {space} exceeds the enumeration budget {budget}"
         )
-    best_assign: tuple[int, ...] | None = None
-    best_value = math.inf
-    assign = [1] * inst.n_ap
-    for _ in range(space):
-        value = assignment_interference(inst, table, assign)
-        if value < best_value:
-            best_value = value
-            best_assign = tuple(assign)
-        # odometer increment, last AP fastest: lexicographic enumeration
-        for pos in range(inst.n_ap - 1, -1, -1):
-            if assign[pos] < inst.n_ch:
-                assign[pos] += 1
-                break
-            assign[pos] = 1
+    d = table.d
+    weight = [n_ch ** (n_ap - 1 - i) for i in range(n_ap)]  # AP 0 most significant
+    best_code, best_value = 0, math.inf
+    for start in range(0, space, ORACLE_CHUNK):
+        codes = np.arange(start, min(start + ORACLE_CHUNK, space), dtype=np.int64)
+        channel = [codes // w % n_ch for w in weight]  # 0-based
+        total = np.zeros(codes.size)
+        for i in range(n_ap):
+            for k in range(i + 1, n_ap):
+                total += np.where(channel[i] == channel[k], d[i, k], 0.0)
+        at = int(np.argmin(total))  # the first minimum of the chunk
+        if total[at] < best_value:
+            best_code, best_value = start + at, float(total[at])
+    best_assign = tuple(1 + best_code // w % n_ch for w in weight)
+    if assignment_interference(inst, table, best_assign) != best_value:
+        raise RuntimeError(f"oracle kernel disagrees with assignment_interference at {best_assign}")
     return BruteForceResult(
         best_assignment=best_assign, best_value=best_value, evaluations=space
     )

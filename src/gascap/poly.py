@@ -158,10 +158,6 @@ class BinaryPolynomial:
     def __neg__(self):
         return self.scale(-1.0)
 
-    def shift(self, offset: float) -> "BinaryPolynomial":
-        """Add a constant offset (used to fold a threshold into the objective)."""
-        return self + offset
-
     # -- evaluation ---------------------------------------------------
 
     def evaluate(self, x: Sequence[int]) -> float:

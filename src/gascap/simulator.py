@@ -182,9 +182,12 @@ class IdealSampler:
 
     The value table over all 2^n keys is computed once, at construction, and
     sorted; each threshold then costs a binary search plus an O(1) draw.
-    Build one sampler per polynomial and share it between runs: the table
-    also gives the objective's range, ``sorted_values[0]`` to
-    ``sorted_values[-1]``.
+    ``sample`` returns the drawn key as an integer index into ``values``
+    (x_0 most significant, as in ``evaluate_all``), so the caller reads the
+    key's exact objective value from the table and builds its bit vector
+    only if it needs one.  Build one sampler per polynomial and share it
+    between runs: the table also gives the objective's range,
+    ``sorted_values[0]`` to ``sorted_values[-1]``.
     """
 
     def __init__(self, p: BinaryPolynomial, cap: int = DEFAULT_QUBIT_CAP):
@@ -202,7 +205,9 @@ class IdealSampler:
     def marked_count(self, y: float) -> int:
         return int(np.searchsorted(self.sorted_values, y, side="left"))
 
-    def sample(self, y: float, l_ops: int, rng: np.random.Generator) -> BitVector:
+    def sample(self, y: float, l_ops: int, rng: np.random.Generator) -> int:
+        """Index of the key measured after one preparation and ``l_ops``
+        Grover operators at threshold ``y``."""
         t = self.marked_count(y)
         n = self.n_states
         p_marked = amplified_probability(t, n, l_ops)
@@ -210,7 +215,7 @@ class IdealSampler:
             pick = self.order[int(rng.integers(t))]
         else:
             pick = self.order[t + int(rng.integers(n - t))]
-        return int_to_bits(int(pick), self.n_vars)
+        return int(pick)
 
 
 def dump_amplitudes(s: StateVector, path) -> None:

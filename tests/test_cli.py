@@ -256,6 +256,15 @@ def test_non_finite_penalty_exit_code(tmp_path, capsys, penalty):
     assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_non_positive_runs_exit_code(tmp_path, capsys, runs):
+    # no runs would leave the confidence interval dividing by zero
+    out = tmp_path / "r"
+    assert main(["solve", "--formulation", "hubo-asc", f"--runs={runs}", "--out", str(out)]) == 1
+    assert "invalid input" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_path_loss_underflow_exit_code(tmp_path, capsys):
     # finite distances whose cross gains underflow to zero at alpha = 2
     data = instance_to_dict(reference_instance())

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gascap import (
     BinaryPolynomial,
     BudgetExceededError,
     GasConfig,
+    GasTrace,
+    IdealSampler,
     brute_force_cap,
     expected_queries,
     run_batch,
@@ -15,7 +19,8 @@ from gascap import (
     synthetic_instance,
     coeff_table,
 )
-from gascap.gas import log2_expected_queries
+from gascap.gas import GasIteration, log2_expected_queries
+from gascap.poly import int_to_bits
 
 
 def test_config_requires_a_termination_rule():
@@ -234,3 +239,97 @@ def test_statevector_builds_circuits_once_per_threshold(hubo_asc, monkeypatch):
     assert len(thresholds) > 1 and amplified
     assert built["prep"] == thresholds
     assert built["grover"] == amplified
+
+
+# -- table lookups against re-evaluation ---------------------------------
+
+
+def reference_run_gas(p, cfg, rng, sampler):
+    """The ideal-backend search loop as it was before draws became table
+    lookups: each drawn key becomes a bit vector that ``p.evaluate`` scores."""
+    n = p.n_vars
+    sqrt_space = math.sqrt(2.0 ** n)
+    trace = GasTrace()
+    x = tuple(int(b) for b in rng.integers(0, 2, size=n))
+    trace.classical_queries = 1
+    trace.best_x, trace.best_y = x, p.evaluate(x)
+    k, i, since_improvement = 1.0, 0, 0
+    while True:
+        if cfg.max_classical_iters is not None and i >= cfg.max_classical_iters:
+            break
+        if cfg.stop_at_known_optimum is not None and trace.best_y <= cfg.stop_at_known_optimum + 1e-12:
+            break
+        if cfg.max_quantum_queries is not None and trace.quantum_queries >= cfg.max_quantum_queries:
+            break
+        if cfg.no_improvement_window is not None and since_improvement >= cfg.no_improvement_window:
+            break
+        l_i = int(rng.integers(0, math.ceil(k - 1.0) + 1))
+        x_new = int_to_bits(sampler.sample(trace.best_y, l_i, rng), n)
+        y_new = p.evaluate(x_new)
+        improved = y_new < trace.best_y
+        trace.iterations.append(GasIteration(
+            i=i, y_i=trace.best_y, k_i=k, l_i=l_i,
+            sampled_x=x_new, sampled_y=y_new, improved=improved,
+        ))
+        trace.classical_queries += 1
+        trace.quantum_queries += (2 * l_i + 1) if cfg.count_oracle_calls else l_i
+        if improved:
+            trace.best_x, trace.best_y = x_new, y_new
+            k, since_improvement = 1.0, 0
+        else:
+            k = min(cfg.lambda_ * k, sqrt_space)
+            since_improvement += 1
+        i += 1
+    return trace
+
+
+@st.composite
+def search_polynomials(draw, max_vars=8, bound=1e3):
+    """Non-integer coefficients; a few shared levels make many keys tie."""
+    n = draw(st.integers(0, max_vars))
+    levels = draw(st.lists(st.floats(-bound, bound, allow_nan=False), min_size=1, max_size=4))
+    coeff = st.one_of(st.sampled_from(levels), st.floats(-bound, bound, allow_nan=False))
+    support = st.lists(st.integers(0, n - 1), unique=True, max_size=n).map(tuple) if n else st.just(())
+    return BinaryPolynomial(n, draw(st.dictionaries(support, coeff, max_size=20)))
+
+
+@given(search_polynomials(), st.integers(0, 2**32 - 1), st.integers(1, 80),
+       st.booleans(), st.booleans())
+@example(BinaryPolynomial.constant(0.1, 4), 0, 30, False, False)
+@example(BinaryPolynomial(3, {(0,): 0.1, (1,): 0.1, (2,): 0.2}), 5, 40, True, True)
+@settings(deadline=None, max_examples=80)
+def test_ideal_trace_equals_evaluate_per_draw_reference(p, seed, iters, oracle_calls, stop):
+    stop_at = p.exhaustive_min()[1] if stop else None
+    cfg = GasConfig(max_classical_iters=iters, stop_at_known_optimum=stop_at,
+                    count_oracle_calls=oracle_calls, master_seed=seed)
+    sampler = IdealSampler(p)
+    got = run_gas(p, cfg, rng=run_seed(0, seed), sampler=sampler)
+    want = reference_run_gas(p, cfg, run_seed(0, seed), sampler)
+    # repr shows every float exactly, so equal reprs mean equal bits
+    assert repr(got) == repr(want)
+
+
+@given(search_polynomials(max_vars=4, bound=8.0), st.integers(0, 2**32 - 1))
+@example(BinaryPolynomial(4, {(0, 1): -1.5, (2,): 0.25, (1, 3): 0.25, (): 0.5}), 3)
+@settings(deadline=None, max_examples=20)
+def test_statevector_values_are_the_evaluated_keys(p, seed):
+    cfg = GasConfig(backend="statevector", max_classical_iters=12, master_seed=seed)
+    trace = run_gas(p, cfg, rng=run_seed(0, seed))
+    assert trace.best_y == p.evaluate(trace.best_x)
+    for it in trace.iterations:
+        assert it.sampled_y == p.evaluate(it.sampled_x)
+        assert type(it.sampled_y) is float
+
+
+@pytest.mark.parametrize("backend", ["ideal", "statevector"])
+def test_only_the_first_sample_is_evaluated(hubo_asc, monkeypatch, backend):
+    p = hubo_asc.objective
+    sampler = IdealSampler(p)
+    calls = []
+    original = BinaryPolynomial.evaluate
+    monkeypatch.setattr(BinaryPolynomial, "evaluate",
+                        lambda self, x: calls.append(x) or original(self, x))
+    cfg = GasConfig(backend=backend, max_classical_iters=25, master_seed=8)
+    trace = run_gas(p, cfg, rng=run_seed(0, 8), sampler=sampler)
+    assert len(trace.iterations) == 25
+    assert len(calls) == 1
