@@ -13,8 +13,7 @@ import itertools
 from gascap import (
     Encoding,
     assignment_interference,
-    build_hubo,
-    build_qubo,
+    build_formulation,
     channel_codeword,
     coeff_table,
     decode,
@@ -34,9 +33,9 @@ for c in (1, 2, 3):
     desc = channel_codeword(c, 3, Encoding.BINARY_DESCENDING)
     print(f"  channel {c}: ascending {asc}   descending {desc}")
 
-qubo = build_qubo(inst, 1.0, table)
-asc = build_hubo(inst, Encoding.BINARY_ASCENDING, 1.0, table)
-desc = build_hubo(inst, Encoding.BINARY_DESCENDING, 1.0, table)
+qubo = build_formulation(inst, "qubo", 1.0, table)
+asc = build_formulation(inst, "hubo-asc", 1.0, table)
+desc = build_formulation(inst, "hubo-desc", 1.0, table)
 
 print("\nobjective sizes:")
 for name, form in [("one-hot", qubo), ("ascending", asc), ("descending", desc)]:

@@ -9,13 +9,11 @@ optimum; ascending and descending are statistically interchangeable here.
 import numpy as np
 
 from gascap import (
-    Encoding,
     GasConfig,
     brute_force_cap,
-    build_hubo,
-    build_qubo,
+    build_formulation,
     coeff_table,
-    expected_queries,
+    log2_expected_queries,
     reference_instance,
     run_batch,
     run_gas,
@@ -29,9 +27,9 @@ print(f"oracle optimum {oracle.best_value:.3f} "
       f"(exhaustive cost {oracle.evaluations} evaluations)")
 
 forms = {
-    "one-hot": build_qubo(inst, 1.0, table),
-    "ascending": build_hubo(inst, Encoding.BINARY_ASCENDING, 1.0, table),
-    "descending": build_hubo(inst, Encoding.BINARY_DESCENDING, 1.0, table),
+    "one-hot": build_formulation(inst, "qubo", 1.0, table),
+    "ascending": build_formulation(inst, "hubo-asc", 1.0, table),
+    "descending": build_formulation(inst, "hubo-desc", 1.0, table),
 }
 
 cfg = GasConfig(backend="ideal", max_classical_iters=200,
@@ -43,7 +41,7 @@ for name, form in forms.items():
     hits = sum(t.best_y <= oracle.best_value + 1e-9 for t in traces)
     mean_c = np.mean([t.classical_queries for t in traces])
     mean_q = np.mean([t.quantum_queries for t in traces])
-    ref = expected_queries(form.objective.n_vars).grover
+    ref = 2.0 ** log2_expected_queries(form.objective.n_vars).grover
     print(f"{name:>11} {form.objective.n_vars:>5} {hits:>5}/100 "
           f"{mean_c:>10.1f} {mean_q:>8.1f} {ref:>10.1f}")
 

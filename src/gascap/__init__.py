@@ -39,8 +39,6 @@ from .formulation import (
     Quadratization,
     bits_per_channel,
     build_formulation,
-    build_hubo,
-    build_qubo,
     build_quadratized,
     channel_codeword,
     channel_indicator,
@@ -56,7 +54,7 @@ from .gas import (
     GasConfig,
     GasTrace,
     brute_force_cap,
-    expected_queries,
+    log2_expected_queries,
     run_batch,
     run_gas,
     run_seed,
@@ -76,10 +74,6 @@ from .simulator import (
     StateVector,
     amplified_probability,
     apply,
-    dump_amplitudes,
-    load_amplitudes,
     marked_probability,
     sample,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -197,15 +197,30 @@ def assignment_interference(
 # -- instance construction --------------------------------------------
 
 
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_dict(data: dict) -> CapInstance:
-    return CapInstance(
-        n_ap=int(data["n_ap"]),
-        n_ch=int(data["n_ch"]),
-        alpha=float(data.get("alpha", 1.0)),
-        distances=np.asarray(data["distances"], dtype=np.float64),
-        assoc=tuple(tuple(int(u) for u in g) for g in data["assoc"]),
-        epsilon=float(data.get("epsilon", 0.01)),
-    )
+    """Instance from its JSON form; any malformed field raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
+    groups = data["assoc"]
+    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
+        raise ValueError("assoc must be a list of user-index lists")
+    try:
+        return CapInstance(
+            n_ap=_integer(data["n_ap"], "n_ap"),
+            n_ch=_integer(data["n_ch"], "n_ch"),
+            alpha=float(data.get("alpha", 1.0)),
+            distances=np.asarray(data["distances"], dtype=np.float64),
+            assoc=tuple(tuple(_integer(u, "a user index") for u in g) for g in groups),
+            epsilon=float(data.get("epsilon", 0.01)),
+        )
+    except TypeError as exc:  # e.g. a null alpha or an object among the distances
+        raise ValueError(f"malformed instance: {exc}") from exc
 
 
 def instance_to_dict(inst: CapInstance) -> dict:

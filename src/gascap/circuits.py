@@ -27,7 +27,7 @@ the closed-form bound on max(E).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .formulation import Encoding, Formulation, bits_per_channel
 from .poly import BinaryPolynomial
@@ -154,11 +154,9 @@ def closed_form_qubits(
     """Total n + m from the closed forms, per formulation family."""
     if d_sum <= 0:
         raise ValueError("d_sum must be positive")
-    if kind == "qubo":
-        return n_ap * n_ch + qubo_width(n_ap, n_ch, d_sum, w)
-    if kind in ("hubo-asc", "hubo-desc"):
+    if Encoding(kind).is_binary:
         return n_ap * bits_per_channel(n_ch) + hubo_width_closed_form(d_sum)
-    raise ValueError(f"unknown formulation kind {kind!r}")
+    return n_ap * n_ch + qubo_width(n_ap, n_ch, d_sum, w)
 
 
 # -- circuit construction -------------------------------------------------
@@ -238,7 +236,6 @@ class ResourceReport:
     iqft_count: int
     ancillae: int                     # for the multi-control decomposition
     cnot_count: int
-    closed_form: "ResourceReport | None" = None
 
     def cr(self, k: int) -> int:
         return self.cr_counts.get(k, 0)
@@ -252,12 +249,12 @@ def _cnot_total(cr_counts: dict[int, int]) -> int:
     return sum(cnot_cost(k) * v for k, v in cr_counts.items())
 
 
-def enumerate_resources(c: CircuitSpec, degree: int | None = None) -> ResourceReport:
+def enumerate_resources(c: CircuitSpec) -> ResourceReport:
     """Gate histogram of a state-preparation circuit (the dominant block of
-    each search iteration)."""
+    each search iteration).  Its largest control count is the objective's
+    degree, which sets the ancillae of the multi-control decomposition."""
     h = r = iqft = 0
     cr: dict[int, int] = {}
-    max_controls = 0
     for g in c.gates:
         if g.kind == "h":
             h += 1
@@ -266,12 +263,9 @@ def enumerate_resources(c: CircuitSpec, degree: int | None = None) -> ResourceRe
         elif g.kind == "cr":
             k = len(g.controls)
             cr[k] = cr.get(k, 0) + 1
-            max_controls = max(max_controls, k)
         elif g.kind in ("iqft", "qft"):
             iqft += 1
         # z/diffusion appear only in full Grover operators, outside this scope
-    if degree is None:
-        degree = max_controls
     return ResourceReport(
         n_key=c.n_key,
         m_val=c.m_val,
@@ -279,47 +273,27 @@ def enumerate_resources(c: CircuitSpec, degree: int | None = None) -> ResourceRe
         r_count=r,
         cr_counts=cr,
         iqft_count=iqft,
-        ancillae=max(0, degree - 1),
+        ancillae=max(0, max(cr, default=0) - 1),
         cnot_count=_cnot_total(cr),
     )
 
 
-def qubo_gate_beta(n_ap: int, n_ch: int) -> int:
-    """Angle-register width under unit costs and unit penalty."""
-    return math.ceil(math.log2(n_ch * math.comb(n_ap, 2) + n_ap * (n_ch - 1) ** 2)) + 1
-
-
-def hubo_gate_beta(n_ap: int) -> int:
-    return math.ceil(math.log2(math.comb(n_ap, 2))) + 1
-
-
 def closed_form_resources(n_ap: int, n_ch: int, kind: str) -> ResourceReport:
-    """Exact gate-count formulas under the normalization D_ik = w = 1.
+    """Exact gate-count formulas under the normalization D_ik = w = 1, so
+    D_sum = C(N_AP, 2).
 
     For the descending encoding the ascending formulas are upper bounds (the
     whole point of the descending assignment is that its expansion is
     smaller), so both binary kinds share this closed form.
     """
-    if kind == "qubo":
-        n = n_ap * n_ch
-        beta = qubo_gate_beta(n_ap, n_ch)
-        cr = {
-            1: n_ap * n_ch * beta,
-            2: (n_ch * math.comb(n_ap, 2) + n_ap * math.comb(n_ch, 2)) * beta,
-        }
-        return ResourceReport(
-            n_key=n, m_val=beta, h_count=n + beta, r_count=beta,
-            cr_counts=cr, iqft_count=1, ancillae=1,
-            cnot_count=_cnot_total(cr),
-        )
-    if kind in ("hubo-asc", "hubo-desc"):
+    pairs = math.comb(n_ap, 2)
+    if Encoding(kind).is_binary:
         n_b = bits_per_channel(n_ch)
         n = n_ap * n_b
-        beta = hubo_gate_beta(n_ap)
+        beta = hubo_width_closed_form(pairs)
         cr = {1: n * beta}
         if n >= 2:
             cr[2] = math.comb(n, 2) * beta
-        pairs = math.comb(n_ap, 2)
         for k in range(3, 2 * n_b + 1):
             if k <= n_b:
                 count = pairs * math.comb(2 * n_b, k) - n_ap * (n_ap - 2) * math.comb(n_b, k)
@@ -327,23 +301,20 @@ def closed_form_resources(n_ap: int, n_ch: int, kind: str) -> ResourceReport:
                 count = pairs * math.comb(2 * n_b, k)
             if count:
                 cr[k] = count * beta
-        return ResourceReport(
-            n_key=n, m_val=beta, h_count=n + beta, r_count=beta,
-            cr_counts=cr, iqft_count=1, ancillae=max(0, 2 * n_b - 1),
-            cnot_count=_cnot_total(cr),
-        )
-    raise ValueError(f"unknown formulation kind {kind!r}")
+        ancillae = max(0, 2 * n_b - 1)
+    else:
+        n = n_ap * n_ch
+        beta = qubo_width(n_ap, n_ch, pairs, 1)
+        cr = {1: n * beta, 2: (n_ch * pairs + n_ap * math.comb(n_ch, 2)) * beta}
+        ancillae = 1
+    return ResourceReport(
+        n_key=n, m_val=beta, h_count=n + beta, r_count=beta,
+        cr_counts=cr, iqft_count=1, ancillae=ancillae,
+        cnot_count=_cnot_total(cr),
+    )
 
 
-def formulation_resources(
-    form: Formulation, d_sum: float | None = None, with_closed_form: bool = True
-) -> ResourceReport:
-    """Enumerated report for a formulation's state-preparation circuit, with
-    the matching closed form attached."""
+def formulation_resources(form: Formulation, d_sum: float | None = None) -> ResourceReport:
+    """Enumerated report for a formulation's state-preparation circuit."""
     m = formulation_width(form, d_sum=d_sum)
-    circuit = build_state_prep(form.objective, 0.0, m)
-    report = enumerate_resources(circuit, degree=form.objective.degree)
-    if with_closed_form:
-        closed = closed_form_resources(form.n_ap, form.n_ch, form.kind)
-        report = replace(report, closed_form=closed)
-    return report
+    return enumerate_resources(build_state_prep(form.objective, 0.0, m))

@@ -38,6 +38,7 @@ from .circuits import (
     formulation_width,
 )
 from .formulation import (
+    Encoding,
     build_formulation,
     build_quadratized,
     decode,
@@ -46,6 +47,7 @@ from .formulation import (
     variable_counts,
 )
 from .gas import (
+    BACKENDS,
     BudgetExceededError,
     GasConfig,
     brute_force_cap,
@@ -61,7 +63,8 @@ EXIT_VALIDATION = 1
 EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
 
-FORMULATION_KINDS = ("qubo", "hubo-asc", "hubo-desc", "quadratized")
+ENCODING_KINDS = tuple(enc.value for enc in Encoding)  # qubo, hubo-asc, hubo-desc
+FORMULATION_KINDS = (*ENCODING_KINDS, "quadratized")
 
 
 def _master_seed(args) -> int:
@@ -176,7 +179,7 @@ def cmd_estimate(args) -> int:
         counts = variable_counts(n_ap, n_ch)
         table = CoeffTable.uniform(n_ap, 1.0)
         d_sum = table.d_sum
-        for kind in ("qubo", "hubo-asc", "hubo-desc"):
+        for kind in ENCODING_KINDS:
             closed_total = closed_form_qubits(n_ap, n_ch, d_sum, 1.0, kind)
             closed = closed_form_resources(n_ap, n_ch, kind)
             row = {
@@ -194,7 +197,7 @@ def cmd_estimate(args) -> int:
             }
             if n_ap <= args.enum_cap:
                 form = formulation_from_table(table, n_ch, kind, 1.0)
-                report = formulation_resources(form, d_sum=d_sum, with_closed_form=False)
+                report = formulation_resources(form, d_sum=d_sum)
                 row.update({
                     "m": report.m_val,
                     "qubits_total": report.n_key + report.m_val,
@@ -239,7 +242,6 @@ def cmd_solve(args) -> int:
     header = ["run_seed", "formulation", "encoding", "iter", "y_i", "L_i",
               "cum_classical", "cum_quantum", "best_y_normalized"]
 
-    backend = "statevector" if args.backend == "sv" else args.backend
     for kind in args.formulation:
         width = None
         if kind == "quadratized":
@@ -248,15 +250,15 @@ def cmd_solve(args) -> int:
         else:
             form = build_formulation(inst, kind, args.penalty, table)
             poly = form.objective
-            encoding = form.encoding.value
-            if backend == "statevector":
+            encoding = form.encoding.label
+            if args.backend == "sv":
                 width = formulation_width(form, d_sum=table.d_sum)
         # one value table per formulation gives the range and serves every run
         sampler = IdealSampler(poly)
         lo, hi = float(sampler.sorted_values[0]), float(sampler.sorted_values[-1])
         span = hi - lo if hi > lo else 1.0
         cfg = GasConfig(
-            backend=backend,
+            backend=args.backend,
             max_classical_iters=args.budget_classical,
             max_quantum_queries=args.budget_quantum,
             stop_at_known_optimum=lo,
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formulation", action="append", choices=FORMULATION_KINDS,
                    default=None)
     p.add_argument("--penalty", type=float, default=1.0)
-    p.add_argument("--backend", choices=("sv", "statevector", "ideal"), default="ideal")
+    p.add_argument("--backend", choices=BACKENDS, default="ideal")
     p.add_argument("--budget-classical", type=int, default=500)
     p.add_argument("--budget-quantum", type=int, default=None)
     p.add_argument("--runs", type=int, default=100)
@@ -428,10 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # a usage error; argparse has printed it on stderr
+            return EXIT_VALIDATION
+        raise  # --help
     if getattr(args, "formulation", None) is None and hasattr(args, "formulation"):
-        args.formulation = ["qubo", "hubo-asc", "hubo-desc"]
+        args.formulation = list(ENCODING_KINDS)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

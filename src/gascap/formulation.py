@@ -33,13 +33,26 @@ from .poly import BinaryPolynomial, BitVector, bits_to_int, int_to_bits
 
 
 class Encoding(Enum):
-    ONE_HOT = "one_hot"
-    BINARY_ASCENDING = "binary_ascending"
-    BINARY_DESCENDING = "binary_descending"
+    """The three objectives, valued by their formulation kind names, so
+    ``Encoding(kind)`` looks a kind up."""
+
+    ONE_HOT = "qubo"
+    BINARY_ASCENDING = "hubo-asc"
+    BINARY_DESCENDING = "hubo-desc"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown formulation kind {value!r}")
 
     @property
     def is_binary(self) -> bool:
         return self is not Encoding.ONE_HOT
+
+    @property
+    def label(self) -> str:
+        """Name written to output files: 'one_hot', 'binary_ascending' or
+        'binary_descending'."""
+        return self.name.lower()
 
 
 def bits_per_channel(n_ch: int) -> int:
@@ -63,11 +76,6 @@ class Formulation:
     @property
     def n_vars(self) -> int:
         return self.objective.n_vars
-
-    @property
-    def kind(self) -> str:
-        """Formulation kind name: 'qubo', 'hubo-asc' or 'hubo-desc'."""
-        return next(k for k, e in KIND_ENCODINGS.items() if e is self.encoding)
 
     @property
     def slots_per_ap(self) -> int:
@@ -144,15 +152,8 @@ def _check_penalty(w: float) -> None:
         raise ValueError(f"penalty weight must be finite and positive, got {w}")
 
 
-def build_qubo(
-    inst: CapInstance, w: float = 1.0, table: CoeffTable | None = None
-) -> Formulation:
-    """One-hot objective: co-channel costs plus w per-AP one-hot penalties."""
-    table = table if table is not None else coeff_table(inst)
-    return _qubo_from_table(table, inst.n_ch, w)
-
-
 def _qubo_from_table(table: CoeffTable, n_ch: int, w: float) -> Formulation:
+    """One-hot objective: co-channel costs plus w per-AP one-hot penalties."""
     _check_penalty(w)
     if n_ch < 1:
         raise ValueError("the one-hot encoding needs at least 1 channel")
@@ -187,17 +188,6 @@ def _qubo_from_table(table: CoeffTable, n_ch: int, w: float) -> Formulation:
     )
 
 
-def build_hubo(
-    inst: CapInstance,
-    enc: Encoding,
-    w_prime: float = 1.0,
-    table: CoeffTable | None = None,
-) -> Formulation:
-    """Binary-encoded objective of degree at most 2 N_B."""
-    table = table if table is not None else coeff_table(inst)
-    return _hubo_from_table(table, inst.n_ch, enc, w_prime)
-
-
 def _add_exact(terms: dict[tuple[int, ...], float], support: tuple[int, ...], coeff: float):
     """Add ``coeff`` at ``support``, dropping a sum that is exactly zero, as
     ``BinaryPolynomial.add`` does: a later term at that support goes to the
@@ -212,8 +202,7 @@ def _add_exact(terms: dict[tuple[int, ...], float], support: tuple[int, ...], co
 def _hubo_from_table(
     table: CoeffTable, n_ch: int, enc: Encoding, w_prime: float
 ) -> Formulation:
-    if not enc.is_binary:
-        raise ValueError("build_hubo requires a binary encoding")
+    """Binary-encoded objective of degree at most 2 N_B."""
     _check_penalty(w_prime)
     if n_ch < 2:
         raise ValueError("binary encodings need at least 2 channels")
@@ -271,17 +260,8 @@ def _hubo_from_table(
     )
 
 
-KIND_ENCODINGS = {
-    "qubo": Encoding.ONE_HOT,
-    "hubo-asc": Encoding.BINARY_ASCENDING,
-    "hubo-desc": Encoding.BINARY_DESCENDING,
-}
-
-
 def _from_table(table: CoeffTable, n_ch: int, kind: str, penalty: float) -> Formulation:
-    enc = KIND_ENCODINGS.get(kind)
-    if enc is None:
-        raise ValueError(f"unknown formulation kind {kind!r}")
+    enc = Encoding(kind)
     if enc is Encoding.ONE_HOT:
         return _qubo_from_table(table, n_ch, penalty)
     return _hubo_from_table(table, n_ch, enc, penalty)
@@ -293,7 +273,8 @@ def build_formulation(
     penalty: float = 1.0,
     table: CoeffTable | None = None,
 ) -> Formulation:
-    """Dispatch by name: 'qubo', 'hubo-asc', or 'hubo-desc'."""
+    """Build by kind: 'qubo', 'hubo-asc' or 'hubo-desc' (an ``Encoding``
+    value)."""
     table = table if table is not None else coeff_table(inst)
     return _from_table(table, inst.n_ch, kind, penalty)
 
@@ -491,7 +472,7 @@ def encode_assignment(form: Formulation, assign: Sequence[int]) -> BitVector:
 def dumps_formulation(form: Formulation) -> str:
     """Header line plus the polynomial dump; consumed by the CLI exports."""
     header = (
-        f'# {{"encoding": "{form.encoding.value}", "n_vars": {form.n_vars}, '
+        f'# {{"encoding": "{form.encoding.label}", "n_vars": {form.n_vars}, '
         f'"penalty": {form.penalty}}}'
     )
     return header + "\n" + form.objective.dumps()

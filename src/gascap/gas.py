@@ -25,22 +25,25 @@ from .poly import BinaryPolynomial, BitVector, BudgetExceededError, bits_to_int,
 from .simulator import IdealSampler, StateVector, apply, sample
 
 
+BACKENDS = ("ideal", "sv")  # the analytic sampler, exact state-vector simulation
+
+
 @dataclass(frozen=True)
 class GasConfig:
     lambda_: float = 8.0 / 7.0
-    backend: str = "ideal"  # "ideal" | "statevector"
+    backend: str = "ideal"  # one of BACKENDS
     max_classical_iters: int | None = None
     max_quantum_queries: int | None = None
     stop_at_known_optimum: float | None = None
     no_improvement_window: int | None = None
     master_seed: int = 0
     count_oracle_calls: bool = False  # count 2L+1 oracle calls instead of L
-    value_width: int | None = None    # statevector register width override
+    value_width: int | None = None    # sv value-register width override
 
     def __post_init__(self):
         if self.lambda_ <= 1.0:
             raise ValueError("lambda must exceed 1")
-        if self.backend not in ("ideal", "statevector"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         rules = (
             self.max_classical_iters,
@@ -256,11 +259,7 @@ class QueryEstimate:
     exhaustive: float
 
 
-def expected_queries(n_vars: int) -> QueryEstimate:
-    """Reference scaling curves: sqrt(2^n) amplified versus 2^n exhaustive."""
-    return QueryEstimate(grover=2.0 ** (n_vars / 2.0), exhaustive=2.0 ** n_vars)
-
-
 def log2_expected_queries(n_vars: int) -> QueryEstimate:
-    """Same curves in log2, usable far beyond float range."""
+    """Reference scaling curves in log2, usable far beyond float range:
+    sqrt(2^n) amplified versus 2^n exhaustive queries."""
     return QueryEstimate(grover=n_vars / 2.0, exhaustive=float(n_vars))

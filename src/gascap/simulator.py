@@ -217,19 +217,3 @@ class IdealSampler:
             pick = self.order[t + int(rng.integers(n - t))]
         return int(pick)
 
-
-def dump_amplitudes(s: StateVector, path) -> None:
-    """Debug dump: little-endian float64 (real, imag) pairs in basis order."""
-    arr = np.empty(2 * s.amplitudes.size, dtype="<f8")
-    arr[0::2] = s.amplitudes.real
-    arr[1::2] = s.amplitudes.imag
-    arr.tofile(path)
-
-
-def load_amplitudes(path) -> StateVector:
-    arr = np.fromfile(path, dtype="<f8")
-    amps = arr[0::2] + 1j * arr[1::2]
-    n = int(math.log2(amps.size))
-    if 1 << n != amps.size:
-        raise ValueError("amplitude dump length is not a power of two")
-    return StateVector(n_qubits=n, amplitudes=amps)

@@ -1,12 +1,6 @@
 import pytest
 
-from gascap import (
-    Encoding,
-    build_hubo,
-    build_qubo,
-    coeff_table,
-    reference_instance,
-)
+from gascap import build_formulation, coeff_table, reference_instance
 
 
 @pytest.fixture(scope="session")
@@ -21,14 +15,14 @@ def table(instance):
 
 @pytest.fixture(scope="session")
 def qubo(instance, table):
-    return build_qubo(instance, 1.0, table)
+    return build_formulation(instance, "qubo", 1.0, table)
 
 
 @pytest.fixture(scope="session")
 def hubo_asc(instance, table):
-    return build_hubo(instance, Encoding.BINARY_ASCENDING, 1.0, table)
+    return build_formulation(instance, "hubo-asc", 1.0, table)
 
 
 @pytest.fixture(scope="session")
 def hubo_desc(instance, table):
-    return build_hubo(instance, Encoding.BINARY_DESCENDING, 1.0, table)
+    return build_formulation(instance, "hubo-desc", 1.0, table)

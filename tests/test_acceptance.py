@@ -23,6 +23,7 @@ from gascap import (
     build_grover,
     build_state_prep,
     closed_form_qubits,
+    closed_form_resources,
     decode,
     interference_coeff,
     marked_probability,
@@ -157,13 +158,13 @@ def test_acceptance_06_gate_count_closed_forms():
         t = CoeffTable.uniform(n_ap, 1.0)
         onehot = formulation_resources(
             formulation_from_table(t, n_ch, "qubo", 1.0), d_sum=t.d_sum)
-        closed = onehot.closed_form
+        closed = closed_form_resources(n_ap, n_ch, "qubo")
         assert onehot.cr(1) == closed.cr(1)
         assert onehot.cr(2) == closed.cr(2)
         assert all(onehot.cr(k) == 0 for k in range(3, 16))
         asc = formulation_resources(
             formulation_from_table(t, n_ch, "hubo-asc", 1.0), d_sum=t.d_sum)
-        aclosed = asc.closed_form
+        aclosed = closed_form_resources(n_ap, n_ch, "hubo-asc")
         for k in range(1, max(asc.max_arity, aclosed.max_arity) + 1):
             assert asc.cr(k) <= aclosed.cr(k), (n_ap, k)
     elapsed = time.monotonic() - start
@@ -178,10 +179,10 @@ def test_acceptance_07_cnot_ordering():
         t = CoeffTable.uniform(n_ap, 1.0)
         asc = formulation_resources(
             formulation_from_table(t, n_ch, "hubo-asc", 1.0),
-            d_sum=t.d_sum, with_closed_form=False)
+            d_sum=t.d_sum)
         desc = formulation_resources(
             formulation_from_table(t, n_ch, "hubo-desc", 1.0),
-            d_sum=t.d_sum, with_closed_form=False)
+            d_sum=t.d_sum)
         assert desc.cnot_count <= asc.cnot_count
         if n_ch & (n_ch - 1):
             assert desc.cnot_count < asc.cnot_count

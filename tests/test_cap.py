@@ -177,6 +177,29 @@ def test_synthetic_instance_is_seeded_and_valid():
     assert np.isfinite(t.d_sum)
 
 
+SMALL = {"n_ap": 3, "n_ch": 2, "alpha": 1.0,
+         "distances": [[1.0, 2.0, 3.0], [2.0, 1.0, 3.0], [3.0, 2.0, 1.0]],
+         "assoc": [[0], [1], [2]]}
+MALFORMED = {
+    "top-level-list": [1, 2],
+    "non-list-group": {**SMALL, "assoc": [[0], [1], 3]},
+    "fractional-user": {**SMALL, "assoc": [[0], [1], [2.7]]},
+    "fractional-n-ap": {**SMALL, "n_ap": 3.5},
+    "null-alpha": {**SMALL, "alpha": None},
+}
+
+
+def test_small_instance_is_well_formed():
+    assert instance_from_dict(SMALL).assoc == ((0,), (1,), (2,))
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_instance_from_dict_rejects_malformed_json(name):
+    # each of these once raised TypeError or was silently truncated by int()
+    with pytest.raises(ValueError):
+        instance_from_dict(MALFORMED[name])
+
+
 def test_round_trip_through_dict(instance):
     again = instance_from_dict(instance_to_dict(instance))
     assert np.allclose(again.distances, instance.distances)

@@ -18,7 +18,7 @@ from gascap import (
     formulation_width,
     value_register_width,
 )
-from gascap.circuits import cnot_cost, hubo_gate_beta, qubo_gate_beta, qubo_width
+from gascap.circuits import cnot_cost, hubo_width_closed_form, qubo_width
 from gascap.formulation import formulation_from_table
 
 
@@ -111,9 +111,8 @@ def test_reference_hubo_circuit_fingerprint(hubo_desc, table):
     # the compiled descending circuit carries the two hallmark phase blocks:
     # an uncontrolled 4.000 * pi/8 (the constant) and a four-fold controlled
     # 5.505 * pi/8 on the first AP pair's slot bits
-    from gascap.circuits import hubo_gate_beta
     m = formulation_width(hubo_desc, d_sum=table.d_sum)
-    assert m == hubo_gate_beta(4)  # coefficient sizing coincides with beta'
+    assert m == hubo_width_closed_form(math.comb(4, 2))  # coefficient sizing coincides with beta'
     c = build_state_prep(hubo_desc.objective, 0.0, m)
     unit = math.pi / 8  # 2 pi / 2^m
     r_last = [g for g in c.gates if g.kind == "r"][-1]
@@ -182,8 +181,8 @@ def test_enumerate_qubo_counts_match_closed_forms():
         t = CoeffTable.uniform(n_ap, 1.0)
         form = formulation_from_table(t, n_ch, "qubo", 1.0)
         rep = formulation_resources(form, d_sum=t.d_sum)
-        closed = rep.closed_form
-        beta = qubo_gate_beta(n_ap, n_ch)
+        closed = closed_form_resources(n_ap, n_ch, "qubo")
+        beta = qubo_width(n_ap, n_ch, math.comb(n_ap, 2), 1)
         assert rep.m_val == qubo_width(n_ap, n_ch, t.d_sum, 1.0) == beta
         assert rep.h_count == rep.n_key + rep.m_val == closed.h_count
         assert rep.cr(1) == n_ap * n_ch * beta == closed.cr(1)
@@ -194,20 +193,20 @@ def test_enumerate_qubo_counts_match_closed_forms():
 def test_qubo_two_cr_closed_form_identity():
     # the binomial form equals N_AP N_CH (N_AP + N_CH - 2) / 2
     for n_ap, n_ch in [(4, 2), (6, 3), (10, 5), (12, 6)]:
-        beta = qubo_gate_beta(n_ap, n_ch)
+        beta = qubo_width(n_ap, n_ch, math.comb(n_ap, 2), 1)
         closed = closed_form_resources(n_ap, n_ch, "qubo")
         assert closed.cr(2) == n_ap * n_ch * (n_ap + n_ch - 2) // 2 * beta
 
 
 def test_hubo_beta_reference():
-    assert hubo_gate_beta(4) == 4  # ceil(log2 6) + 1
+    assert hubo_width_closed_form(math.comb(4, 2)) == 4  # ceil(log2 6) + 1
 
 
 def test_hubo_closed_form_two_cr():
     for n_ap, n_ch in [(6, 3), (10, 5)]:
         n_b = (n_ch - 1).bit_length()
         closed = closed_form_resources(n_ap, n_ch, "hubo-asc")
-        assert closed.cr(2) == math.comb(n_ap * n_b, 2) * hubo_gate_beta(n_ap)
+        assert closed.cr(2) == math.comb(n_ap * n_b, 2) * hubo_width_closed_form(math.comb(n_ap, 2))
 
 
 def test_enumerated_hubo_never_exceeds_closed_form():
@@ -216,7 +215,7 @@ def test_enumerated_hubo_never_exceeds_closed_form():
         t = CoeffTable.uniform(n_ap, 1.0)
         form = formulation_from_table(t, n_ch, "hubo-asc", 1.0)
         rep = formulation_resources(form, d_sum=t.d_sum)
-        closed = rep.closed_form
+        closed = closed_form_resources(n_ap, n_ch, "hubo-asc")
         for k in range(1, max(rep.max_arity, closed.max_arity) + 1):
             assert rep.cr(k) <= closed.cr(k)
         assert rep.ancillae == form.objective.degree - 1
@@ -227,11 +226,9 @@ def test_descending_cnot_never_above_ascending():
         n_ch = n_ap // 2
         t = CoeffTable.uniform(n_ap, 1.0)
         asc = formulation_resources(
-            formulation_from_table(t, n_ch, "hubo-asc", 1.0), d_sum=t.d_sum,
-            with_closed_form=False)
+            formulation_from_table(t, n_ch, "hubo-asc", 1.0), d_sum=t.d_sum)
         desc = formulation_resources(
-            formulation_from_table(t, n_ch, "hubo-desc", 1.0), d_sum=t.d_sum,
-            with_closed_form=False)
+            formulation_from_table(t, n_ch, "hubo-desc", 1.0), d_sum=t.d_sum)
         assert desc.cnot_count <= asc.cnot_count
         if n_ch & (n_ch - 1):  # not a power of two
             assert desc.cnot_count < asc.cnot_count
@@ -267,10 +264,3 @@ def test_closed_forms_take_only_real_kinds():
     with pytest.raises(ValueError, match="unknown formulation kind"):
         closed_form_qubits(6, 3, 15.0, 1.0, "hubo")
     assert closed_form_resources(6, 3, "hubo-desc") == closed_form_resources(6, 3, "hubo-asc")
-
-
-def test_formulation_resources_attaches_closed_form_of_its_kind():
-    t = CoeffTable.uniform(6, 1.0)
-    for kind in ("qubo", "hubo-asc", "hubo-desc"):
-        rep = formulation_resources(formulation_from_table(t, 3, kind, 1.0), d_sum=t.d_sum)
-        assert rep.closed_form == closed_form_resources(6, 3, kind)

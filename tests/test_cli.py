@@ -7,6 +7,7 @@ import pytest
 from gascap import BinaryPolynomial
 from gascap.cap import instance_to_dict, reference_instance, synthetic_instance
 from gascap.cli import main
+from test_cap import MALFORMED
 
 
 def read_csv(path):
@@ -300,3 +301,62 @@ def test_estimate_output_is_pinned(tmp_path):
     assert main(["estimate", "--sweep", "4:10:2", "--enum-cap", "10", "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "resources.csv").read_bytes()).hexdigest()
     assert digest == "6fd8879a9978d8b402936cc96b6f591cc0da0b2a21622458906b7098f2f3f2db"
+
+
+def test_solve_one_hot_and_quadratized_output_is_pinned(tmp_path):
+    # sha256 of the outputs while Encoding's values were the output labels;
+    # the traces carry the one_hot and quadratized(binary_ascending) labels
+    out = tmp_path / "pin-q"
+    assert main(["solve", "--backend", "ideal", "--formulation", "qubo",
+                 "--formulation", "quadratized", "--runs", "3", "--seed", "5",
+                 "--out", str(out)]) == 0
+    want = {
+        "summary.json": "81e2ae34a8ff62631a1982e23c039387212ced5caf7460ad74158fde9f5cf25e",
+        "trace_qubo.csv": "c47b4a3f72eb0fbe9abd48a532090f02c2ef07fd83d674da37fa2d13867f1156",
+        "trace_quadratized.csv": "1bcfe29be0be3235fbf8faaf6e686da0d52224010de48ea59609ef26d9c373de",
+    }
+    for name, digest in want.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_solve_statevector_one_hot_output_is_pinned(tmp_path):
+    # sha256 of the outputs while the CLI translated "sv" to a second backend
+    # name; the only path that sizes the value register from the formulation
+    out = tmp_path / "pin-sv-q"
+    assert main(["solve", "--backend", "sv", "--formulation", "qubo", "--runs", "1",
+                 "--budget-classical", "6", "--seed", "5", "--out", str(out)]) == 0
+    want = {
+        "summary.json": "9c731d3a606d80d07481fc9408cdd1cc9fcb9a9a27cf6ae4660f493c642e1a7e",
+        "trace_qubo.csv": "28b4485555e5c263cebb190645ff1c5652ab261045b807cecf65bb1830dd56d7",
+    }
+    for name, digest in want.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--formulation", "bogus"],
+    ["solve", "--runs", "abc"],
+    [],
+], ids=["unknown-formulation", "non-integer-runs", "no-command"])
+def test_usage_error_exit_code(tmp_path, capsys, argv):
+    # exit 2 is reserved for golden-value mismatches
+    out = tmp_path / "u"
+    assert main(argv + ["--out", str(out)] if argv else argv) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--help"])
+    assert info.value.code == 0
+    assert "--backend {ideal,sv}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_instance_exit_code(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    assert main(["solve", "--instance", str(path), "--runs", "1",
+                 "--out", str(tmp_path / "m")]) == 1
+    assert "invalid input" in capsys.readouterr().err

@@ -14,9 +14,7 @@ from gascap import (
     assignment_interference,
     bits_per_channel,
     build_formulation,
-    build_hubo,
     build_quadratized,
-    build_qubo,
     channel_codeword,
     channel_indicator,
     coeff_table,
@@ -132,15 +130,15 @@ def test_qubo_quadratic_term_count(instance, qubo):
 
 def test_qubo_rejects_nonpositive_penalty(instance):
     with pytest.raises(ValueError):
-        build_qubo(instance, 0.0)
+        build_formulation(instance, "qubo", 0.0)
 
 
 @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
 def test_builders_reject_non_finite_penalty(instance, w):
     with pytest.raises(ValueError, match="finite"):
-        build_qubo(instance, w)
+        build_formulation(instance, "qubo", w)
     with pytest.raises(ValueError, match="finite"):
-        build_hubo(instance, Encoding.BINARY_ASCENDING, w)
+        build_formulation(instance, "hubo-asc", w)
 
 
 def test_qubo_max_matches_closed_form():
@@ -148,7 +146,7 @@ def test_qubo_max_matches_closed_form():
     for n_ap, n_ch, seed in [(4, 3, 0), (4, 2, 1), (3, 2, 2)]:
         inst = synthetic_instance(n_ap, n_ch, seed=seed)
         t = coeff_table(inst)
-        form = build_qubo(inst, 1.0, t)
+        form = build_formulation(inst, "qubo", 1.0, t)
         _, got = form.objective.exhaustive_max()
         want = n_ch * t.d_sum + 1.0 * n_ap * (n_ch - 1) ** 2
         assert got == pytest.approx(want)
@@ -180,15 +178,15 @@ def test_hubo_descending_penalty_terms(hubo_desc):
 def test_hubo_power_of_two_has_no_penalty_and_identical_encodings():
     inst = synthetic_instance(3, 2, seed=5)
     t = coeff_table(inst)
-    asc = build_hubo(inst, ASC, 1.0, t)
-    desc = build_hubo(inst, DESC, 1.0, t)
+    asc = build_formulation(inst, "hubo-asc", 1.0, t)
+    desc = build_formulation(inst, "hubo-desc", 1.0, t)
     # no unused codeword exists, so the encodings expand identically
     assert asc.objective == desc.objective
     inst4 = synthetic_instance(5, 4, seed=6)
     t4 = coeff_table(inst4)
-    asc4 = build_hubo(inst4, ASC, 1.0, t4)
+    asc4 = build_formulation(inst4, "hubo-asc", 1.0, t4)
     assert asc4.objective.degree == 2 * bits_per_channel(4)
-    assert asc4.objective == build_hubo(inst4, DESC, 1.0, t4).objective
+    assert asc4.objective == build_formulation(inst4, "hubo-desc", 1.0, t4).objective
 
 
 def test_semantic_equivalence_exhaustive():
@@ -197,9 +195,9 @@ def test_semantic_equivalence_exhaustive():
         inst = synthetic_instance(n_ap, n_ch, seed=seed)
         t = coeff_table(inst)
         forms = [
-            build_qubo(inst, 1.0, t),
-            build_hubo(inst, ASC, 1.0, t),
-            build_hubo(inst, DESC, 1.0, t),
+            build_formulation(inst, "qubo", 1.0, t),
+            build_formulation(inst, "hubo-asc", 1.0, t),
+            build_formulation(inst, "hubo-desc", 1.0, t),
         ]
         for assign in itertools.product(range(1, n_ch + 1), repeat=n_ap):
             want = assignment_interference(inst, t, assign)
@@ -367,7 +365,15 @@ def test_quadratize_rejects_non_finite_scale(hubo_asc, scale):
 
 
 def test_formulation_kind_names(qubo, hubo_asc, hubo_desc):
-    assert [f.kind for f in (qubo, hubo_asc, hubo_desc)] == ["qubo", "hubo-asc", "hubo-desc"]
+    forms = (qubo, hubo_asc, hubo_desc)
+    assert [f.encoding.value for f in forms] == ["qubo", "hubo-asc", "hubo-desc"]
+
+
+def test_encoding_output_labels():
+    assert [e.label for e in Encoding] == ["one_hot", "binary_ascending", "binary_descending"]
+    assert Encoding("hubo-desc") is Encoding.BINARY_DESCENDING
+    with pytest.raises(ValueError, match="unknown formulation kind"):
+        Encoding("one_hot")
 
 
 def test_build_quadratized_is_quadratized_hubo_asc(instance, table, hubo_asc):

@@ -12,14 +12,14 @@ from gascap import (
     GasTrace,
     IdealSampler,
     brute_force_cap,
-    expected_queries,
+    log2_expected_queries,
     run_batch,
     run_gas,
     run_seed,
     synthetic_instance,
     coeff_table,
 )
-from gascap.gas import GasIteration, log2_expected_queries
+from gascap.gas import GasIteration
 from gascap.poly import int_to_bits
 
 
@@ -147,7 +147,7 @@ def test_statevector_backend_survives_large_initial_threshold():
     # tiny coefficients, large values: the folded constant -y would overflow
     # a register sized from the coefficients alone; the backend must widen
     p = BinaryPolynomial(4, {(i,): 3.0 for i in range(4)})
-    cfg = GasConfig(backend="statevector", max_classical_iters=40,
+    cfg = GasConfig(backend="sv", max_classical_iters=40,
                     stop_at_known_optimum=0.0, master_seed=1)
     trace = run_gas(p, cfg)
     assert trace.best_y == 0.0
@@ -159,7 +159,7 @@ def test_statevector_backend_agrees_with_ideal(hubo_desc, table):
     width = formulation_width(hubo_desc, d_sum=table.d_sum)
     for i in range(3):
         cfg_sv = GasConfig(
-            backend="statevector", value_width=width,
+            backend="sv", value_width=width,
             max_classical_iters=150, stop_at_known_optimum=opt, master_seed=9,
         )
         trace = run_gas(hubo_desc.objective, cfg_sv, rng=run_seed(i, 9))
@@ -191,10 +191,10 @@ def test_brute_force_budget(instance, table):
 
 
 def test_expected_queries():
-    q = expected_queries(12)
-    assert (q.grover, q.exhaustive) == (64.0, 4096.0)
-    assert expected_queries(8).grover == 16.0
-    assert expected_queries(0).grover == 1.0
+    q = log2_expected_queries(12)
+    assert (2.0 ** q.grover, 2.0 ** q.exhaustive) == (64.0, 4096.0)
+    assert 2.0 ** log2_expected_queries(8).grover == 16.0
+    assert 2.0 ** log2_expected_queries(0).grover == 1.0
     lg = log2_expected_queries(768)
     assert (lg.grover, lg.exhaustive) == (384.0, 768.0)
 
@@ -232,7 +232,7 @@ def test_statevector_builds_circuits_once_per_threshold(hubo_asc, monkeypatch):
         original = getattr(gas, name)
         monkeypatch.setattr(gas, name, lambda p, y, m, _f=original, _k=key:
                             built[_k].append(y) or _f(p, y, m))
-    cfg = GasConfig(backend="statevector", max_classical_iters=40, master_seed=3)
+    cfg = GasConfig(backend="sv", max_classical_iters=40, master_seed=3)
     trace = run_gas(hubo_asc.objective, cfg, rng=run_seed(0, 3))
     thresholds = list(dict.fromkeys(it.y_i for it in trace.iterations))
     amplified = list(dict.fromkeys(it.y_i for it in trace.iterations if it.l_i))
@@ -313,7 +313,7 @@ def test_ideal_trace_equals_evaluate_per_draw_reference(p, seed, iters, oracle_c
 @example(BinaryPolynomial(4, {(0, 1): -1.5, (2,): 0.25, (1, 3): 0.25, (): 0.5}), 3)
 @settings(deadline=None, max_examples=20)
 def test_statevector_values_are_the_evaluated_keys(p, seed):
-    cfg = GasConfig(backend="statevector", max_classical_iters=12, master_seed=seed)
+    cfg = GasConfig(backend="sv", max_classical_iters=12, master_seed=seed)
     trace = run_gas(p, cfg, rng=run_seed(0, seed))
     assert trace.best_y == p.evaluate(trace.best_x)
     for it in trace.iterations:
@@ -321,7 +321,7 @@ def test_statevector_values_are_the_evaluated_keys(p, seed):
         assert type(it.sampled_y) is float
 
 
-@pytest.mark.parametrize("backend", ["ideal", "statevector"])
+@pytest.mark.parametrize("backend", ["ideal", "sv"])
 def test_only_the_first_sample_is_evaluated(hubo_asc, monkeypatch, backend):
     p = hubo_asc.objective
     sampler = IdealSampler(p)

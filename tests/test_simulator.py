@@ -345,16 +345,3 @@ def test_every_size_cap_raises_the_budget_error_type():
             call()
         assert isinstance(info.value, BudgetExceededError)
         assert isinstance(info.value, ValueError)
-
-
-def test_amplitude_dump_round_trip(tmp_path):
-    from gascap import dump_amplitudes, load_amplitudes
-    p = BinaryPolynomial(2, {(0,): 1.0, (0, 1): -2.0})
-    c = build_state_prep(p, 0.0, m=3)
-    sv = apply(c, StateVector.zero(c.n_qubits))
-    path = tmp_path / "amps.bin"
-    dump_amplitudes(sv, path)
-    assert path.stat().st_size == 16 * sv.amplitudes.size  # two f64 per amplitude
-    back = load_amplitudes(path)
-    assert back.n_qubits == sv.n_qubits
-    assert np.allclose(back.amplitudes, sv.amplitudes)
