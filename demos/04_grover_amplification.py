@@ -30,7 +30,7 @@ print(f"objective over {p.n_vars} bits, threshold y = {y}: "
 
 m = value_register_width(p + float(-y))
 prep = build_state_prep(p, y, m)
-grover = build_grover(p, y, m)
+grover = build_grover(prep)
 print(f"compiled with a {m}-qubit value register "
       f"({prep.n_qubits} qubits, {len(prep.gates)} gates in A_y)")
 

@@ -199,13 +199,13 @@ def build_state_prep(p: BinaryPolynomial, y: float, m: int) -> CircuitSpec:
     return CircuitSpec(n_key=n, m_val=m, gates=tuple(gates))
 
 
-def build_grover(p: BinaryPolynomial, y: float, m: int) -> CircuitSpec:
-    """One Grover operator G = A_y D A_y^dagger O as a gate list.
+def build_grover(a: CircuitSpec) -> CircuitSpec:
+    """One Grover operator G = A_y D A_y^dagger O as a gate list, from the
+    state preparation ``a`` = ``build_state_prep(p, y, m)``.
 
     O is a Z on the sign qubit; D reflects about the all-zero state of the
     full register (global phase ignored).
     """
-    a = build_state_prep(p, y, m)
     gates: list[GateSpec] = [GateSpec("z", target=a.n_key)]
     gates.extend(a.inverse().gates)
     gates.append(GateSpec("diffusion"))

@@ -34,6 +34,11 @@ from .poly import BinaryPolynomial, BitVector, CapExceededError, int_to_bits
 DEFAULT_QUBIT_CAP = 24
 
 
+def _check_cap(n_qubits: int, cap: int) -> None:
+    if n_qubits > cap:
+        raise CapExceededError(f"{n_qubits} qubits above the simulation cap of {cap}")
+
+
 @dataclass
 class StateVector:
     n_qubits: int
@@ -41,6 +46,9 @@ class StateVector:
 
     @classmethod
     def zero(cls, n_qubits: int) -> "StateVector":
+        """|0...0> on ``n_qubits``; raises ``CapExceededError`` above the
+        simulation cap before allocating the 2^n amplitudes."""
+        _check_cap(n_qubits, DEFAULT_QUBIT_CAP)
         amps = np.zeros(1 << n_qubits, dtype=np.complex128)
         amps[0] = 1.0
         return cls(n_qubits=n_qubits, amplitudes=amps)
@@ -97,8 +105,7 @@ def apply(c: CircuitSpec, s: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> State
     n_total = c.n_qubits
     if s.n_qubits != n_total:
         raise ValueError(f"state has {s.n_qubits} qubits, circuit needs {n_total}")
-    if n_total > cap:
-        raise CapExceededError(f"{n_total} qubits above the simulation cap of {cap}")
+    _check_cap(n_total, cap)
     amps = s.amplitudes.copy()
     m = c.m_val
 

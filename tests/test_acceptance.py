@@ -235,8 +235,9 @@ def test_acceptance_09_amplification_law():
             continue
         t = int((values < y).sum())
         marked = np.where(values < y)[0]
-        state = apply(build_state_prep(p, y, m), StateVector.zero(n + m))
-        grover = build_grover(p, y, m)
+        prep = build_state_prep(p, y, m)
+        state = apply(prep, StateVector.zero(n + m))
+        grover = build_grover(prep)
         for l_ops in range(6):
             got = marked_probability(state, marked, m)
             want = amplified_probability(t, 1 << n, l_ops)

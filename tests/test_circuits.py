@@ -149,7 +149,7 @@ def test_state_prep_then_inverse_is_identity():
 
 
 def test_grover_gate_order():
-    g = build_grover(fig_poly(), 0.0, 3)
+    g = build_grover(build_state_prep(fig_poly(), 0.0, 3))
     kinds = [gate.kind for gate in g.gates]
     assert kinds[0] == "z"
     assert kinds.count("diffusion") == 1

@@ -2,11 +2,13 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from gascap import BinaryPolynomial
+from gascap import BinaryPolynomial, StateVector
 from gascap.cap import instance_to_dict, reference_instance, synthetic_instance
 from gascap.cli import main
+from gascap.simulator import DEFAULT_QUBIT_CAP
 from test_cap import MALFORMED
 
 
@@ -185,6 +187,30 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert main(["solve", "--synthetic", "9,4", "--formulation", "qubo",
                  "--out", str(tmp_path / "c")]) == 3
     assert "n_vars=36" in capsys.readouterr().err
+
+
+def test_statevector_cap_exit_code_before_allocating(tmp_path, capsys, monkeypatch):
+    # 18 key + 13 value qubits: the state would take 32 GiB, so numpy may
+    # build nothing above the cap while the command runs
+    zeros, widths = np.zeros, []
+
+    def bounded_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) <= 1 << DEFAULT_QUBIT_CAP, f"allocating {shape} entries"
+        return zeros(shape, *args, **kwargs)
+
+    zero = StateVector.zero.__func__
+
+    def spy(cls, n_qubits, *args, **kwargs):
+        widths.append(n_qubits)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "zeros", bounded_zeros)
+            return zero(cls, n_qubits, *args, **kwargs)
+
+    monkeypatch.setattr(StateVector, "zero", classmethod(spy))
+    assert main(["solve", "--synthetic", "6,3", "--backend", "sv", "--formulation", "quadratized",
+                 "--runs", "1", "--out", str(tmp_path / "q")]) == 3
+    assert widths == [31]
+    assert "31 qubits above the simulation cap of 24" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cells", [[(0, 0)], [(0, 2), (0, 3)]])

@@ -11,11 +11,18 @@ from gascap import (
     GasConfig,
     GasTrace,
     IdealSampler,
+    StateVector,
+    apply,
+    bits_to_int,
     brute_force_cap,
+    build_grover,
+    build_state_prep,
+    coefficient_width,
     log2_expected_queries,
     run_batch,
     run_gas,
     run_seed,
+    sample,
     synthetic_instance,
     coeff_table,
 )
@@ -225,20 +232,86 @@ def test_run_batch_shares_one_value_table(hubo_asc, monkeypatch):
     assert [t.iterations for t in batch] == [t.iterations for t in solo]
 
 
-def test_statevector_builds_circuits_once_per_threshold(hubo_asc, monkeypatch):
+def two_state_applies(l_seq):
+    """Grover operators the sv draw simulates for one threshold's draws: a
+    draw with L >= depth advances the deepest power by L - depth, one with
+    L < depth applies L afresh from psi.  Also names the branches that
+    applied any: "advance" from a power deeper than psi, "restart" from psi
+    below the deepest power."""
+    depth = applied = 0
+    branches = set()
+    for l_ops in l_seq:
+        if l_ops >= depth:
+            if l_ops > depth > 0:
+                branches.add("advance")
+            applied, depth = applied + l_ops - depth, l_ops
+        else:
+            if l_ops:
+                branches.add("restart")
+            applied += l_ops
+    return applied, branches
+
+
+def spy_statevector_draw(monkeypatch):
+    """Record the sv draw's circuit builds, as thresholds, and the Grover
+    operators it applies, per threshold."""
     import gascap.gas as gas
-    built = {"prep": [], "grover": []}
-    for name, key in (("build_state_prep", "prep"), ("build_grover", "grover")):
-        original = getattr(gas, name)
-        monkeypatch.setattr(gas, name, lambda p, y, m, _f=original, _k=key:
-                            built[_k].append(y) or _f(p, y, m))
+    seen = {"prep": [], "grover": [], "applied": {}}
+    prep_y, grover_y = {}, {}
+    build_state_prep, build_grover, apply = gas.build_state_prep, gas.build_grover, gas.apply
+
+    def spy_prep(p, y, m):
+        a = build_state_prep(p, y, m)
+        prep_y[id(a)] = y
+        seen["prep"].append(y)
+        return a
+
+    def spy_grover(a):
+        g = build_grover(a)
+        grover_y[id(g)] = prep_y[id(a)]  # the A_y built at this threshold
+        seen["grover"].append(prep_y[id(a)])
+        return g
+
+    def spy_apply(c, state):
+        if id(c) in grover_y:
+            y = grover_y[id(c)]
+            seen["applied"][y] = seen["applied"].get(y, 0) + 1
+        return apply(c, state)
+
+    monkeypatch.setattr(gas, "build_state_prep", spy_prep)
+    monkeypatch.setattr(gas, "build_grover", spy_grover)
+    monkeypatch.setattr(gas, "apply", spy_apply)
+    return seen
+
+
+def draws_by_threshold(trace):
+    by_y: dict[float, list[int]] = {}
+    for it in trace.iterations:
+        by_y.setdefault(it.y_i, []).append(it.l_i)
+    return by_y
+
+
+def test_statevector_builds_circuits_once_per_threshold(hubo_asc, monkeypatch):
+    seen = spy_statevector_draw(monkeypatch)
     cfg = GasConfig(backend="sv", max_classical_iters=40, master_seed=3)
     trace = run_gas(hubo_asc.objective, cfg, rng=run_seed(0, 3))
-    thresholds = list(dict.fromkeys(it.y_i for it in trace.iterations))
-    amplified = list(dict.fromkeys(it.y_i for it in trace.iterations if it.l_i))
-    assert len(thresholds) > 1 and amplified
-    assert built["prep"] == thresholds
-    assert built["grover"] == amplified
+    by_y = draws_by_threshold(trace)
+    amplified = [y for y, l_seq in by_y.items() if any(l_seq)]
+    assert len(by_y) > 1 and amplified
+    assert seen["prep"] == list(by_y)
+    assert seen["grover"] == amplified
+
+
+def test_statevector_applies_what_the_two_state_rule_predicts(hubo_asc, monkeypatch):
+    seen = spy_statevector_draw(monkeypatch)
+    cfg = GasConfig(backend="sv", max_classical_iters=40, master_seed=3)
+    trace = run_gas(hubo_asc.objective, cfg, rng=run_seed(0, 3))
+    predicted = {y: two_state_applies(l_seq) for y, l_seq in draws_by_threshold(trace).items()}
+    assert any("restart" in branches for _, branches in predicted.values())
+    assert seen["applied"] == {y: n for y, (n, _) in predicted.items() if n}
+    # charged per draw, however many operators were simulated
+    charged = sum(it.l_i for it in trace.iterations)
+    assert trace.quantum_queries == charged > sum(seen["applied"].values())
 
 
 # -- table lookups against re-evaluation ---------------------------------
@@ -307,6 +380,76 @@ def test_ideal_trace_equals_evaluate_per_draw_reference(p, seed, iters, oracle_c
     want = reference_run_gas(p, cfg, run_seed(0, seed), sampler)
     # repr shows every float exactly, so equal reprs mean equal bits
     assert repr(got) == repr(want)
+
+
+class PerDrawStatevector:
+    """The sv draw before Grover powers were reused, as a ``sample`` for
+    ``reference_run_gas``: A_y|0> is simulated once per threshold and every
+    draw applies G to it L times."""
+
+    def __init__(self, p, value_width=None):
+        self.p = p
+        self.base_m = value_width if value_width is not None else coefficient_width(p)
+        self.at_y = None
+
+    def sample(self, y, l_ops, rng):
+        if y != self.at_y:
+            self.at_y, self.m = y, max(self.base_m, coefficient_width(self.p, y))
+            prep = build_state_prep(self.p, y, self.m)
+            self.prepared = apply(prep, StateVector.zero(prep.n_qubits))
+            self.grover = build_grover(prep)
+        state = self.prepared
+        for _ in range(l_ops):
+            state = apply(self.grover, state)
+        return bits_to_int(sample(state, rng, self.p.n_vars, self.m).key_bits)
+
+
+def branches_taken(trace):
+    return set().union(*(two_state_applies(l_seq)[1] for l_seq in draws_by_threshold(trace).values()))
+
+
+def sv_config(p, seed, iters, widen):
+    """An sv search config whose value register is ``widen`` qubits wider
+    than the coefficients need, or sized by the search when ``widen`` is None."""
+    width = None if widen is None else coefficient_width(p) + widen
+    return GasConfig(backend="sv", max_classical_iters=iters, master_seed=seed, value_width=width)
+
+
+# its 40-draw sv runs at these (seed, widen) take both the advance and the
+# restart branch (see test_both_branches_are_taken)
+BOTH_BRANCHES = BinaryPolynomial(5, {(0, 1): -1.5, (2,): 0.75, (1, 3, 4): 0.25, (4,): -1.25, (): 0.5})
+BOTH_BRANCHES_RUNS = [(1, 2), (2, None)]
+
+
+@given(search_polynomials(max_vars=5, bound=8.0), st.integers(0, 2**32 - 1),
+       st.integers(1, 40), st.none() | st.integers(0, 3))
+@example(BOTH_BRANCHES, 1, 40, 2)
+@example(BOTH_BRANCHES, 2, 40, None)
+@settings(deadline=None, max_examples=25)
+def test_statevector_trace_equals_per_draw_reference(p, seed, iters, widen):
+    cfg = sv_config(p, seed, iters, widen)
+    got = run_gas(p, cfg, rng=run_seed(0, seed))
+    want = reference_run_gas(p, cfg, run_seed(0, seed), PerDrawStatevector(p, cfg.value_width))
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("seed, widen", BOTH_BRANCHES_RUNS)
+def test_both_branches_are_taken(seed, widen):
+    trace = run_gas(BOTH_BRANCHES, sv_config(BOTH_BRANCHES, seed, 40, widen), rng=run_seed(0, seed))
+    assert branches_taken(trace) == {"advance", "restart"}
+
+
+@pytest.mark.parametrize("oracle_calls", [False, True])
+def test_statevector_queries_are_charged_per_draw(hubo_asc, oracle_calls):
+    p = hubo_asc.objective
+    for seed in range(4):
+        cfg = GasConfig(backend="sv", max_classical_iters=30, master_seed=seed,
+                        count_oracle_calls=oracle_calls)
+        got = run_gas(p, cfg, rng=run_seed(0, seed))
+        want = reference_run_gas(p, cfg, run_seed(0, seed), PerDrawStatevector(p))
+        assert [it.l_i for it in got.iterations] == [it.l_i for it in want.iterations]
+        assert got.quantum_queries == want.quantum_queries == sum(
+            2 * it.l_i + 1 if oracle_calls else it.l_i for it in got.iterations)
 
 
 @given(search_polynomials(max_vars=4, bound=8.0), st.integers(0, 2**32 - 1))

@@ -46,6 +46,13 @@ def test_apply_rejects_mismatch_and_cap():
         apply(big, StateVector(25, np.zeros(1)))
 
 
+def test_zero_state_checks_the_cap_before_allocating():
+    # 2^80 amplitudes are past addressable memory, so no width here allocates
+    with pytest.raises(CapExceededError, match="^80 qubits above the simulation cap of 24$"):
+        StateVector.zero(80)
+    assert StateVector.zero(2).amplitudes.tolist() == [1, 0, 0, 0]
+
+
 def test_norm_drift_is_a_value_error():
     c = CircuitSpec(1, 0, (GateSpec("h", target=0),))
     with pytest.raises(ValueError, match="norm drifted"):
@@ -145,7 +152,8 @@ def test_grover_operator_matches_reference_on_bundled_objective(hubo_asc, table,
     # the register width solve uses: 8 key + 5 value qubits, 700 gates per G
     p = hubo_asc.objective
     m = formulation_width(hubo_asc, d_sum=table.d_sum)
-    prep, grover = build_state_prep(p, y, m), build_grover(p, y, m)
+    prep = build_state_prep(p, y, m)
+    grover = build_grover(prep)
     state = apply(prep, StateVector.zero(prep.n_qubits))
     want = StateVector(prep.n_qubits, apply_gate_by_gate(prep, StateVector.zero(prep.n_qubits)))
     for _ in range(3):
@@ -245,8 +253,9 @@ def test_statevector_matches_amplification_formula():
         m = value_register_width(p + (-y))
         t = int((values < y).sum())
         marked = np.where(values < y)[0]
-        state = apply(build_state_prep(p, y, m), StateVector.zero(n + m))
-        grover = build_grover(p, y, m)
+        prep = build_state_prep(p, y, m)
+        state = apply(prep, StateVector.zero(n + m))
+        grover = build_grover(prep)
         for l_ops in range(4):
             got = marked_probability(state, marked, m)
             assert got == pytest.approx(amplified_probability(t, 1 << n, l_ops), abs=1e-6)
@@ -262,8 +271,9 @@ def test_optimal_rotation_count_succeeds_whp():
         n_states = 1 << n
         theta = math.asin(math.sqrt(1 / n_states))
         l_opt = round(math.pi / (4 * theta) - 0.5)
-        state = apply(build_state_prep(p, y, m), StateVector.zero(n + m))
-        grover = build_grover(p, y, m)
+        prep = build_state_prep(p, y, m)
+        state = apply(prep, StateVector.zero(n + m))
+        grover = build_grover(prep)
         for _ in range(l_opt):
             state = apply(grover, state)
         success = marked_probability(state, np.array([n_states - 1]), m)
@@ -274,8 +284,8 @@ def test_optimal_rotation_count_succeeds_whp():
 def test_grover_with_no_marked_states_keeps_uniform_keys():
     p = BinaryPolynomial(3, {(): 1.0})  # constant 1, nothing below y = 0
     m = 2
-    state = apply(build_state_prep(p, 0.0, m), StateVector.zero(3 + m))
-    state = apply(build_grover(p, 0.0, m), state)
+    prep = build_state_prep(p, 0.0, m)
+    state = apply(build_grover(prep), apply(prep, StateVector.zero(3 + m)))
     key_probs = state.probabilities().reshape(8, 1 << m).sum(axis=1)
     assert np.allclose(key_probs, 1 / 8)
 
