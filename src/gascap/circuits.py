@@ -27,12 +27,14 @@ the closed-form bound on max(E).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .formulation import Encoding, Formulation, bits_per_channel
 from .poly import BinaryPolynomial
 
 GateKind = str  # "h", "r", "cr", "z", "iqft", "qft", "diffusion"
+_TARGETED = frozenset(("h", "r", "cr", "z"))  # act on one target qubit; r, cr take controls
+_WHOLE_REGISTER = frozenset(("iqft", "qft", "diffusion"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,21 +45,46 @@ class GateSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.kind == "cr" and not self.controls:
-            raise ValueError("cr gates need at least one control")
+        # a few comparisons per well-formed gate: a state preparation is
+        # built from hundreds of thousands of these
+        kind, target, controls = self.kind, self.target, self.controls
+        if controls:
+            if (kind != "cr" and kind != "r") or not isinstance(target, int) \
+                    or len({target, *controls}) <= len(controls):
+                raise ValueError(self._malformed())
+        elif kind in _TARGETED:
+            if kind == "cr" or not isinstance(target, int):
+                raise ValueError(self._malformed())
+        elif kind not in _WHOLE_REGISTER or target is not None:
+            raise ValueError(self._malformed())
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
 
+    def _malformed(self) -> str:
+        """Why ``__post_init__`` rejects this gate."""
+        kind, target, controls = self.kind, self.target, self.controls
+        if kind in _WHOLE_REGISTER:
+            return f"{kind} gates take no target or controls"
+        if kind not in _TARGETED:
+            return f"unknown gate kind {kind!r}"
+        if not isinstance(target, int):
+            return f"{kind} gates need an integer target, got {target!r}"
+        if not controls:
+            return "cr gates need at least one control"
+        if kind in ("h", "z"):
+            return f"{kind} gates take no controls"
+        if target in controls:
+            return f"control {target} equals the target"
+        return f"repeated control in {controls}"
+
     def inverse(self) -> "GateSpec":
-        if self.kind in ("h", "z", "diffusion"):
-            return self
         if self.kind in ("r", "cr"):
             return GateSpec(self.kind, self.target, self.controls, -self.theta)
         if self.kind == "iqft":
             return GateSpec("qft")
         if self.kind == "qft":
             return GateSpec("iqft")
-        raise ValueError(f"unknown gate kind {self.kind!r}")
+        return self  # h, z and diffusion are their own inverses
 
 
 @dataclass(frozen=True)
@@ -65,6 +92,9 @@ class CircuitSpec:
     n_key: int
     m_val: int
     gates: tuple[GateSpec, ...]
+    # the simulation plan ``simulator.apply`` compiles on first use; it lives
+    # as long as the circuit and takes no part in equality, hashing or repr
+    plan: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def n_qubits(self) -> int:
@@ -182,12 +212,11 @@ def build_state_prep(p: BinaryPolynomial, y: float, m: int) -> CircuitSpec:
 
     def phase_block(coeff: float, controls: tuple[int, ...]):
         theta = 2.0 * math.pi * coeff / (2.0 ** m)
+        kind = "cr" if controls else "r"
         for j in range(m):
             angle = (2.0 ** (m - 1 - j)) * theta
-            if controls:
-                gates.append(GateSpec("cr", target=n + j, controls=controls, theta=angle))
-            else:
-                gates.append(GateSpec("r", target=n + j, theta=angle))
+            # positional: keywords cost about as much again as GateSpec's checks
+            gates.append(GateSpec(kind, n + j, controls, angle))
 
     if const != 0.0:
         phase_block(const, ())

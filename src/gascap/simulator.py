@@ -5,12 +5,17 @@ Two backends with different fidelity/cost trade-offs:
 * ``StateVector`` + ``apply``: exact unitary simulation of a CircuitSpec.
   The basis index is key * 2^m + value, i.e. key qubits occupy the high
   bits (key qubit 0 most significant) and the value register the low bits
-  (value qubit 0 = sign bit at position m-1).  Capped at 24 qubits to keep
-  a run inside ~1 GB.  The phase blocks of a state preparation are
-  diagonal, so each run of ``r``/``cr`` gates is applied as one phase
-  vector, built by a subset-sum pass over the 2^N cube, and the (inverse)
-  QFT as an FFT along the value register; Hadamards, ``z`` and
-  ``diffusion`` are applied one gate at a time.
+  (value qubit 0 = sign bit at position m-1).  Capped at 24 qubits, where
+  one state is 256 MB.  ``apply`` compiles a circuit into a plan the first
+  time it is applied and keeps the plan on the circuit: each run of
+  ``r``/``cr`` gates is one phase diagonal, built once per circuit by a
+  subset-sum pass over the 2^N cube; a run that exactly inverts an earlier
+  run (A_y^dagger's inside G) multiplies by the conjugate of that run's
+  diagonal instead of storing a second one; a full Hadamard layer,
+  ``diffusion`` and a full Hadamard layer form one reflection about the
+  uniform state; the (inverse) QFT is an FFT along the value register; the
+  other Hadamards, ``z`` and a ``diffusion`` outside that pattern are
+  applied one gate at a time.
 
 * ``IdealSampler``: statistically exact amplification outcomes assuming a
   perfect integer value encoding.  With t of N keys marked, one preparation
@@ -64,11 +69,13 @@ def _apply_h(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     before = 1 << qubit
     after = 1 << (n_qubits - 1 - qubit)
     a = amps.reshape(before, 2, after)
-    top = a[:, 0, :].copy()
-    bot = a[:, 1, :].copy()
+    top, bot = a[:, 0, :], a[:, 1, :]
+    old_top = top.copy()  # in place but for this half array
     inv = 1.0 / math.sqrt(2.0)
-    a[:, 0, :] = (top + bot) * inv
-    a[:, 1, :] = (top - bot) * inv
+    top += bot
+    top *= inv
+    np.subtract(old_top, bot, out=bot)
+    bot *= inv
     return a.reshape(-1)
 
 
@@ -93,42 +100,100 @@ def _phase_diagonal(gates: Iterable[GateSpec], n_qubits: int) -> np.ndarray:
     return np.exp(1j * phase)
 
 
+def _inverts(run: tuple[GateSpec, ...], earlier: tuple[GateSpec, ...]) -> bool:
+    """Whether ``run`` is ``earlier`` reversed with every angle negated."""
+    return len(run) == len(earlier) and all(
+        g.kind == e.kind and g.target == e.target and g.controls == e.controls
+        and g.theta == -e.theta
+        for g, e in zip(run, reversed(earlier))
+    )
+
+
+def _run_kind(g: GateSpec) -> str:
+    return "phase" if g.kind in ("r", "cr") else g.kind
+
+
+def _compile(c: CircuitSpec) -> tuple[tuple[str, object], ...]:
+    """The steps ``apply`` runs for ``c``, each a (kernel, argument) pair.
+
+    * ``phase``/``phase_conj``: multiply by a run's diagonal, or by its conjugate
+      when the run inverts an earlier run of the circuit, whose diagonal it
+      then shares (A_y^dagger's phase run inside G).
+    * ``reflect``: a Hadamard on every qubit, ``diffusion``, and a Hadamard
+      on every qubit again is 2|+><+| - I, the reflection about the uniform
+      state.
+    * ``h``/``z`` take their target qubit; ``iqft``/``qft`` (an orthonormal
+      FFT along the value register) and ``diffusion`` take nothing.
+    """
+    n = c.n_qubits
+    units = [(kind, tuple(run)) for kind, run in itertools.groupby(c.gates, key=_run_kind)]
+
+    def full_h_layer(i: int) -> bool:
+        kind, run = units[i]
+        return kind == "h" and len(run) == n and len({g.target for g in run}) == n
+
+    steps: list[tuple[str, object]] = []
+    phase_runs: list[tuple[tuple[GateSpec, ...], str, np.ndarray]] = []
+    i = 0
+    while i < len(units):
+        kind, run = units[i]
+        if (i + 2 < len(units) and units[i + 1][0] == "diffusion" and len(units[i + 1][1]) == 1
+                and full_h_layer(i) and full_h_layer(i + 2)):
+            steps.append(("reflect", None))
+            i += 3
+            continue
+        if kind == "phase":
+            for earlier, op, diag in phase_runs:
+                if _inverts(run, earlier):
+                    op = "phase" if op == "phase_conj" else "phase_conj"
+                    break
+            else:
+                op, diag = "phase", _phase_diagonal(run, n)
+            phase_runs.append((run, op, diag))
+            steps.append((op, diag))
+        else:
+            steps.extend((g.kind, g.target) for g in run)
+        i += 1
+    return tuple(steps)
+
+
 def apply(c: CircuitSpec, s: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     """Apply a circuit to a state; returns a new state, ``s`` is not changed.
 
-    Every maximal run of ``r``/``cr`` gates is applied as one diagonal (see
-    ``_phase_diagonal``), ``iqft``/``qft`` as an orthonormal FFT along the
-    value register, and the other gates one by one.  Raises ``ValueError``
-    when the state does not fit the circuit or its norm drifts from 1, and
-    ``CapExceededError`` above ``cap`` qubits.
+    The first call compiles the circuit into steps (see ``_compile``) and
+    keeps them on it as ``c.plan``; every later call reuses them.  Raises
+    ``ValueError`` when the state does not fit the circuit or its norm drifts
+    from 1, and ``CapExceededError`` above ``cap`` qubits.
     """
     n_total = c.n_qubits
     if s.n_qubits != n_total:
         raise ValueError(f"state has {s.n_qubits} qubits, circuit needs {n_total}")
     _check_cap(n_total, cap)
+    if c.plan is None:
+        object.__setattr__(c, "plan", _compile(c))
     amps = s.amplitudes.copy()
     m = c.m_val
 
-    for phased, run in itertools.groupby(c.gates, key=lambda g: g.kind in ("r", "cr")):
-        if phased:
-            amps *= _phase_diagonal(run, n_total)
-            continue
-        for g in run:
-            if g.kind == "h":
-                amps = _apply_h(amps, g.target, n_total)
-            elif g.kind == "z":
-                amps.reshape(1 << g.target, 2, -1)[:, 1, :] *= -1.0
-            elif g.kind == "iqft":
-                # exp(-2 pi i jk / 2^m) / sqrt(2^m): numpy's forward transform
-                amps = np.fft.fft(amps.reshape(-1, 1 << m), axis=1, norm="ortho").reshape(-1)
-            elif g.kind == "qft":
-                amps = np.fft.ifft(amps.reshape(-1, 1 << m), axis=1, norm="ortho").reshape(-1)
-            elif g.kind == "diffusion":
-                first = amps[0]
-                amps = -amps
-                amps[0] = first
-            else:
-                raise ValueError(f"unknown gate kind {g.kind!r}")
+    for op, arg in c.plan:
+        if op == "phase":
+            amps *= arg
+        elif op == "phase_conj":
+            amps *= arg.conj()
+        elif op == "reflect":
+            np.subtract(amps.sum() * (2.0 / amps.size), amps, out=amps)
+        elif op == "h":
+            amps = _apply_h(amps, arg, n_total)
+        elif op == "z":
+            amps.reshape(1 << arg, 2, -1)[:, 1, :] *= -1.0
+        elif op == "iqft":
+            # exp(-2 pi i jk / 2^m) / sqrt(2^m): numpy's forward transform
+            amps = np.fft.fft(amps.reshape(-1, 1 << m), axis=1, norm="ortho").reshape(-1)
+        elif op == "qft":
+            amps = np.fft.ifft(amps.reshape(-1, 1 << m), axis=1, norm="ortho").reshape(-1)
+        else:  # diffusion
+            first = amps[0]
+            amps = -amps
+            amps[0] = first
 
     out = StateVector(n_qubits=n_total, amplitudes=amps)
     if not math.isclose(out.norm(), 1.0, rel_tol=0, abs_tol=1e-9):

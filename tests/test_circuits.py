@@ -18,7 +18,7 @@ from gascap import (
     formulation_width,
     value_register_width,
 )
-from gascap.circuits import cnot_cost, hubo_width_closed_form, qubo_width
+from gascap.circuits import GateSpec, cnot_cost, hubo_width_closed_form, qubo_width
 from gascap.formulation import formulation_from_table
 
 
@@ -264,3 +264,54 @@ def test_closed_forms_take_only_real_kinds():
     with pytest.raises(ValueError, match="unknown formulation kind"):
         closed_form_qubits(6, 3, 15.0, 1.0, "hubo")
     assert closed_form_resources(6, 3, "hubo-desc") == closed_form_resources(6, 3, "hubo-asc")
+
+
+# -- gate validation --------------------------------------------------------
+# A malformed gate fails where it is built, never later inside ``apply``.
+
+
+def test_gate_spec_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown gate kind 'cx'"):
+        GateSpec("cx", target=0, controls=(1,))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "h"}, {"kind": "z"}, {"kind": "r", "theta": 0.3},
+    {"kind": "cr", "controls": (1,), "theta": 0.3}, {"kind": "h", "target": 1.0},
+    {"kind": "r", "target": "0"},
+], ids=["h", "z", "r", "cr", "float-target", "str-target"])
+def test_gate_spec_needs_an_integer_target(kwargs):
+    with pytest.raises(ValueError, match="need an integer target"):
+        GateSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "iqft", "target": 0}, {"kind": "qft", "controls": (1,)},
+    {"kind": "diffusion", "target": 2}, {"kind": "diffusion", "controls": (0, 1)},
+], ids=["iqft-target", "qft-controls", "diffusion-target", "diffusion-controls"])
+def test_register_gates_take_no_target_or_controls(kwargs):
+    with pytest.raises(ValueError, match="take no target or controls"):
+        GateSpec(**kwargs)
+
+
+def test_gate_spec_rejects_a_control_on_its_target():
+    with pytest.raises(ValueError, match="control 1 equals the target"):
+        GateSpec("cr", target=1, controls=(0, 1), theta=0.5)
+
+
+def test_gate_spec_rejects_a_repeated_control():
+    with pytest.raises(ValueError, match="repeated control"):
+        GateSpec("cr", target=2, controls=(0, 3, 0), theta=0.5)
+
+
+@pytest.mark.parametrize("kind", ["h", "z"])
+def test_hadamard_and_z_take_no_controls(kind):
+    with pytest.raises(ValueError, match=f"{kind} gates take no controls"):
+        GateSpec(kind, target=0, controls=(1,))
+
+
+def test_well_formed_gates_still_build():
+    for gate in (GateSpec("h", target=0), GateSpec("z", target=3), GateSpec("r", target=1),
+                 GateSpec("cr", target=0, controls=(2, 1), theta=-0.5), GateSpec("iqft"),
+                 GateSpec("qft"), GateSpec("diffusion")):
+        assert gate.inverse().inverse() == gate

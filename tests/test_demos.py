@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -9,13 +10,26 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMO_DIR = ROOT / "demos"
 
 
-@pytest.mark.parametrize("script", sorted(DEMO_DIR.glob("*.py")), ids=lambda p: p.name)
-def test_demo_runs_clean(script):
+def run_demo(script: pathlib.Path) -> subprocess.CompletedProcess:
     # the demos import gascap from this checkout's src/, as the tests do
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    result = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=180, env=env
+    return subprocess.run(
+        [sys.executable, str(script)], capture_output=True, timeout=180, env=env
     )
-    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("script", sorted(DEMO_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs_clean(script):
+    result = run_demo(script)
+    assert result.returncode == 0, result.stderr.decode()
     assert result.stdout.strip()
+
+
+def test_demo_04_stdout_is_pinned():
+    # sha256 of the printed amplification probabilities while the Hadamards
+    # and the diffusion of each Grover operator were simulated gate by gate
+    result = run_demo(DEMO_DIR / "04_grover_amplification.py")
+    assert result.returncode == 0, result.stderr.decode()
+    digest = hashlib.sha256(result.stdout).hexdigest()
+    assert digest == "52e251af54a3baf65f5219e975ace1b861c3101a4e3b3f6b0b42a1fa0f8f0117"

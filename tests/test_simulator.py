@@ -20,6 +20,7 @@ from gascap import (
     sample,
     value_register_width,
 )
+from gascap import simulator
 from gascap.circuits import CircuitSpec, GateSpec, formulation_width
 from gascap.poly import bits_to_int, int_to_bits
 
@@ -105,6 +106,12 @@ def apply_gate_by_gate(c: CircuitSpec, s: StateVector) -> np.ndarray:
 
 @st.composite
 def circuits(draw):
+    """Random circuits plus the patterns ``apply`` compiles specially: full
+    Hadamard layers in random qubit order, layer-diffusion-layer sandwiches
+    (some with a layer missing a qubit or repeating one, which must not
+    fuse) and phase runs followed later by their exact inverse or by a
+    near-inverse with one angle or one control changed (which must not
+    share a diagonal)."""
     n_total = draw(st.integers(1, 8))
     m = draw(st.integers(0, n_total))
     qubit = st.integers(0, n_total - 1)
@@ -116,11 +123,59 @@ def circuits(draw):
         kind = "cr" if k else "r"
         return GateSpec(kind, target=order[0], controls=tuple(order[1:1 + k]), theta=draw(theta))
 
+    def h_layer(flaw=None):
+        # a Hadamard on every qubit once, or a flawed layer that must not fuse:
+        # one qubit missing, or one qubit twice in place of another
+        order = draw(st.permutations(range(n_total)))
+        if flaw == "missing":
+            order = order[1:]
+        elif flaw == "repeat" and n_total > 1:
+            order = [order[1]] + order[1:]
+        return [GateSpec("h", target=q) for q in order]
+
+    def near_inverse(run):
+        inverse = [g.inverse() for g in reversed(run)]
+        j = draw(st.integers(0, len(inverse) - 1))
+        g = inverse[j]
+        free = [q for q in range(n_total) if q != g.target and q not in g.controls]
+        if g.controls and free and draw(st.booleans()):
+            controls = (draw(st.sampled_from(free)),) + g.controls[1:]
+            inverse[j] = GateSpec(g.kind, g.target, controls, g.theta)
+        else:
+            inverse[j] = GateSpec(g.kind, g.target, g.controls, g.theta + 0.5)
+        return inverse
+
+    def phase_run():
+        return [phase_gate() for _ in range(draw(st.integers(1, 8)))]
+
+    kinds = ["phases", "h", "z", "iqft", "qft", "diffusion", "h-layer", "sandwich", "mirror"]
     gates = []
     for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["phases", "h", "z", "iqft", "qft", "diffusion"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "phases":
-            gates.extend(phase_gate() for _ in range(draw(st.integers(1, 8))))
+            gates.extend(phase_run())
+        elif kind == "mirror":
+            # a phase run, other gates, then the run's exact or near inverse
+            run = phase_run()
+            gates.extend(run)
+            for _ in range(draw(st.integers(1, 3))):
+                middle = draw(st.sampled_from(["h", "z", "iqft", "qft", "diffusion", "sandwich"]))
+                if middle == "sandwich":
+                    gates.extend(h_layer() + [GateSpec("diffusion")] + h_layer())
+                elif middle in ("h", "z"):
+                    gates.append(GateSpec(middle, target=draw(qubit)))
+                else:
+                    gates.append(GateSpec(middle))
+            exact = draw(st.booleans())
+            gates.extend([g.inverse() for g in reversed(run)] if exact else near_inverse(run))
+        elif kind == "h-layer":
+            gates.extend(h_layer())
+        elif kind == "sandwich":
+            flawed = draw(st.sampled_from([None, "before", "after"]))
+            flaw = draw(st.sampled_from(["missing", "repeat"]))
+            gates.extend(h_layer(flaw if flawed == "before" else None))
+            gates.append(GateSpec("diffusion"))
+            gates.extend(h_layer(flaw if flawed == "after" else None))
         elif kind in ("h", "z"):
             gates.append(GateSpec(kind, target=draw(qubit)))
         else:
@@ -145,6 +200,81 @@ def test_apply_leaves_its_input_unchanged():
     state = StateVector(2, np.full(4, 0.5, dtype=complex))
     apply(c, state)
     assert np.array_equal(state.amplitudes, np.full(4, 0.5))
+
+
+# -- the compiled plan ----------------------------------------------------------
+
+
+def _bundled_grover(hubo_asc, table, y=1.3):
+    m = formulation_width(hubo_asc, d_sum=table.d_sum)
+    prep = build_state_prep(hubo_asc.objective, y, m)
+    return prep, build_grover(prep)
+
+
+def test_grover_computes_one_diagonal_however_often_applied(hubo_asc, table, monkeypatch):
+    prep, grover = _bundled_grover(hubo_asc, table)
+    state = apply(prep, StateVector.zero(prep.n_qubits))
+    diagonals = []
+    kernel = simulator._phase_diagonal
+
+    def spy(gates, n_qubits):
+        diagonals.append(n_qubits)
+        return kernel(gates, n_qubits)
+
+    monkeypatch.setattr(simulator, "_phase_diagonal", spy)
+    for _ in range(5):
+        state = apply(grover, state)
+    assert diagonals == [grover.n_qubits]
+    # O, the A_y^dagger phase run, the reflection, A_y's run as its conjugate
+    assert [op for op, _ in grover.plan] == ["z", "qft", "phase", "reflect", "phase_conj", "iqft"]
+    assert grover.plan[2][1] is grover.plan[4][1]
+
+
+def test_applying_a_circuit_twice_is_bit_identical(hubo_asc, table):
+    prep, grover = _bundled_grover(hubo_asc, table)
+    state = apply(prep, StateVector.zero(prep.n_qubits))
+    before = state.amplitudes.copy()
+    first = apply(grover, state).amplitudes
+    second = apply(grover, state).amplitudes
+    assert np.array_equal(first, second)
+    assert np.array_equal(state.amplitudes, before)
+
+
+def test_the_plan_leaves_equality_hash_and_repr_alone():
+    gates = (GateSpec("h", target=0), GateSpec("r", target=1, theta=0.7), GateSpec("iqft"))
+    applied, fresh = CircuitSpec(1, 1, gates), CircuitSpec(1, 1, gates)
+    apply(applied, StateVector.zero(2))
+    assert applied.plan is not None and fresh.plan is None
+    assert applied == fresh and hash(applied) == hash(fresh)
+    assert repr(applied) == repr(fresh) == f"CircuitSpec(n_key=1, m_val=1, gates={gates!r})"
+
+
+def _plan_ops(gates, n_key=1, m_val=2):
+    c = CircuitSpec(n_key, m_val, tuple(gates))
+    apply(c, StateVector.zero(c.n_qubits))
+    return [op for op, _ in c.plan]
+
+
+def test_only_full_hadamard_layers_around_diffusion_fuse():
+    layer = [GateSpec("h", target=q) for q in (2, 0, 1)]
+    diffusion = GateSpec("diffusion")
+    assert _plan_ops(layer + [diffusion] + layer[::-1]) == ["reflect"]
+    assert _plan_ops(layer[1:] + [diffusion] + layer) == ["h", "h", "diffusion", "h", "h", "h"]
+    doubled = layer + [GateSpec("h", target=0)]
+    assert "reflect" not in _plan_ops(doubled + [diffusion] + layer)
+    repeated = [GateSpec("h", target=q) for q in (2, 0, 0)]
+    assert "reflect" not in _plan_ops(layer + [diffusion] + repeated)
+
+
+def test_only_exact_inverse_runs_share_a_diagonal():
+    run = [GateSpec("cr", target=2, controls=(0,), theta=0.3), GateSpec("r", target=1, theta=-1.1)]
+    inverse = [g.inverse() for g in reversed(run)]
+    middle = [GateSpec("h", target=0)]
+    assert _plan_ops(run + middle + inverse) == ["phase", "h", "phase_conj"]
+    angle = [inverse[0], GateSpec("cr", target=2, controls=(0,), theta=-0.31)]
+    control = [inverse[0], GateSpec("cr", target=2, controls=(1,), theta=-0.3)]
+    for near in (angle, control):
+        assert _plan_ops(run + middle + near) == ["phase", "h", "phase"]
 
 
 @pytest.mark.parametrize("y", [0.0, 1.3, 2.5, 5.0])
