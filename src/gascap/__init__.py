@@ -75,5 +75,6 @@ from .simulator import (
     amplified_probability,
     apply,
     marked_probability,
+    prepare,
     sample,
 )

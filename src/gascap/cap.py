@@ -119,6 +119,8 @@ class CoeffTable:
     def from_c_matrix(cls, c: np.ndarray, epsilon: float) -> "CoeffTable":
         c = np.asarray(c, dtype=np.float64)
         n = c.shape[0]
+        if n < 2:
+            raise ValueError(f"a coefficient table needs at least 2 access points, got {n}")
         iu = np.triu_indices(n, k=1)
         c_min = float(c[iu].min())
         d = np.zeros_like(c)

@@ -73,6 +73,13 @@ class Formulation:
     # var_layout keys: (ap, channel) for one-hot, (ap, slot) for binary;
     # ap is 0-based, channel/slot labels are 1-based, values are flat indices
 
+    def __post_init__(self):
+        # a finite penalty can still overflow once scaled and summed
+        for support, coeff in self.objective.terms.items():
+            if not math.isfinite(coeff):
+                raise ValueError(f"coefficient {coeff} of term {support} is not finite "
+                                 f"at penalty weight {self.penalty}")
+
     @property
     def n_vars(self) -> int:
         return self.objective.n_vars

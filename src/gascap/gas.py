@@ -12,10 +12,8 @@ Accounting: classical queries = objective evaluations = iterations + 1 (the
 initial uniform sample); quantum queries = the L_i Grover operators each
 draw asks for, with an optional convention counting 2 L_i + 1 oracle calls
 per iteration instead.  The charge is per draw, as on hardware, where every
-draw prepares its state afresh; the statevector backend simulates fewer
-operators than it charges, because it advances the deepest power G^d A_y|0>
-computed at the current threshold rather than starting each draw from
-A_y|0>.
+draw prepares its state afresh; the statevector backend simulates A_y|0>
+once per threshold and then exactly the operators it charges.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 from .cap import CapInstance, CoeffTable, assignment_interference
 from .circuits import build_grover, build_state_prep, coefficient_width
 from .poly import BinaryPolynomial, BitVector, BudgetExceededError, bits_to_int, int_to_bits
-from .simulator import IdealSampler, StateVector, apply, sample
+from .simulator import IdealSampler, apply, prepare, sample
 
 
 BACKENDS = ("ideal", "sv")  # the analytic sampler, exact state-vector simulation
@@ -109,33 +107,24 @@ def run_gas(
         base_m = cfg.value_width if cfg.value_width is not None else coefficient_width(p)
         # the threshold moves only when a draw improves, so A_y and psi =
         # A_y|0> are built once per threshold, and G from that A_y once some
-        # draw needs it.  Two states are kept per threshold: psi and the
-        # deepest power G^depth psi simulated so far.  A draw with
-        # L >= depth advances the deepest power; one with L < depth starts
-        # again from psi.  apply copies its input, so both are reused as is
-        # and every state is the one a fresh L-fold loop from psi would give.
+        # draw needs it; every draw applies G L times to psi
         at_y: float | None = None
         m = base_m
-        prep = grover = None
-        prepared = deepest = None
-        depth = 0
+        prep = grover = prepared = None
 
         def draw(y: float, l_ops: int, gen: np.random.Generator) -> int:
-            nonlocal at_y, m, prep, grover, prepared, deepest, depth
+            nonlocal at_y, m, prep, grover, prepared
             if y != at_y:
                 # the folded constant moves with the threshold; widen the value
                 # register when a large y would push it out of coefficient range
                 at_y, m = y, max(base_m, coefficient_width(p, y))
                 prep = build_state_prep(p, y, m)
-                prepared = deepest = apply(prep, StateVector.zero(prep.n_qubits))
-                grover, depth = None, 0
-            state, done = (deepest, depth) if l_ops >= depth else (prepared, 0)
-            if l_ops > done and grover is None:
+                prepared, grover = prepare(prep), None
+            if l_ops and grover is None:
                 grover = build_grover(prep)
-            for _ in range(l_ops - done):
+            state = prepared
+            for _ in range(l_ops):
                 state = apply(grover, state)
-            if l_ops >= depth:
-                deepest, depth = state, l_ops
             return bits_to_int(sample(state, gen, n, m).key_bits)
 
     trace = GasTrace()

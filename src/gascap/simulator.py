@@ -6,16 +6,9 @@ Two backends with different fidelity/cost trade-offs:
   The basis index is key * 2^m + value, i.e. key qubits occupy the high
   bits (key qubit 0 most significant) and the value register the low bits
   (value qubit 0 = sign bit at position m-1).  Capped at 24 qubits, where
-  one state is 256 MB.  ``apply`` compiles a circuit into a plan the first
-  time it is applied and keeps the plan on the circuit: each run of
-  ``r``/``cr`` gates is one phase diagonal, built once per circuit by a
-  subset-sum pass over the 2^N cube; a run that exactly inverts an earlier
-  run (A_y^dagger's inside G) multiplies by the conjugate of that run's
-  diagonal instead of storing a second one; a full Hadamard layer,
-  ``diffusion`` and a full Hadamard layer form one reflection about the
-  uniform state; the (inverse) QFT is an FFT along the value register; the
-  other Hadamards, ``z`` and a ``diffusion`` outside that pattern are
-  applied one gate at a time.
+  one state is 256 MB.  ``apply`` compiles a circuit once into numpy steps
+  (see ``_compile``), in which the Grover operator is its oracle and one
+  O(2^N) reflection; ``prepare`` applies a circuit to |0...0>.
 
 * ``IdealSampler``: statistically exact amplification outcomes assuming a
   perfect integer value encoding.  With t of N keys marked, one preparation
@@ -100,87 +93,73 @@ def _phase_diagonal(gates: Iterable[GateSpec], n_qubits: int) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def _inverts(run: tuple[GateSpec, ...], earlier: tuple[GateSpec, ...]) -> bool:
-    """Whether ``run`` is ``earlier`` reversed with every angle negated."""
-    return len(run) == len(earlier) and all(
-        g.kind == e.kind and g.target == e.target and g.controls == e.controls
-        and g.theta == -e.theta
-        for g, e in zip(run, reversed(earlier))
-    )
+_INVERSE_KIND = {"iqft": "qft", "qft": "iqft"}
 
 
-def _run_kind(g: GateSpec) -> str:
-    return "phase" if g.kind in ("r", "cr") else g.kind
+def _undoes(a: GateSpec, b: GateSpec) -> bool:
+    """Whether ``a`` is ``b.inverse()``, compared field by field rather than
+    built: only the QFT pair changes kind, and angles (0 but for ``r``/``cr``) flip."""
+    return (a.kind == _INVERSE_KIND.get(b.kind, b.kind) and a.target == b.target
+            and a.controls == b.controls and a.theta == -b.theta)
 
 
 def _compile(c: CircuitSpec) -> tuple[tuple[str, object], ...]:
     """The steps ``apply`` runs for ``c``, each a (kernel, argument) pair.
 
-    * ``phase``/``phase_conj``: multiply by a run's diagonal, or by its conjugate
-      when the run inverts an earlier run of the circuit, whose diagonal it
-      then shares (A_y^dagger's phase run inside G).
-    * ``reflect``: a Hadamard on every qubit, ``diffusion``, and a Hadamard
-      on every qubit again is 2|+><+| - I, the reflection about the uniform
-      state.
+    * ``reflect``: a ``diffusion`` D inside a mirror X^dagger D X (in gate
+      order), where the j-th gate before D inverts the j-th gate after it,
+      is 2|psi><psi| - I with psi = X|0>.  The longest mirror around each D
+      becomes one step holding psi, so G = A_y D A_y^dagger O compiles to
+      ``z``, ``reflect``.
+    * ``phase``: multiply by the diagonal of a run of ``r``/``cr`` gates.
     * ``h``/``z`` take their target qubit; ``iqft``/``qft`` (an orthonormal
-      FFT along the value register) and ``diffusion`` take nothing.
+      FFT along the value register) and a ``diffusion`` with no mirror take
+      nothing.
     """
-    n = c.n_qubits
-    units = [(kind, tuple(run)) for kind, run in itertools.groupby(c.gates, key=_run_kind)]
+    gates, steps, start = c.gates, [], 0
 
-    def full_h_layer(i: int) -> bool:
-        kind, run = units[i]
-        return kind == "h" and len(run) == n and len({g.target for g in run}) == n
-
-    steps: list[tuple[str, object]] = []
-    phase_runs: list[tuple[tuple[GateSpec, ...], str, np.ndarray]] = []
-    i = 0
-    while i < len(units):
-        kind, run = units[i]
-        if (i + 2 < len(units) and units[i + 1][0] == "diffusion" and len(units[i + 1][1]) == 1
-                and full_h_layer(i) and full_h_layer(i + 2)):
-            steps.append(("reflect", None))
-            i += 3
-            continue
-        if kind == "phase":
-            for earlier, op, diag in phase_runs:
-                if _inverts(run, earlier):
-                    op = "phase" if op == "phase_conj" else "phase_conj"
-                    break
+    def emit(run_of_gates):
+        for phase, run in itertools.groupby(run_of_gates, key=lambda g: g.kind in ("r", "cr")):
+            if phase:
+                steps.append(("phase", _phase_diagonal(run, c.n_qubits)))
             else:
-                op, diag = "phase", _phase_diagonal(run, n)
-            phase_runs.append((run, op, diag))
-            steps.append((op, diag))
-        else:
-            steps.extend((g.kind, g.target) for g in run)
-        i += 1
+                steps.extend((g.kind, g.target) for g in run)
+
+    for d, g in enumerate(gates):
+        if d < start or g.kind != "diffusion":
+            continue
+        k = 0  # the mirror's half-width
+        while (start < d - k and d + k + 1 < len(gates)
+               and _undoes(gates[d - k - 1], gates[d + k + 1])):
+            k += 1
+        if k:
+            emit(gates[start:d - k])
+            x = CircuitSpec(c.n_key, c.m_val, gates[d + 1:d + k + 1])
+            steps.append(("reflect", prepare(x).amplitudes))
+            start = d + k + 1
+    emit(gates[start:])
     return tuple(steps)
 
 
-def apply(c: CircuitSpec, s: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
-    """Apply a circuit to a state; returns a new state, ``s`` is not changed.
-
-    The first call compiles the circuit into steps (see ``_compile``) and
-    keeps them on it as ``c.plan``; every later call reuses them.  Raises
-    ``ValueError`` when the state does not fit the circuit or its norm drifts
-    from 1, and ``CapExceededError`` above ``cap`` qubits.
-    """
-    n_total = c.n_qubits
-    if s.n_qubits != n_total:
-        raise ValueError(f"state has {s.n_qubits} qubits, circuit needs {n_total}")
-    _check_cap(n_total, cap)
+def _run(c: CircuitSpec, amps: np.ndarray, from_zero: bool = False) -> StateVector:
+    """Run ``c``'s plan, compiled on first use and kept as ``c.plan``, on
+    ``amps``, which it may overwrite.  ``from_zero`` says ``amps`` is
+    |0...0>: a plan opening with a Hadamard on every qubit once then starts
+    from the uniform state, written with the bits those passes give."""
     if c.plan is None:
         object.__setattr__(c, "plan", _compile(c))
-    amps = s.amplitudes.copy()
-    m = c.m_val
-
-    for op, arg in c.plan:
+    n_total, m, steps = c.n_qubits, c.m_val, c.plan
+    if from_zero and sorted(q for op, q in steps[:n_total] if op == "h") == list(range(n_total)):
+        amp, inv = 1.0, 1.0 / math.sqrt(2.0)
+        for _ in range(n_total):
+            amp *= inv  # rounded as each Hadamard pass rounds it
+        amps.fill(amp)
+        steps = steps[n_total:]
+    for op, arg in steps:
         if op == "phase":
             amps *= arg
-        elif op == "phase_conj":
-            amps *= arg.conj()
         elif op == "reflect":
-            np.subtract(amps.sum() * (2.0 / amps.size), amps, out=amps)
+            np.subtract(arg * (2.0 * np.vdot(arg, amps)), amps, out=amps)
         elif op == "h":
             amps = _apply_h(amps, arg, n_total)
         elif op == "z":
@@ -199,6 +178,26 @@ def apply(c: CircuitSpec, s: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> State
     if not math.isclose(out.norm(), 1.0, rel_tol=0, abs_tol=1e-9):
         raise ValueError(f"norm drifted to {out.norm()}")
     return out
+
+
+def apply(c: CircuitSpec, s: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+    """Apply a circuit to a state; returns a new state, ``s`` is not changed.
+
+    The first call compiles the circuit into steps (see ``_compile``) and
+    keeps them on it as ``c.plan``; every later call reuses them.  Raises
+    ``ValueError`` when the state does not fit the circuit or its norm drifts
+    from 1, and ``CapExceededError`` above ``cap`` qubits.
+    """
+    if s.n_qubits != c.n_qubits:
+        raise ValueError(f"state has {s.n_qubits} qubits, circuit needs {c.n_qubits}")
+    _check_cap(c.n_qubits, cap)
+    return _run(c, s.amplitudes.copy())
+
+
+def prepare(c: CircuitSpec) -> StateVector:
+    """``c`` applied to |0...0>, as ``apply(c, StateVector.zero(c.n_qubits))``
+    gives it, without the Hadamard passes of an opening layer."""
+    return _run(c, StateVector.zero(c.n_qubits).amplitudes, from_zero=True)
 
 
 @dataclass(frozen=True)

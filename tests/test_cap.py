@@ -189,6 +189,13 @@ MALFORMED = {
 }
 
 
+@pytest.mark.parametrize("n_ap", [0, 1])
+def test_coeff_table_needs_two_access_points(n_ap):
+    want = f"^a coefficient table needs at least 2 access points, got {n_ap}$"
+    with pytest.raises(ValueError, match=want):
+        CoeffTable.from_c_matrix(np.zeros((n_ap, n_ap)), epsilon=0.01)
+
+
 def test_small_instance_is_well_formed():
     assert instance_from_dict(SMALL).assoc == ((0,), (1,), (2,))
 

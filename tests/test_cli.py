@@ -283,6 +283,25 @@ def test_non_finite_penalty_exit_code(tmp_path, capsys, penalty):
     assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["formulate", "--formulation", "qubo"],
+    ["solve", "--formulation", "qubo", "--runs", "2"],
+    ["formulate", "--synthetic", "6,5", "--formulation", "hubo-asc", "--formulation", "hubo-desc"],
+])
+def test_overflowing_penalty_exit_code(tmp_path, capsys, argv):
+    # a finite penalty whose scaled coefficients overflow to inf or nan
+    out = tmp_path / "w"
+    assert main(argv + ["--penalty", "1e308", "--out", str(out)]) == 1
+    assert "is not finite at penalty weight 1e+308" in capsys.readouterr().err
+    assert not list(out.glob("*.poly"))
+
+
+def test_single_access_point_exit_code(tmp_path, capsys):
+    with pytest.warns(UserWarning, match="trivial"):
+        assert main(["formulate", "--synthetic", "1,2", "--out", str(tmp_path / "one")]) == 1
+    assert "at least 2 access points" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("runs", ["0", "-1"])
 def test_non_positive_runs_exit_code(tmp_path, capsys, runs):
     # no runs would leave the confidence interval dividing by zero

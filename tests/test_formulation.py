@@ -141,6 +141,17 @@ def test_builders_reject_non_finite_penalty(instance, w):
         build_formulation(instance, "hubo-asc", w)
 
 
+def test_builders_reject_coefficients_a_finite_penalty_overflows(instance):
+    # w * N_AP and 2w overflow in the one-hot penalty; w' times the codeword
+    # indicator's coefficients overflows, and opposite infinities sum to nan
+    with pytest.raises(ValueError, match="not finite at penalty weight 1e"):
+        build_formulation(instance, "qubo", 1e308)
+    wide = synthetic_instance(6, 5, seed=0)
+    for kind in ("hubo-asc", "hubo-desc"):
+        with pytest.raises(ValueError, match="not finite at penalty weight 1e"):
+            build_formulation(wide, kind, 1e308)
+
+
 def test_qubo_max_matches_closed_form():
     # max over the cube equals N_CH * D_sum + w * N_AP * (N_CH - 1)^2
     for n_ap, n_ch, seed in [(4, 3, 0), (4, 2, 1), (3, 2, 2)]:

@@ -17,6 +17,7 @@ from gascap import (
     build_grover,
     build_state_prep,
     marked_probability,
+    prepare,
     sample,
     value_register_width,
 )
@@ -104,14 +105,24 @@ def apply_gate_by_gate(c: CircuitSpec, s: StateVector) -> np.ndarray:
     return amps
 
 
+def h_layer(draw, n_total, flaw=None):
+    """A Hadamard on every qubit once, in random order, or a flawed layer:
+    one qubit missing, or one qubit twice in place of another."""
+    order = draw(st.permutations(range(n_total)))
+    if flaw == "missing":
+        order = order[1:]
+    elif flaw == "repeat" and n_total > 1:
+        order = [order[1]] + order[1:]
+    return [GateSpec("h", target=q) for q in order]
+
+
 @st.composite
 def circuits(draw):
-    """Random circuits plus the patterns ``apply`` compiles specially: full
-    Hadamard layers in random qubit order, layer-diffusion-layer sandwiches
-    (some with a layer missing a qubit or repeating one, which must not
-    fuse) and phase runs followed later by their exact inverse or by a
-    near-inverse with one angle or one control changed (which must not
-    share a diagonal)."""
+    """Random circuits plus the patterns ``apply`` compiles specially: gates
+    X, a ``diffusion``, then X^dagger exactly or with one gate's angle,
+    control or kind changed (where the mirror must end); mirrors with other
+    gates in the middle; full Hadamard layers in random qubit order; and
+    layer-diffusion-layer sandwiches, some with a flawed layer."""
     n_total = draw(st.integers(1, 8))
     m = draw(st.integers(0, n_total))
     qubit = st.integers(0, n_total - 1)
@@ -123,30 +134,40 @@ def circuits(draw):
         kind = "cr" if k else "r"
         return GateSpec(kind, target=order[0], controls=tuple(order[1:1 + k]), theta=draw(theta))
 
-    def h_layer(flaw=None):
-        # a Hadamard on every qubit once, or a flawed layer that must not fuse:
-        # one qubit missing, or one qubit twice in place of another
-        order = draw(st.permutations(range(n_total)))
-        if flaw == "missing":
-            order = order[1:]
-        elif flaw == "repeat" and n_total > 1:
-            order = [order[1]] + order[1:]
-        return [GateSpec("h", target=q) for q in order]
+    def phase_run():
+        return [phase_gate() for _ in range(draw(st.integers(1, 8)))]
 
-    def near_inverse(run):
-        inverse = [g.inverse() for g in reversed(run)]
+    def block():
+        # X of a mirror: phase runs, single gates, transforms and layers
+        x = []
+        for _ in range(draw(st.integers(1, 3))):
+            part = draw(st.sampled_from(["phases", "h", "z", "iqft", "qft", "h-layer"]))
+            if part == "phases":
+                x.extend(phase_run())
+            elif part == "h-layer":
+                x.extend(h_layer(draw, n_total))
+            elif part in ("h", "z"):
+                x.append(GateSpec(part, target=draw(qubit)))
+            else:
+                x.append(GateSpec(part))
+        return x
+
+    def near_inverse(x):
+        # one gate of X^dagger with its angle, a control or its kind changed
+        inverse = [g.inverse() for g in reversed(x)]
         j = draw(st.integers(0, len(inverse) - 1))
         g = inverse[j]
         free = [q for q in range(n_total) if q != g.target and q not in g.controls]
-        if g.controls and free and draw(st.booleans()):
+        if g.kind in ("h", "z"):
+            inverse[j] = GateSpec("z" if g.kind == "h" else "h", target=g.target)
+        elif g.kind in ("iqft", "qft"):
+            inverse[j] = g.inverse()
+        elif g.controls and free and draw(st.booleans()):
             controls = (draw(st.sampled_from(free)),) + g.controls[1:]
             inverse[j] = GateSpec(g.kind, g.target, controls, g.theta)
         else:
             inverse[j] = GateSpec(g.kind, g.target, g.controls, g.theta + 0.5)
         return inverse
-
-    def phase_run():
-        return [phase_gate() for _ in range(draw(st.integers(1, 8)))]
 
     kinds = ["phases", "h", "z", "iqft", "qft", "diffusion", "h-layer", "sandwich", "mirror"]
     gates = []
@@ -155,27 +176,30 @@ def circuits(draw):
         if kind == "phases":
             gates.extend(phase_run())
         elif kind == "mirror":
-            # a phase run, other gates, then the run's exact or near inverse
-            run = phase_run()
-            gates.extend(run)
-            for _ in range(draw(st.integers(1, 3))):
-                middle = draw(st.sampled_from(["h", "z", "iqft", "qft", "diffusion", "sandwich"]))
+            # X, a diffusion or other gates in the middle, then X^dagger or near it
+            x = block()
+            gates.extend(x)
+            centred = draw(st.booleans())
+            for _ in range(1 if centred else draw(st.integers(1, 3))):
+                middle = "diffusion" if centred else draw(
+                    st.sampled_from(["h", "z", "iqft", "qft", "diffusion", "sandwich"]))
                 if middle == "sandwich":
-                    gates.extend(h_layer() + [GateSpec("diffusion")] + h_layer())
+                    gates.extend(h_layer(draw, n_total) + [GateSpec("diffusion")]
+                                 + h_layer(draw, n_total))
                 elif middle in ("h", "z"):
                     gates.append(GateSpec(middle, target=draw(qubit)))
                 else:
                     gates.append(GateSpec(middle))
             exact = draw(st.booleans())
-            gates.extend([g.inverse() for g in reversed(run)] if exact else near_inverse(run))
+            gates.extend([g.inverse() for g in reversed(x)] if exact else near_inverse(x))
         elif kind == "h-layer":
-            gates.extend(h_layer())
+            gates.extend(h_layer(draw, n_total))
         elif kind == "sandwich":
             flawed = draw(st.sampled_from([None, "before", "after"]))
             flaw = draw(st.sampled_from(["missing", "repeat"]))
-            gates.extend(h_layer(flaw if flawed == "before" else None))
+            gates.extend(h_layer(draw, n_total, flaw if flawed == "before" else None))
             gates.append(GateSpec("diffusion"))
-            gates.extend(h_layer(flaw if flawed == "after" else None))
+            gates.extend(h_layer(draw, n_total, flaw if flawed == "after" else None))
         elif kind in ("h", "z"):
             gates.append(GateSpec(kind, target=draw(qubit)))
         else:
@@ -192,6 +216,26 @@ def test_apply_matches_gate_by_gate_reference(case):
     c, state = case
     got = apply(c, state).amplitudes
     assert np.max(np.abs(got - apply_gate_by_gate(c, state))) <= 1e-12
+
+
+@given(circuits(), st.sampled_from([None, "full", "missing", "repeat"]), st.data())
+@settings(deadline=None)
+def test_prepare_matches_gate_by_gate_reference(case, opening, data):
+    c, _ = case
+    if opening is not None:
+        # a full opening layer is written as the uniform state, a flawed one is not
+        layer = h_layer(data.draw, c.n_qubits, None if opening == "full" else opening)
+        c = CircuitSpec(c.n_key, c.m_val, tuple(layer) + c.gates)
+    got = prepare(c).amplitudes
+    want = apply_gate_by_gate(c, StateVector.zero(c.n_qubits))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_prepare_writes_the_bits_of_the_hadamard_passes():
+    # (1/sqrt 2)^n rounded once differs from n rounded passes from n = 6 on
+    for n in range(1, 15):
+        c = CircuitSpec(n - 1, 1, tuple(GateSpec("h", target=q) for q in reversed(range(n))))
+        assert np.array_equal(prepare(c).amplitudes, apply(c, StateVector.zero(n)).amplitudes)
 
 
 def test_apply_leaves_its_input_unchanged():
@@ -213,7 +257,7 @@ def _bundled_grover(hubo_asc, table, y=1.3):
 
 def test_grover_computes_one_diagonal_however_often_applied(hubo_asc, table, monkeypatch):
     prep, grover = _bundled_grover(hubo_asc, table)
-    state = apply(prep, StateVector.zero(prep.n_qubits))
+    state = prepare(prep)
     diagonals = []
     kernel = simulator._phase_diagonal
 
@@ -224,10 +268,11 @@ def test_grover_computes_one_diagonal_however_often_applied(hubo_asc, table, mon
     monkeypatch.setattr(simulator, "_phase_diagonal", spy)
     for _ in range(5):
         state = apply(grover, state)
+    # O, then A_y D A_y^dagger as the reflection about A_y|0>, whose one
+    # phase run is computed once, when G is compiled
     assert diagonals == [grover.n_qubits]
-    # O, the A_y^dagger phase run, the reflection, A_y's run as its conjugate
-    assert [op for op, _ in grover.plan] == ["z", "qft", "phase", "reflect", "phase_conj", "iqft"]
-    assert grover.plan[2][1] is grover.plan[4][1]
+    assert [op for op, _ in grover.plan] == ["z", "reflect"]
+    assert np.array_equal(grover.plan[1][1], prepare(prep).amplitudes)
 
 
 def test_applying_a_circuit_twice_is_bit_identical(hubo_asc, table):
@@ -266,15 +311,37 @@ def test_only_full_hadamard_layers_around_diffusion_fuse():
     assert "reflect" not in _plan_ops(layer + [diffusion] + repeated)
 
 
-def test_only_exact_inverse_runs_share_a_diagonal():
+def test_only_exact_mirrors_around_diffusion_reflect():
     run = [GateSpec("cr", target=2, controls=(0,), theta=0.3), GateSpec("r", target=1, theta=-1.1)]
-    inverse = [g.inverse() for g in reversed(run)]
-    middle = [GateSpec("h", target=0)]
-    assert _plan_ops(run + middle + inverse) == ["phase", "h", "phase_conj"]
-    angle = [inverse[0], GateSpec("cr", target=2, controls=(0,), theta=-0.31)]
-    control = [inverse[0], GateSpec("cr", target=2, controls=(1,), theta=-0.3)]
-    for near in (angle, control):
-        assert _plan_ops(run + middle + near) == ["phase", "h", "phase"]
+    x = [GateSpec("h", target=0), GateSpec("qft"), *run]
+    inverse = [g.inverse() for g in reversed(x)]
+    diffusion = GateSpec("diffusion")
+    assert _plan_ops(inverse + [diffusion] + x) == ["reflect"]
+    # the mirror ends where the gates stop inverting each other
+    assert _plan_ops([GateSpec("z", target=0)] + inverse + [diffusion] + x) == ["z", "reflect"]
+    assert _plan_ops(inverse + [diffusion] + x[:-1]) == ["phase", "reflect"]
+    # the same gates around something other than a diffusion
+    assert "reflect" not in _plan_ops(inverse + [GateSpec("z", target=1)] + x)
+    # one gate of X^dagger changed, from the outermost in: only the gates
+    # inside it still mirror, and with the innermost changed none do
+    near = [
+        GateSpec("r", target=1, theta=1.2),                    # angle
+        GateSpec("cr", target=2, controls=(1,), theta=-0.3),   # control
+        GateSpec("qft"),                                       # kind: qft for iqft
+        GateSpec("z", target=0),                               # kind: z for h
+    ]
+    rng = np.random.default_rng(4)
+    for at, gate in enumerate(near):
+        c = CircuitSpec(1, 2, tuple(inverse[:at] + [gate] + inverse[at + 1:] + [diffusion] + x))
+        apply(c, StateVector.zero(3))
+        psi = [arg for op, arg in c.plan if op == "reflect"]
+        k = len(x) - 1 - at
+        assert len(psi) == (1 if k else 0), gate
+        if k:
+            assert np.array_equal(psi[0], prepare(CircuitSpec(1, 2, tuple(x[:k]))).amplitudes)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        state = StateVector(3, amps / np.linalg.norm(amps))
+        assert np.max(np.abs(apply(c, state).amplitudes - apply_gate_by_gate(c, state))) <= 1e-12
 
 
 @pytest.mark.parametrize("y", [0.0, 1.3, 2.5, 5.0])
