@@ -32,7 +32,7 @@ forms = {
     "descending": build_formulation(inst, "hubo-desc", 1.0, table),
 }
 
-cfg = GasConfig(backend="ideal", max_classical_iters=200,
+cfg = GasConfig(max_classical_iters=200,
                 stop_at_known_optimum=oracle.best_value, master_seed=2023)
 print(f"\n{'objective':>11} {'bits':>5} {'hits':>8} {'classical':>10} "
       f"{'quantum':>8} {'sqrt(2^n)':>10}")

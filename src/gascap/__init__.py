@@ -72,6 +72,7 @@ from .simulator import (
     IdealSampler,
     SampleOutcome,
     StateVector,
+    StateVectorSampler,
     amplified_probability,
     apply,
     marked_probability,

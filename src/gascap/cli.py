@@ -47,7 +47,6 @@ from .formulation import (
     variable_counts,
 )
 from .gas import (
-    BACKENDS,
     BudgetExceededError,
     GasConfig,
     brute_force_cap,
@@ -56,7 +55,7 @@ from .gas import (
     run_gas,
     run_seed,
 )
-from .simulator import IdealSampler
+from .simulator import IdealSampler, StateVectorSampler
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -65,6 +64,7 @@ EXIT_BUDGET = 3
 
 ENCODING_KINDS = tuple(enc.value for enc in Encoding)  # qubo, hubo-asc, hubo-desc
 FORMULATION_KINDS = (*ENCODING_KINDS, "quadratized")
+BACKENDS = ("ideal", "sv")  # IdealSampler, StateVectorSampler
 
 
 def _master_seed(args) -> int:
@@ -77,7 +77,10 @@ def _load_instance(args) -> CapInstance:
     if args.instance:
         return load_instance(args.instance)
     if args.synthetic:
-        n_ap, n_ch = (int(v) for v in args.synthetic.split(","))
+        try:
+            n_ap, n_ch = (int(v) for v in args.synthetic.split(","))
+        except ValueError:
+            raise ValueError(f"--synthetic takes NAP,NCH integers, got {args.synthetic!r}") from None
         return synthetic_instance(n_ap, n_ch, seed=_master_seed(args))
     return reference_instance()
 
@@ -126,7 +129,6 @@ def cmd_formulate(args) -> int:
     for kind in args.formulation:
         if kind == "quadratized":
             poly = build_quadratized(inst, args.penalty, table).poly
-            name = "quadratized"
             header = (
                 f'# {{"encoding": "quadratized(binary_ascending)", '
                 f'"n_vars": {poly.n_vars}, "penalty": {args.penalty}}}'
@@ -135,11 +137,10 @@ def cmd_formulate(args) -> int:
         else:
             form = build_formulation(inst, kind, args.penalty, table)
             poly = form.objective
-            name = kind
             text = dumps_formulation(form)
-        _write_text(out_dir, f"{name}.poly", text + "\n", hashes)
+        _write_text(out_dir, f"{kind}.poly", text + "\n", hashes)
         st = poly.stats()
-        summary[name] = {
+        summary[kind] = {
             "n_vars": poly.n_vars,
             "terms": st.term_count,
             "degree": st.degree,
@@ -160,10 +161,19 @@ def cmd_formulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    try:
+        lo, hi, step = (int(v) for v in args.sweep.split(":"))
+    except ValueError:
+        raise ValueError(f"--sweep takes MIN:MAX:STEP integers, got {args.sweep!r}") from None
+    if step < 1:
+        raise ValueError(f"--sweep STEP must be positive, got {step}")
+    sizes = [n_ap for n_ap in range(lo, hi + 1, step) if n_ap // 2 >= 2]
+    if not sizes:
+        raise ValueError(f"--sweep {args.sweep} holds no access-point count of 4 or more")
+    if args.enum_cap < 0:
+        raise ValueError(f"--enum-cap must not be negative, got {args.enum_cap}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lo, hi, step = (int(v) for v in args.sweep.split(":"))
-    sizes = list(range(lo, hi + 1, step))
     header = [
         "formulation", "encoding", "n_ap", "n_ch",
         "n", "n_prime", "n_double_prime", "m",
@@ -174,12 +184,11 @@ def cmd_estimate(args) -> int:
     rows_raw = []
     for n_ap in sizes:
         n_ch = n_ap // 2
-        if n_ch < 2:
-            continue
         counts = variable_counts(n_ap, n_ch)
         table = CoeffTable.uniform(n_ap, 1.0)
         d_sum = table.d_sum
         for kind in ENCODING_KINDS:
+            queries = log2_expected_queries(counts.n if kind == "qubo" else counts.n_prime)
             closed_total = closed_form_qubits(n_ap, n_ch, d_sum, 1.0, kind)
             closed = closed_form_resources(n_ap, n_ch, kind)
             row = {
@@ -190,10 +199,8 @@ def cmd_estimate(args) -> int:
                 "n_double_prime": counts.n_double_prime,
                 "qubits_closed_form": closed_total,
                 "cnot_closed_form": closed.cnot_count,
-                "log2_grover_queries": log2_expected_queries(
-                    counts.n if kind == "qubo" else counts.n_prime).grover,
-                "log2_exhaustive_queries": log2_expected_queries(
-                    counts.n if kind == "qubo" else counts.n_prime).exhaustive,
+                "log2_grover_queries": queries.grover,
+                "log2_exhaustive_queries": queries.exhaustive,
             }
             if n_ap <= args.enum_cap:
                 form = formulation_from_table(table, n_ch, kind, 1.0)
@@ -224,8 +231,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.runs <= 0:
-        raise ValueError(f"--runs must be positive, got {args.runs}")
+    for flag, value in (("--runs", args.runs), ("--budget-classical", args.budget_classical),
+                        ("--budget-quantum", args.budget_quantum)):
+        if value is not None and value <= 0:
+            raise ValueError(f"{flag} must be positive, got {value}")
     inst = _load_instance(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -253,17 +262,16 @@ def cmd_solve(args) -> int:
             encoding = form.encoding.label
             if args.backend == "sv":
                 width = formulation_width(form, d_sum=table.d_sum)
-        # one value table per formulation gives the range and serves every run
-        sampler = IdealSampler(poly)
+        # one sampler per formulation: its value table gives the range, and
+        # it makes the draws of every run
+        sampler = StateVectorSampler(poly, width) if args.backend == "sv" else IdealSampler(poly)
         lo, hi = float(sampler.sorted_values[0]), float(sampler.sorted_values[-1])
         span = hi - lo if hi > lo else 1.0
         cfg = GasConfig(
-            backend=args.backend,
             max_classical_iters=args.budget_classical,
             max_quantum_queries=args.budget_quantum,
             stop_at_known_optimum=lo,
             master_seed=master,
-            value_width=width,
         )
         rows = []
         hits = 0
@@ -390,9 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_instance=True):
         if with_instance:
-            p.add_argument("--instance", help="instance JSON file")
-            p.add_argument("--synthetic", metavar="NAP,NCH",
-                           help="generate a random instance of this size")
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--instance", help="instance JSON file")
+            source.add_argument("--synthetic", metavar="NAP,NCH",
+                                help="generate a random instance of this size")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (default: $GASCAP_SEED or 0)")
         p.add_argument("--out", default="out", help="output directory")

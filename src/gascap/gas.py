@@ -12,8 +12,9 @@ Accounting: classical queries = objective evaluations = iterations + 1 (the
 initial uniform sample); quantum queries = the L_i Grover operators each
 draw asks for, with an optional convention counting 2 L_i + 1 oracle calls
 per iteration instead.  The charge is per draw, as on hardware, where every
-draw prepares its state afresh; the statevector backend simulates A_y|0>
-once per threshold and then exactly the operators it charges.
+draw prepares its state afresh.  The backend is the sampler that draws each
+key: ``IdealSampler``, or ``StateVectorSampler``, which simulates A_y|0> once
+per threshold and then exactly the operators it charges.
 """
 
 from __future__ import annotations
@@ -23,31 +24,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cap import CapInstance, CoeffTable, assignment_interference
-from .circuits import build_grover, build_state_prep, coefficient_width
-from .poly import BinaryPolynomial, BitVector, BudgetExceededError, bits_to_int, int_to_bits
-from .simulator import IdealSampler, apply, prepare, sample
-
-
-BACKENDS = ("ideal", "sv")  # the analytic sampler, exact state-vector simulation
+from .poly import BinaryPolynomial, BitVector, BudgetExceededError, int_to_bits
+from .simulator import IdealSampler
 
 
 @dataclass(frozen=True)
 class GasConfig:
     lambda_: float = 8.0 / 7.0
-    backend: str = "ideal"  # one of BACKENDS
     max_classical_iters: int | None = None
     max_quantum_queries: int | None = None
     stop_at_known_optimum: float | None = None
     no_improvement_window: int | None = None
     master_seed: int = 0
     count_oracle_calls: bool = False  # count 2L+1 oracle calls instead of L
-    value_width: int | None = None    # sv value-register width override
 
     def __post_init__(self):
         if self.lambda_ <= 1.0:
             raise ValueError("lambda must exceed 1")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
+        for name in ("max_classical_iters", "max_quantum_queries"):
+            budget = getattr(self, name)
+            if budget is not None and budget < 1:
+                raise ValueError(f"{name} must be at least 1, got {budget}")
         rules = (
             self.max_classical_iters,
             self.max_quantum_queries,
@@ -90,53 +87,24 @@ def run_gas(
 ) -> GasTrace:
     """One seeded search run over the polynomial's full bit cube.
 
-    ``sampler`` must have been built from ``p``; pass one to share its value
-    table between runs, or leave it out to build one here.  Its table gives
-    the value of every drawn key on both backends, and its draws are the
-    ideal backend's outcomes.
+    ``sampler`` is the backend and must have been built from ``p``; pass one
+    to share its value table between runs, or leave it out to draw with an
+    ``IdealSampler`` built here.  Its table gives the value of every drawn key.
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.master_seed)
     n = p.n_vars
     sqrt_space = math.sqrt(2.0 ** n)
     sampler = sampler if sampler is not None else IdealSampler(p)
-    values = sampler.values
-
-    if cfg.backend == "ideal":
-        draw = sampler.sample
-    else:
-        base_m = cfg.value_width if cfg.value_width is not None else coefficient_width(p)
-        # the threshold moves only when a draw improves, so A_y and psi =
-        # A_y|0> are built once per threshold, and G from that A_y once some
-        # draw needs it; every draw applies G L times to psi
-        at_y: float | None = None
-        m = base_m
-        prep = grover = prepared = None
-
-        def draw(y: float, l_ops: int, gen: np.random.Generator) -> int:
-            nonlocal at_y, m, prep, grover, prepared
-            if y != at_y:
-                # the folded constant moves with the threshold; widen the value
-                # register when a large y would push it out of coefficient range
-                at_y, m = y, max(base_m, coefficient_width(p, y))
-                prep = build_state_prep(p, y, m)
-                prepared, grover = prepare(prep), None
-            if l_ops and grover is None:
-                grover = build_grover(prep)
-            state = prepared
-            for _ in range(l_ops):
-                state = apply(grover, state)
-            return bits_to_int(sample(state, gen, n, m).key_bits)
 
     trace = GasTrace()
     x = tuple(int(b) for b in rng.integers(0, 2, size=n))
-    y = p.evaluate(x)
     trace.classical_queries = 1
-    trace.best_x, trace.best_y = x, y
+    trace.best_x, trace.best_y = x, p.evaluate(x)
 
     k = 1.0
-    i = 0
     since_improvement = 0
     while True:
+        i = len(trace.iterations)
         if cfg.max_classical_iters is not None and i >= cfg.max_classical_iters:
             break
         if cfg.stop_at_known_optimum is not None and trace.best_y <= cfg.stop_at_known_optimum + 1e-12:
@@ -147,9 +115,9 @@ def run_gas(
             break
 
         l_i = int(rng.integers(0, math.ceil(k - 1.0) + 1))
-        key = draw(trace.best_y, l_i, rng)
+        key = sampler.sample(trace.best_y, l_i, rng)
         # evaluate_all equals evaluate bit for bit, so the table is exact
-        y_new = float(values[key])
+        y_new = float(sampler.values[key])
         x_new = int_to_bits(key, n)
         improved = y_new < trace.best_y
         trace.iterations.append(
@@ -167,7 +135,6 @@ def run_gas(
         else:
             k = min(cfg.lambda_ * k, sqrt_space)
             since_improvement += 1
-        i += 1
 
     return trace
 

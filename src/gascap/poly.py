@@ -214,20 +214,16 @@ class BinaryPolynomial:
             all_integer=all(float(c).is_integer() for c in coeffs),
         )
 
-    def exhaustive_min(self, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> tuple[BitVector, float]:
+    def exhaustive_min(self) -> tuple[BitVector, float]:
         """Global minimizer and value by full enumeration.
 
         Ties break to the lexicographically smallest bit vector.
         """
-        if self.n_vars > cap:
-            raise CapExceededError(f"n_vars={self.n_vars} above exhaustive cap {cap}")
         values = self.evaluate_all()
         best = int(np.argmin(values))  # argmin returns the first = lex smallest
         return int_to_bits(best, self.n_vars), float(values[best])
 
-    def exhaustive_max(self, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> tuple[BitVector, float]:
-        if self.n_vars > cap:
-            raise CapExceededError(f"n_vars={self.n_vars} above exhaustive cap {cap}")
+    def exhaustive_max(self) -> tuple[BitVector, float]:
         values = self.evaluate_all()
         best = int(np.argmax(values))
         return int_to_bits(best, self.n_vars), float(values[best])

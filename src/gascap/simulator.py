@@ -1,20 +1,23 @@
 """Execution backends for the search circuits.
 
-Two backends with different fidelity/cost trade-offs:
-
-* ``StateVector`` + ``apply``: exact unitary simulation of a CircuitSpec.
-  The basis index is key * 2^m + value, i.e. key qubits occupy the high
-  bits (key qubit 0 most significant) and the value register the low bits
-  (value qubit 0 = sign bit at position m-1).  Capped at 24 qubits, where
-  one state is 256 MB.  ``apply`` compiles a circuit once into numpy steps
-  (see ``_compile``), in which the Grover operator is its oracle and one
-  O(2^N) reflection; ``prepare`` applies a circuit to |0...0>.
+A backend is a sampler whose ``sample(y, l_ops, rng)`` returns the index of
+the key measured after A_y and ``l_ops`` Grover operators.  Two samplers with
+different fidelity/cost trade-offs:
 
 * ``IdealSampler``: statistically exact amplification outcomes assuming a
   perfect integer value encoding.  With t of N keys marked, one preparation
   followed by L Grover operators yields a marked key with probability
   sin^2((2L+1) asin(sqrt(t/N))), uniform within the marked set.  This needs
   only the classical value table, never a 2^(n+m) state.
+
+* ``StateVectorSampler``: the draw simulated exactly with ``StateVector`` +
+  ``apply``, a unitary simulation of a CircuitSpec.  The basis index is
+  key * 2^m + value, i.e. key qubits occupy the high bits (key qubit 0 most
+  significant) and the value register the low bits (value qubit 0 = sign bit
+  at position m-1).  Capped at 24 qubits, where one state is 256 MB.
+  ``apply`` compiles a circuit once into numpy steps (see ``_compile``), in
+  which the Grover operator is its oracle and one O(2^N) reflection;
+  ``prepare`` applies a circuit to |0...0>.
 """
 
 from __future__ import annotations
@@ -26,15 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CircuitSpec, GateSpec
-from .poly import BinaryPolynomial, BitVector, CapExceededError, int_to_bits
+from .circuits import CircuitSpec, GateSpec, build_grover, build_state_prep, coefficient_width
+from .poly import BinaryPolynomial, BitVector, CapExceededError, bits_to_int, int_to_bits
 
 DEFAULT_QUBIT_CAP = 24
 
 
-def _check_cap(n_qubits: int, cap: int) -> None:
-    if n_qubits > cap:
-        raise CapExceededError(f"{n_qubits} qubits above the simulation cap of {cap}")
+def _check_cap(n_qubits: int) -> None:
+    if n_qubits > DEFAULT_QUBIT_CAP:
+        raise CapExceededError(f"{n_qubits} qubits above the simulation cap of {DEFAULT_QUBIT_CAP}")
 
 
 @dataclass
@@ -46,7 +49,7 @@ class StateVector:
     def zero(cls, n_qubits: int) -> "StateVector":
         """|0...0> on ``n_qubits``; raises ``CapExceededError`` above the
         simulation cap before allocating the 2^n amplitudes."""
-        _check_cap(n_qubits, DEFAULT_QUBIT_CAP)
+        _check_cap(n_qubits)
         amps = np.zeros(1 << n_qubits, dtype=np.complex128)
         amps[0] = 1.0
         return cls(n_qubits=n_qubits, amplitudes=amps)
@@ -180,17 +183,17 @@ def _run(c: CircuitSpec, amps: np.ndarray, from_zero: bool = False) -> StateVect
     return out
 
 
-def apply(c: CircuitSpec, s: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def apply(c: CircuitSpec, s: StateVector) -> StateVector:
     """Apply a circuit to a state; returns a new state, ``s`` is not changed.
 
     The first call compiles the circuit into steps (see ``_compile``) and
     keeps them on it as ``c.plan``; every later call reuses them.  Raises
     ``ValueError`` when the state does not fit the circuit or its norm drifts
-    from 1, and ``CapExceededError`` above ``cap`` qubits.
+    from 1, and ``CapExceededError`` above the simulation cap.
     """
     if s.n_qubits != c.n_qubits:
         raise ValueError(f"state has {s.n_qubits} qubits, circuit needs {c.n_qubits}")
-    _check_cap(c.n_qubits, cap)
+    _check_cap(c.n_qubits)
     return _run(c, s.amplitudes.copy())
 
 
@@ -261,17 +264,11 @@ class IdealSampler:
     ``sorted_values[0]`` to ``sorted_values[-1]``.
     """
 
-    def __init__(self, p: BinaryPolynomial, cap: int = DEFAULT_QUBIT_CAP):
-        if p.n_vars > cap:
-            raise CapExceededError(f"n_vars={p.n_vars} above the ideal-backend cap {cap}")
+    def __init__(self, p: BinaryPolynomial):
         self.n_vars = p.n_vars
         self.values = p.evaluate_all()
         self.order = np.argsort(self.values, kind="stable")
         self.sorted_values = self.values[self.order]
-
-    @property
-    def n_states(self) -> int:
-        return 1 << self.n_vars
 
     def marked_count(self, y: float) -> int:
         return int(np.searchsorted(self.sorted_values, y, side="left"))
@@ -280,7 +277,7 @@ class IdealSampler:
         """Index of the key measured after one preparation and ``l_ops``
         Grover operators at threshold ``y``."""
         t = self.marked_count(y)
-        n = self.n_states
+        n = 1 << self.n_vars
         p_marked = amplified_probability(t, n, l_ops)
         if t == n or rng.random() < p_marked:
             pick = self.order[int(rng.integers(t))]
@@ -288,3 +285,31 @@ class IdealSampler:
             pick = self.order[t + int(rng.integers(n - t))]
         return int(pick)
 
+
+class StateVectorSampler(IdealSampler):
+    """``IdealSampler``'s draw, simulated on the search circuits' state vector.
+
+    The value register is ``value_width`` qubits, by default
+    ``coefficient_width(p)``, and wider where the constant folded with -y
+    needs it.  The sampler keeps one threshold's A_y, psi = A_y|0> and, once
+    a draw needs it, G: the threshold moves only when a draw improves.
+    """
+
+    def __init__(self, p: BinaryPolynomial, value_width: int | None = None):
+        super().__init__(p)
+        self.p = p
+        self.base_m = value_width if value_width is not None else coefficient_width(p)
+        self.at_y: float | None = None
+        self.prep = self.grover = self.prepared = None
+
+    def sample(self, y: float, l_ops: int, rng: np.random.Generator) -> int:
+        if y != self.at_y:
+            self.at_y, self.m = y, max(self.base_m, coefficient_width(self.p, y))
+            self.prep = build_state_prep(self.p, y, self.m)
+            self.prepared, self.grover = prepare(self.prep), None
+        if l_ops and self.grover is None:
+            self.grover = build_grover(self.prep)
+        state = self.prepared
+        for _ in range(l_ops):
+            state = apply(self.grover, state)
+        return bits_to_int(sample(state, rng, self.n_vars, self.m).key_bits)

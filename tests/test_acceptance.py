@@ -252,7 +252,7 @@ def test_acceptance_10_search_end_to_end(instance, table, qubo, hubo_asc, hubo_d
     start = time.monotonic()
     oracle = brute_force_cap(instance, table)
     cfg = GasConfig(
-        backend="ideal", max_classical_iters=200,
+        max_classical_iters=200,
         stop_at_known_optimum=oracle.best_value, master_seed=2023,
     )
     queries = {}

@@ -405,3 +405,40 @@ def test_malformed_instance_exit_code(tmp_path, capsys, name):
     assert main(["solve", "--instance", str(path), "--runs", "1",
                  "--out", str(tmp_path / "m")]) == 1
     assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--budget-classical=-1"],
+    ["solve", "--budget-classical=0"],
+    ["solve", "--budget-quantum=-5"],
+    ["estimate", "--sweep=16:4:1"],
+    ["estimate", "--sweep=4:8:-1"],
+    ["estimate", "--sweep=4:8:0"],
+    ["estimate", "--sweep=2:3:1"],
+    ["estimate", "--sweep=4:8"],
+    ["estimate", "--sweep=4:8:two"],
+    ["estimate", "--enum-cap=-1"],
+    ["formulate", "--synthetic=4"],
+    ["solve", "--synthetic=4,3,2"],
+], ids="_".join)
+def test_flag_out_of_range_exit_code(tmp_path, capsys, argv):
+    # each of these once ran and wrote an empty or meaningless result, or
+    # failed with a message that did not say which flag was wrong
+    out = tmp_path / "v"
+    assert main(argv + ["--formulation=hubo-asc"] * (argv[0] != "estimate")
+                + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid input" in err
+    assert argv[1].split("=")[0] in err
+    assert not out.exists()
+
+
+def test_instance_and_synthetic_together_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "ref.json"
+    path.write_text(json.dumps(instance_to_dict(reference_instance())))
+    out = tmp_path / "both"
+    assert main(["formulate", "--instance", str(path), "--synthetic", "6,3",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "not allowed with argument --instance" in err
+    assert not out.exists()

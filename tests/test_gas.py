@@ -12,6 +12,7 @@ from gascap import (
     GasTrace,
     IdealSampler,
     StateVector,
+    StateVectorSampler,
     apply,
     bits_to_int,
     brute_force_cap,
@@ -36,6 +37,15 @@ def test_config_requires_a_termination_rule():
     with pytest.raises(ValueError):
         GasConfig(lambda_=1.0, max_classical_iters=5)
     GasConfig(max_classical_iters=5)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_config_rejects_budgets_below_one(budget):
+    # a run with no budget left would do nothing and report one query
+    with pytest.raises(ValueError, match="max_classical_iters"):
+        GasConfig(max_classical_iters=budget)
+    with pytest.raises(ValueError, match="max_quantum_queries"):
+        GasConfig(max_quantum_queries=budget, max_classical_iters=5)
 
 
 def test_threshold_history_is_monotone(hubo_desc):
@@ -154,9 +164,8 @@ def test_statevector_backend_survives_large_initial_threshold():
     # tiny coefficients, large values: the folded constant -y would overflow
     # a register sized from the coefficients alone; the backend must widen
     p = BinaryPolynomial(4, {(i,): 3.0 for i in range(4)})
-    cfg = GasConfig(backend="sv", max_classical_iters=40,
-                    stop_at_known_optimum=0.0, master_seed=1)
-    trace = run_gas(p, cfg)
+    cfg = GasConfig(max_classical_iters=40, stop_at_known_optimum=0.0, master_seed=1)
+    trace = run_gas(p, cfg, sampler=StateVectorSampler(p))
     assert trace.best_y == 0.0
 
 
@@ -165,11 +174,9 @@ def test_statevector_backend_agrees_with_ideal(hubo_desc, table):
     _, opt = hubo_desc.objective.exhaustive_min()
     width = formulation_width(hubo_desc, d_sum=table.d_sum)
     for i in range(3):
-        cfg_sv = GasConfig(
-            backend="sv", value_width=width,
-            max_classical_iters=150, stop_at_known_optimum=opt, master_seed=9,
-        )
-        trace = run_gas(hubo_desc.objective, cfg_sv, rng=run_seed(i, 9))
+        cfg = GasConfig(max_classical_iters=150, stop_at_known_optimum=opt, master_seed=9)
+        sampler = StateVectorSampler(hubo_desc.objective, width)
+        trace = run_gas(hubo_desc.objective, cfg, rng=run_seed(i, 9), sampler=sampler)
         assert trace.best_y == pytest.approx(opt)
 
 
@@ -233,12 +240,13 @@ def test_run_batch_shares_one_value_table(hubo_asc, monkeypatch):
 
 
 def spy_statevector_draw(monkeypatch):
-    """Record the sv draw's circuit builds, as thresholds, and the Grover
+    """Record the sv sampler's circuit builds, as thresholds, and the Grover
     operators it applies, per threshold."""
-    import gascap.gas as gas
+    import gascap.simulator as simulator
     seen = {"prep": [], "grover": [], "applied": {}}
     prep_y, grover_y = {}, {}
-    build_state_prep, build_grover, apply = gas.build_state_prep, gas.build_grover, gas.apply
+    build_state_prep, build_grover, apply = (
+        simulator.build_state_prep, simulator.build_grover, simulator.apply)
 
     def spy_prep(p, y, m):
         a = build_state_prep(p, y, m)
@@ -258,9 +266,9 @@ def spy_statevector_draw(monkeypatch):
             seen["applied"][y] = seen["applied"].get(y, 0) + 1
         return apply(c, state)
 
-    monkeypatch.setattr(gas, "build_state_prep", spy_prep)
-    monkeypatch.setattr(gas, "build_grover", spy_grover)
-    monkeypatch.setattr(gas, "apply", spy_apply)
+    monkeypatch.setattr(simulator, "build_state_prep", spy_prep)
+    monkeypatch.setattr(simulator, "build_grover", spy_grover)
+    monkeypatch.setattr(simulator, "apply", spy_apply)
     return seen
 
 
@@ -273,8 +281,9 @@ def draws_by_threshold(trace):
 
 def test_statevector_builds_circuits_once_per_threshold(hubo_asc, monkeypatch):
     seen = spy_statevector_draw(monkeypatch)
-    cfg = GasConfig(backend="sv", max_classical_iters=40, master_seed=3)
-    trace = run_gas(hubo_asc.objective, cfg, rng=run_seed(0, 3))
+    cfg = GasConfig(max_classical_iters=40, master_seed=3)
+    p = hubo_asc.objective
+    trace = run_gas(p, cfg, rng=run_seed(0, 3), sampler=StateVectorSampler(p))
     by_y = draws_by_threshold(trace)
     amplified = [y for y, l_seq in by_y.items() if any(l_seq)]
     assert len(by_y) > 1 and amplified
@@ -284,8 +293,9 @@ def test_statevector_builds_circuits_once_per_threshold(hubo_asc, monkeypatch):
 
 def test_statevector_applies_every_charged_operator(hubo_asc, monkeypatch):
     seen = spy_statevector_draw(monkeypatch)
-    cfg = GasConfig(backend="sv", max_classical_iters=40, master_seed=3)
-    trace = run_gas(hubo_asc.objective, cfg, rng=run_seed(0, 3))
+    cfg = GasConfig(max_classical_iters=40, master_seed=3)
+    p = hubo_asc.objective
+    trace = run_gas(p, cfg, rng=run_seed(0, 3), sampler=StateVectorSampler(p))
     by_y = draws_by_threshold(trace)
     assert seen["applied"] == {y: sum(l_seq) for y, l_seq in by_y.items() if any(l_seq)}
     assert sum(seen["applied"].values()) == trace.quantum_queries > 0
@@ -381,30 +391,66 @@ class PerDrawStatevector:
         return bits_to_int(sample(state, rng, self.p.n_vars, self.m).key_bits)
 
 
-def sv_config(p, seed, iters, widen):
-    """An sv search config whose value register is ``widen`` qubits wider
-    than the coefficients need, or sized by the search when ``widen`` is None."""
-    width = None if widen is None else coefficient_width(p) + widen
-    return GasConfig(backend="sv", max_classical_iters=iters, master_seed=seed, value_width=width)
+def sv_width(p, widen):
+    """A value-register width ``widen`` qubits wider than the coefficients
+    need, or None, which leaves the width to the sampler."""
+    return None if widen is None else coefficient_width(p) + widen
 
 
 @given(search_polynomials(max_vars=5, bound=8.0), st.integers(0, 2**32 - 1),
        st.integers(1, 40), st.none() | st.integers(0, 3))
 @settings(deadline=None, max_examples=25)
 def test_statevector_trace_equals_per_draw_reference(p, seed, iters, widen):
-    cfg = sv_config(p, seed, iters, widen)
-    got = run_gas(p, cfg, rng=run_seed(0, seed))
-    want = reference_run_gas(p, cfg, run_seed(0, seed), PerDrawStatevector(p, cfg.value_width))
+    cfg = GasConfig(max_classical_iters=iters, master_seed=seed)
+    width = sv_width(p, widen)
+    got = run_gas(p, cfg, rng=run_seed(0, seed), sampler=StateVectorSampler(p, width))
+    want = reference_run_gas(p, cfg, run_seed(0, seed), PerDrawStatevector(p, width))
     assert repr(got) == repr(want)
+
+
+@given(search_polynomials(max_vars=5, bound=8.0), st.integers(0, 2**32 - 1),
+       st.none() | st.integers(0, 3), st.lists(st.integers(0, 4), min_size=3, max_size=3),
+       st.floats(-40.0, 40.0, allow_nan=False), st.floats(-40.0, 40.0, allow_nan=False))
+@settings(deadline=None, max_examples=25)
+def test_statevector_sampler_equals_per_draw_reference(p, seed, widen, l_ops, y1, y2):
+    # the sequence returns to its first threshold, which the sampler has to
+    # prepare afresh
+    width = sv_width(p, widen)
+    got_sampler, want_sampler = StateVectorSampler(p, width), PerDrawStatevector(p, width)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for y, l in zip((y1, y2, y1), l_ops):
+        assert got_sampler.sample(y, l, got_rng) == want_sampler.sample(y, l, want_rng)
+        # a key's total probability rarely depends on the register width, so
+        # check the width itself
+        assert got_sampler.m == want_sampler.m
+
+
+def test_shared_statevector_sampler_equals_fresh_per_run(hubo_asc, monkeypatch):
+    # the state a sampler keeps from its last threshold depends only on that
+    # threshold, so sharing one between runs changes no trace.  The small
+    # objective has two values, so runs often start at the threshold the
+    # previous run ended on and carry its state over.
+    seen = spy_statevector_draw(monkeypatch)
+    cfg = GasConfig(max_classical_iters=20, master_seed=21)
+    for p in (hubo_asc.objective, BinaryPolynomial(3, {(0,): 1.0})):
+        start = len(seen["prep"])
+        want = [run_gas(p, cfg, rng=run_seed(i, 21), sampler=StateVectorSampler(p))
+                for i in range(6)]
+        fresh_builds = len(seen["prep"]) - start
+        shared = StateVectorSampler(p)
+        got = [run_gas(p, cfg, rng=run_seed(i, 21), sampler=shared) for i in range(6)]
+        shared_builds = len(seen["prep"]) - start - fresh_builds
+        assert repr(got) == repr(want)
+    assert shared_builds < fresh_builds
 
 
 @pytest.mark.parametrize("oracle_calls", [False, True])
 def test_statevector_queries_are_charged_per_draw(hubo_asc, oracle_calls):
     p = hubo_asc.objective
     for seed in range(4):
-        cfg = GasConfig(backend="sv", max_classical_iters=30, master_seed=seed,
+        cfg = GasConfig(max_classical_iters=30, master_seed=seed,
                         count_oracle_calls=oracle_calls)
-        got = run_gas(p, cfg, rng=run_seed(0, seed))
+        got = run_gas(p, cfg, rng=run_seed(0, seed), sampler=StateVectorSampler(p))
         want = reference_run_gas(p, cfg, run_seed(0, seed), PerDrawStatevector(p))
         assert [it.l_i for it in got.iterations] == [it.l_i for it in want.iterations]
         assert got.quantum_queries == want.quantum_queries == sum(
@@ -415,8 +461,8 @@ def test_statevector_queries_are_charged_per_draw(hubo_asc, oracle_calls):
 @example(BinaryPolynomial(4, {(0, 1): -1.5, (2,): 0.25, (1, 3): 0.25, (): 0.5}), 3)
 @settings(deadline=None, max_examples=20)
 def test_statevector_values_are_the_evaluated_keys(p, seed):
-    cfg = GasConfig(backend="sv", max_classical_iters=12, master_seed=seed)
-    trace = run_gas(p, cfg, rng=run_seed(0, seed))
+    cfg = GasConfig(max_classical_iters=12, master_seed=seed)
+    trace = run_gas(p, cfg, rng=run_seed(0, seed), sampler=StateVectorSampler(p))
     assert trace.best_y == p.evaluate(trace.best_x)
     for it in trace.iterations:
         assert it.sampled_y == p.evaluate(it.sampled_x)
@@ -426,12 +472,12 @@ def test_statevector_values_are_the_evaluated_keys(p, seed):
 @pytest.mark.parametrize("backend", ["ideal", "sv"])
 def test_only_the_first_sample_is_evaluated(hubo_asc, monkeypatch, backend):
     p = hubo_asc.objective
-    sampler = IdealSampler(p)
+    sampler = {"ideal": IdealSampler, "sv": StateVectorSampler}[backend](p)
     calls = []
     original = BinaryPolynomial.evaluate
     monkeypatch.setattr(BinaryPolynomial, "evaluate",
                         lambda self, x: calls.append(x) or original(self, x))
-    cfg = GasConfig(backend=backend, max_classical_iters=25, master_seed=8)
+    cfg = GasConfig(max_classical_iters=25, master_seed=8)
     trace = run_gas(p, cfg, rng=run_seed(0, 8), sampler=sampler)
     assert len(trace.iterations) == 25
     assert len(calls) == 1
