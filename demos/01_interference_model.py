@@ -12,6 +12,7 @@ import numpy as np
 from gascap import (
     assignment_interference,
     brute_force_cap,
+    co_channel_partition,
     coeff_table,
     interference_coeff,
     reference_instance,
@@ -42,4 +43,4 @@ result = brute_force_cap(inst, table)
 print(f"\nbrute force over {result.evaluations} assignments:")
 print(f"  best assignment  {result.best_assignment}")
 print(f"  best value       {result.best_value:.3f}")
-print(f"  co-channel APs   {sorted(sorted(g) for g in result.co_channel_partition())}")
+print(f"  co-channel APs   {sorted(sorted(g) for g in co_channel_partition(result.best_assignment))}")

@@ -10,6 +10,7 @@ import numpy as np
 
 from gascap import (
     GasConfig,
+    IdealSampler,
     brute_force_cap,
     build_formulation,
     coeff_table,
@@ -37,7 +38,7 @@ cfg = GasConfig(max_classical_iters=200,
 print(f"\n{'objective':>11} {'bits':>5} {'hits':>8} {'classical':>10} "
       f"{'quantum':>8} {'sqrt(2^n)':>10}")
 for name, form in forms.items():
-    traces = run_batch(form.objective, cfg, 100)
+    traces = list(run_batch(IdealSampler(form.objective), cfg, 100))
     hits = sum(t.best_y <= oracle.best_value + 1e-9 for t in traces)
     mean_c = np.mean([t.classical_queries for t in traces])
     mean_q = np.mean([t.quantum_queries for t in traces])
@@ -46,11 +47,7 @@ for name, form in forms.items():
           f"{mean_c:>10.1f} {mean_q:>8.1f} {ref:>10.1f}")
 
 print("\none run in detail (descending, seed stream 0):")
-trace = run_gas(forms["descending"].objective,
-                GasConfig(max_classical_iters=200,
-                          stop_at_known_optimum=oracle.best_value,
-                          master_seed=2023),
-                rng=run_seed(0, 2023))
+trace = run_gas(IdealSampler(forms["descending"].objective), cfg, run_seed(0, 2023))
 print(f"{'iter':>5} {'threshold':>10} {'L':>3} {'sampled':>9} {'improved':>9}")
 for it in trace.iterations:
     print(f"{it.i:>5} {it.y_i:>10.3f} {it.l_i:>3} {it.sampled_y:>9.3f} "

@@ -54,6 +54,7 @@ from .gas import (
     GasConfig,
     GasTrace,
     brute_force_cap,
+    co_channel_partition,
     log2_expected_queries,
     run_batch,
     run_gas,

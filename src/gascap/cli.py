@@ -52,8 +52,7 @@ from .gas import (
     brute_force_cap,
     co_channel_partition,
     log2_expected_queries,
-    run_gas,
-    run_seed,
+    run_batch,
 )
 from .simulator import IdealSampler, StateVectorSampler
 
@@ -68,9 +67,16 @@ BACKENDS = ("ideal", "sv")  # IdealSampler, StateVectorSampler
 
 
 def _master_seed(args) -> int:
+    """--seed, else $GASCAP_SEED, else 0; a seed that is not a non-negative
+    integer raises ``ValueError`` naming the flag or the variable."""
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must not be negative, got {args.seed}")
         return args.seed
-    return int(os.environ.get("GASCAP_SEED", "0"))
+    env = os.environ.get("GASCAP_SEED", "0")
+    if not env.strip().isdecimal():
+        raise ValueError(f"GASCAP_SEED must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
 def _load_instance(args) -> CapInstance:
@@ -239,7 +245,6 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = coeff_table(inst)
-    master = _master_seed(args)
     oracle = brute_force_cap(inst, table)
 
     hashes: dict[str, str] = {}
@@ -271,14 +276,13 @@ def cmd_solve(args) -> int:
             max_classical_iters=args.budget_classical,
             max_quantum_queries=args.budget_quantum,
             stop_at_known_optimum=lo,
-            master_seed=master,
+            master_seed=_master_seed(args),
         )
         rows = []
         hits = 0
         classical = []
         quantum = []
-        for run in range(args.runs):
-            trace = run_gas(poly, cfg, rng=run_seed(run, master), sampler=sampler)
+        for run, trace in enumerate(run_batch(sampler, cfg, args.runs)):
             cum_c, cum_q = 1, 0
             best = trace.iterations[0].y_i if trace.iterations else trace.best_y
             for it in trace.iterations:
@@ -342,9 +346,8 @@ def cmd_verify(args) -> int:
         return EXIT_BUDGET
     check("optimum value 0.010", abs(oracle.best_value - 0.010) <= 1e-3,
           f"got {oracle.best_value:.4f}")
-    check("co-channel partition {{1,4},{2},{3}}",
-          oracle.co_channel_partition() == GOLDEN_PARTITION,
-          str(oracle.co_channel_partition()))
+    partition = co_channel_partition(oracle.best_assignment)
+    check("co-channel partition {{1,4},{2},{3}}", partition == GOLDEN_PARTITION, str(partition))
 
     expectations = {"qubo": None, "hubo-asc": 67, "hubo-desc": 55}
     for kind, want_terms in expectations.items():
@@ -448,6 +451,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "formulation", None) is None and hasattr(args, "formulation"):
         args.formulation = list(ENCODING_KINDS)
     try:
+        if hasattr(args, "seed"):
+            _master_seed(args)  # a bad seed fails before any output is made
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -10,9 +10,8 @@ every non-improving iteration, capped at sqrt(2^n).
 
 Accounting: classical queries = objective evaluations = iterations + 1 (the
 initial uniform sample); quantum queries = the L_i Grover operators each
-draw asks for, with an optional convention counting 2 L_i + 1 oracle calls
-per iteration instead.  The charge is per draw, as on hardware, where every
-draw prepares its state afresh.  The backend is the sampler that draws each
+draw asks for.  The charge is per draw, as on hardware, where every draw
+prepares its state afresh.  The backend is the sampler that draws each
 key: ``IdealSampler``, or ``StateVectorSampler``, which simulates A_y|0> once
 per threshold and then exactly the operators it charges.
 """
@@ -20,37 +19,32 @@ per threshold and then exactly the operators it charges.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .cap import CapInstance, CoeffTable, assignment_interference
-from .poly import BinaryPolynomial, BitVector, BudgetExceededError, int_to_bits
+from .poly import BitVector, BudgetExceededError, int_to_bits
 from .simulator import IdealSampler
+
+
+LAMBDA = 8.0 / 7.0  # growth of the reach k after each non-improving draw
 
 
 @dataclass(frozen=True)
 class GasConfig:
-    lambda_: float = 8.0 / 7.0
     max_classical_iters: int | None = None
     max_quantum_queries: int | None = None
     stop_at_known_optimum: float | None = None
-    no_improvement_window: int | None = None
     master_seed: int = 0
-    count_oracle_calls: bool = False  # count 2L+1 oracle calls instead of L
 
     def __post_init__(self):
-        if self.lambda_ <= 1.0:
-            raise ValueError("lambda must exceed 1")
         for name in ("max_classical_iters", "max_quantum_queries"):
             budget = getattr(self, name)
             if budget is not None and budget < 1:
                 raise ValueError(f"{name} must be at least 1, got {budget}")
-        rules = (
-            self.max_classical_iters,
-            self.max_quantum_queries,
-            self.stop_at_known_optimum,
-            self.no_improvement_window,
-        )
+        rules = (self.max_classical_iters, self.max_quantum_queries, self.stop_at_known_optimum)
         if all(r is None for r in rules):
             raise ValueError("at least one termination rule must be set")
 
@@ -74,27 +68,13 @@ class GasTrace:
     classical_queries: int = 0
     quantum_queries: int = 0
 
-    def threshold_history(self) -> list[float]:
-        return [it.y_i for it in self.iterations]
 
-
-def run_gas(
-    p: BinaryPolynomial,
-    cfg: GasConfig,
-    rng: np.random.Generator | None = None,
-    *,
-    sampler: IdealSampler | None = None,
-) -> GasTrace:
-    """One seeded search run over the polynomial's full bit cube.
-
-    ``sampler`` is the backend and must have been built from ``p``; pass one
-    to share its value table between runs, or leave it out to draw with an
-    ``IdealSampler`` built here.  Its table gives the value of every drawn key.
-    """
-    rng = rng if rng is not None else np.random.default_rng(cfg.master_seed)
-    n = p.n_vars
+def run_gas(sampler: IdealSampler, cfg: GasConfig, rng: np.random.Generator) -> GasTrace:
+    """One seeded search run over the full bit cube of the sampler's
+    polynomial.  The sampler is the backend; its table gives the value of
+    every drawn key."""
+    p, n = sampler.p, sampler.n_vars
     sqrt_space = math.sqrt(2.0 ** n)
-    sampler = sampler if sampler is not None else IdealSampler(p)
 
     trace = GasTrace()
     x = tuple(int(b) for b in rng.integers(0, 2, size=n))
@@ -102,7 +82,6 @@ def run_gas(
     trace.best_x, trace.best_y = x, p.evaluate(x)
 
     k = 1.0
-    since_improvement = 0
     while True:
         i = len(trace.iterations)
         if cfg.max_classical_iters is not None and i >= cfg.max_classical_iters:
@@ -110,8 +89,6 @@ def run_gas(
         if cfg.stop_at_known_optimum is not None and trace.best_y <= cfg.stop_at_known_optimum + 1e-12:
             break
         if cfg.max_quantum_queries is not None and trace.quantum_queries >= cfg.max_quantum_queries:
-            break
-        if cfg.no_improvement_window is not None and since_improvement >= cfg.no_improvement_window:
             break
 
         l_i = int(rng.integers(0, math.ceil(k - 1.0) + 1))
@@ -127,14 +104,12 @@ def run_gas(
             )
         )
         trace.classical_queries += 1
-        trace.quantum_queries += (2 * l_i + 1) if cfg.count_oracle_calls else l_i
+        trace.quantum_queries += l_i
         if improved:
             trace.best_x, trace.best_y = x_new, y_new
             k = 1.0
-            since_improvement = 0
         else:
-            k = min(cfg.lambda_ * k, sqrt_space)
-            since_improvement += 1
+            k = min(LAMBDA * k, sqrt_space)
 
     return trace
 
@@ -144,23 +119,19 @@ def run_seed(run_index: int, master_seed: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, run_index])
 
 
-def run_batch(
-    p: BinaryPolynomial, cfg: GasConfig, n_runs: int
-) -> list[GasTrace]:
-    """Independent seeded runs; run i uses the stream (master_seed, i), so
-    different formulations executed with the same config are seed-paired.
-    All runs share one value table."""
-    sampler = IdealSampler(p)
-    return [
-        run_gas(p, cfg, rng=run_seed(i, cfg.master_seed), sampler=sampler)
-        for i in range(n_runs)
-    ]
+def run_batch(sampler: IdealSampler, cfg: GasConfig, n_runs: int) -> Iterator[GasTrace]:
+    """Independent seeded runs on one sampler, yielded one at a time; run i
+    uses the stream (master_seed, i), so different formulations executed
+    with the same config are seed-paired."""
+    for i in range(n_runs):
+        yield run_gas(sampler, cfg, run_seed(i, cfg.master_seed))
 
 
 # -- classical references -------------------------------------------------
 
 
 ORACLE_CHUNK = 1 << 16  # assignments scored per numpy pass in brute_force_cap
+ORACLE_BUDGET = 10_000_000  # the most assignments brute_force_cap enumerates
 
 
 def co_channel_partition(assignment) -> frozenset[frozenset[int]]:
@@ -177,13 +148,8 @@ class BruteForceResult:
     best_value: float
     evaluations: int
 
-    def co_channel_partition(self) -> frozenset[frozenset[int]]:
-        return co_channel_partition(self.best_assignment)
 
-
-def brute_force_cap(
-    inst: CapInstance, table: CoeffTable, budget: int = 10_000_000
-) -> BruteForceResult:
+def brute_force_cap(inst: CapInstance, table: CoeffTable) -> BruteForceResult:
     """Exhaustive scan of all N_CH^N_AP assignments (lexicographic order,
     first minimum kept).
 
@@ -195,9 +161,9 @@ def brute_force_cap(
     """
     n_ap, n_ch = inst.n_ap, inst.n_ch
     space = n_ch ** n_ap
-    if space > budget:
+    if space > ORACLE_BUDGET:
         raise BudgetExceededError(
-            f"search space {space} exceeds the enumeration budget {budget}"
+            f"search space {space} exceeds the enumeration budget {ORACLE_BUDGET}"
         )
     d = table.d
     weight = [n_ch ** (n_ap - 1 - i) for i in range(n_ap)]  # AP 0 most significant

@@ -93,7 +93,8 @@ def _phase_diagonal(gates: Iterable[GateSpec], n_qubits: int) -> np.ndarray:
     cube = phase.reshape((2,) * n_qubits)
     for q in range(n_qubits):
         cube[(slice(None),) * q + (1,)] += cube[(slice(None),) * q + (0,)]
-    return np.exp(1j * phase)
+    out = np.multiply(phase, 1j)  # the bits of exp(1j * phase), one complex array fewer
+    return np.exp(out, out=out)
 
 
 _INVERSE_KIND = {"iqft": "qft", "qft": "iqft"}
@@ -144,14 +145,12 @@ def _compile(c: CircuitSpec) -> tuple[tuple[str, object], ...]:
     return tuple(steps)
 
 
-def _run(c: CircuitSpec, amps: np.ndarray, from_zero: bool = False) -> StateVector:
-    """Run ``c``'s plan, compiled on first use and kept as ``c.plan``, on
-    ``amps``, which it may overwrite.  ``from_zero`` says ``amps`` is
-    |0...0>: a plan opening with a Hadamard on every qubit once then starts
-    from the uniform state, written with the bits those passes give."""
-    if c.plan is None:
-        object.__setattr__(c, "plan", _compile(c))
-    n_total, m, steps = c.n_qubits, c.m_val, c.plan
+def _run(c: CircuitSpec, steps, amps: np.ndarray, from_zero: bool = False) -> StateVector:
+    """Run ``steps``, ``c``'s plan, on ``amps``, which it may overwrite.
+    ``from_zero`` says ``amps`` is |0...0>: a plan opening with a Hadamard on
+    every qubit once then starts from the uniform state, written with the
+    bits those passes give."""
+    n_total, m = c.n_qubits, c.m_val
     if from_zero and sorted(q for op, q in steps[:n_total] if op == "h") == list(range(n_total)):
         amp, inv = 1.0, 1.0 / math.sqrt(2.0)
         for _ in range(n_total):
@@ -194,13 +193,17 @@ def apply(c: CircuitSpec, s: StateVector) -> StateVector:
     if s.n_qubits != c.n_qubits:
         raise ValueError(f"state has {s.n_qubits} qubits, circuit needs {c.n_qubits}")
     _check_cap(c.n_qubits)
-    return _run(c, s.amplitudes.copy())
+    if c.plan is None:
+        object.__setattr__(c, "plan", _compile(c))
+    return _run(c, c.plan, s.amplitudes.copy())
 
 
 def prepare(c: CircuitSpec) -> StateVector:
     """``c`` applied to |0...0>, as ``apply(c, StateVector.zero(c.n_qubits))``
-    gives it, without the Hadamard passes of an opening layer."""
-    return _run(c, StateVector.zero(c.n_qubits).amplitudes, from_zero=True)
+    gives it, without the Hadamard passes of an opening layer.  A circuit is
+    prepared once, so its plan is compiled for this call and not kept."""
+    amps = StateVector.zero(c.n_qubits).amplitudes  # checks the cap before compiling
+    return _run(c, _compile(c), amps, from_zero=True)
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,7 @@ class IdealSampler:
     """
 
     def __init__(self, p: BinaryPolynomial):
-        self.n_vars = p.n_vars
+        self.p, self.n_vars = p, p.n_vars
         self.values = p.evaluate_all()
         self.order = np.argsort(self.values, kind="stable")
         self.sorted_values = self.values[self.order]
@@ -297,7 +300,6 @@ class StateVectorSampler(IdealSampler):
 
     def __init__(self, p: BinaryPolynomial, value_width: int | None = None):
         super().__init__(p)
-        self.p = p
         self.base_m = value_width if value_width is not None else coefficient_width(p)
         self.at_y: float | None = None
         self.prep = self.grover = self.prepared = None

@@ -147,6 +147,20 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert (out1 / "trace_hubo-asc.csv").read_bytes() == (out2 / "trace_hubo-asc.csv").read_bytes()
 
 
+@pytest.mark.parametrize("value", ["-1", "abc"])
+@pytest.mark.parametrize("command", ["formulate", "estimate", "solve"])
+def test_seed_env_out_of_range_exit_code(tmp_path, monkeypatch, capsys, command, value):
+    # formulate once wrote the negative seed into its manifest, and solve
+    # failed with numpy's message after making its output directory
+    monkeypatch.setenv("GASCAP_SEED", value)
+    out = tmp_path / "s"
+    assert main([command, "--out", str(out)]) == 1
+    assert "GASCAP_SEED" in capsys.readouterr().err
+    assert not out.exists()
+    # --seed takes precedence over the variable
+    assert main(["formulate", "--seed", "0", "--out", str(out)]) == 0
+
+
 def test_verify_passes_on_bundled_instance(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
@@ -420,6 +434,9 @@ def test_malformed_instance_exit_code(tmp_path, capsys, name):
     ["estimate", "--enum-cap=-1"],
     ["formulate", "--synthetic=4"],
     ["solve", "--synthetic=4,3,2"],
+    ["formulate", "--seed=-1"],
+    ["estimate", "--seed=-1"],
+    ["solve", "--seed=-1"],
 ], ids="_".join)
 def test_flag_out_of_range_exit_code(tmp_path, capsys, argv):
     # each of these once ran and wrote an empty or meaningless result, or

@@ -33,3 +33,12 @@ def test_demo_04_stdout_is_pinned():
     assert result.returncode == 0, result.stderr.decode()
     digest = hashlib.sha256(result.stdout).hexdigest()
     assert digest == "52e251af54a3baf65f5219e975ace1b861c3101a4e3b3f6b0b42a1fa0f8f0117"
+
+
+def test_demo_05_stdout_is_pinned():
+    # sha256 of the printed search statistics and one run's trace while
+    # run_gas took the polynomial and an optional sampler and generator
+    result = run_demo(DEMO_DIR / "05_adaptive_search.py")
+    assert result.returncode == 0, result.stderr.decode()
+    digest = hashlib.sha256(result.stdout).hexdigest()
+    assert digest == "5085938393a64e51b843917dcd18ef30a4c738d1ed6db0b6fec43238efb2fa26"

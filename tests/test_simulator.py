@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gascap import (
     IdealSampler,
     SampleOutcome,
     StateVector,
+    StateVectorSampler,
     amplified_probability,
     apply,
     build_grover,
@@ -289,6 +291,7 @@ def test_the_plan_leaves_equality_hash_and_repr_alone():
     gates = (GateSpec("h", target=0), GateSpec("r", target=1, theta=0.7), GateSpec("iqft"))
     applied, fresh = CircuitSpec(1, 1, gates), CircuitSpec(1, 1, gates)
     apply(applied, StateVector.zero(2))
+    prepare(fresh)  # a circuit is prepared once, so prepare keeps no plan
     assert applied.plan is not None and fresh.plan is None
     assert applied == fresh and hash(applied) == hash(fresh)
     assert repr(applied) == repr(fresh) == f"CircuitSpec(n_key=1, m_val=1, gates={gates!r})"
@@ -552,3 +555,30 @@ def test_every_size_cap_raises_the_budget_error_type():
             call()
         assert isinstance(info.value, BudgetExceededError)
         assert isinstance(info.value, ValueError)
+
+
+def test_statevector_draw_peak_memory():
+    # peaks in arrays of 2^N amplitudes, traced from a threshold's first
+    # draw on.  Preparing psi = A_y|0> holds the state, A_y's phase vector and
+    # the inverse QFT's output (3.5 when exp(1j * phase) held two complex
+    # arrays); a Grover draw holds psi, G's reflection vector, the state being
+    # advanced, apply's copy and the scaled psi the reflection subtracts (6.1
+    # to 6.6 when A_y's plan stayed on the circuit for the whole threshold)
+    rng = np.random.default_rng(1)
+    n = 12
+    terms = {(i,): float(rng.integers(-6, 7)) for i in range(n)}
+    terms.update({(i, i + 1): float(rng.integers(-6, 7)) for i in range(n - 1)})
+    sampler = StateVectorSampler(BinaryPolynomial(n, terms))
+    y = float(np.median(sampler.values)) + 0.5
+    peaks = []
+    tracemalloc.start()
+    try:
+        for l_ops in (0, 2, 2):  # prepare psi; the first Grover draw; a later one
+            tracemalloc.reset_peak()
+            sampler.sample(y, l_ops, rng)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert n + sampler.m == 16
+    prepared, first, later = (peak / (16 << 16) for peak in peaks)
+    assert prepared < 3.25 and first < 5.5 and later < 5.5, (prepared, first, later)
