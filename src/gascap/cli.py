@@ -102,6 +102,7 @@ def _write_manifest(out_dir: Path, command: str, args_echo: dict, files: dict[st
 
 
 def _write_text(out_dir: Path, name: str, text: str, hashes: dict[str, str]):
+    out_dir.mkdir(parents=True, exist_ok=True)  # so a failed command leaves no directory
     (out_dir / name).write_text(text)
     hashes[name] = hashlib.sha256(text.encode()).hexdigest()
 
@@ -126,7 +127,6 @@ def _fmt(x) -> str:
 def cmd_formulate(args) -> int:
     inst = _load_instance(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     table = coeff_table(inst)
     hashes: dict[str, str] = {}
     summary: dict[str, dict] = {}
@@ -179,7 +179,6 @@ def cmd_estimate(args) -> int:
     if args.enum_cap < 0:
         raise ValueError(f"--enum-cap must not be negative, got {args.enum_cap}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = [
         "formulation", "encoding", "n_ap", "n_ch",
         "n", "n_prime", "n_double_prime", "m",
@@ -243,7 +242,6 @@ def cmd_solve(args) -> int:
             raise ValueError(f"{flag} must be positive, got {value}")
     inst = _load_instance(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     table = coeff_table(inst)
     oracle = brute_force_cap(inst, table)
 

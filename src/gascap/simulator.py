@@ -15,9 +15,10 @@ different fidelity/cost trade-offs:
   key * 2^m + value, i.e. key qubits occupy the high bits (key qubit 0 most
   significant) and the value register the low bits (value qubit 0 = sign bit
   at position m-1).  Capped at 24 qubits, where one state is 256 MB.
-  ``apply`` compiles a circuit once into numpy steps (see ``_compile``), in
-  which the Grover operator is its oracle and one O(2^N) reflection;
-  ``prepare`` applies a circuit to |0...0>.
+  ``apply`` compiles a circuit once into numpy steps (see ``_compile``);
+  ``prepare`` applies a circuit to |0...0>.  The sampler runs each Grover
+  operator as its oracle and one O(2^N) reflection about the psi = A_y|0>
+  it holds.
 """
 
 from __future__ import annotations
@@ -97,51 +98,22 @@ def _phase_diagonal(gates: Iterable[GateSpec], n_qubits: int) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-_INVERSE_KIND = {"iqft": "qft", "qft": "iqft"}
-
-
-def _undoes(a: GateSpec, b: GateSpec) -> bool:
-    """Whether ``a`` is ``b.inverse()``, compared field by field rather than
-    built: only the QFT pair changes kind, and angles (0 but for ``r``/``cr``) flip."""
-    return (a.kind == _INVERSE_KIND.get(b.kind, b.kind) and a.target == b.target
-            and a.controls == b.controls and a.theta == -b.theta)
-
-
 def _compile(c: CircuitSpec) -> tuple[tuple[str, object], ...]:
-    """The steps ``apply`` runs for ``c``, each a (kernel, argument) pair.
+    """The steps ``apply`` runs for ``c``, each a (kernel, argument) pair:
+    ``phase`` multiplies by the diagonal of a run of ``r``/``cr`` gates,
+    ``h``/``z`` take their target qubit, and ``iqft``/``qft`` (an orthonormal
+    FFT along the value register) and ``diffusion`` take nothing.
 
-    * ``reflect``: a ``diffusion`` D inside a mirror X^dagger D X (in gate
-      order), where the j-th gate before D inverts the j-th gate after it,
-      is 2|psi><psi| - I with psi = X|0>.  The longest mirror around each D
-      becomes one step holding psi, so G = A_y D A_y^dagger O compiles to
-      ``z``, ``reflect``.
-    * ``phase``: multiply by the diagonal of a run of ``r``/``cr`` gates.
-    * ``h``/``z`` take their target qubit; ``iqft``/``qft`` (an orthonormal
-      FFT along the value register) and a ``diffusion`` with no mirror take
-      nothing.
+    ``_run`` has one more kernel, ``reflect``, which takes psi and applies
+    2|psi><psi| - I; no circuit compiles to it, but ``StateVectorSampler``
+    gives G = A_y D A_y^dagger O the plan ``z``, ``reflect`` about A_y|0>.
     """
-    gates, steps, start = c.gates, [], 0
-
-    def emit(run_of_gates):
-        for phase, run in itertools.groupby(run_of_gates, key=lambda g: g.kind in ("r", "cr")):
-            if phase:
-                steps.append(("phase", _phase_diagonal(run, c.n_qubits)))
-            else:
-                steps.extend((g.kind, g.target) for g in run)
-
-    for d, g in enumerate(gates):
-        if d < start or g.kind != "diffusion":
-            continue
-        k = 0  # the mirror's half-width
-        while (start < d - k and d + k + 1 < len(gates)
-               and _undoes(gates[d - k - 1], gates[d + k + 1])):
-            k += 1
-        if k:
-            emit(gates[start:d - k])
-            x = CircuitSpec(c.n_key, c.m_val, gates[d + 1:d + k + 1])
-            steps.append(("reflect", prepare(x).amplitudes))
-            start = d + k + 1
-    emit(gates[start:])
+    steps = []
+    for phase, run in itertools.groupby(c.gates, key=lambda g: g.kind in ("r", "cr")):
+        if phase:
+            steps.append(("phase", _phase_diagonal(run, c.n_qubits)))
+        else:
+            steps.extend((g.kind, g.target) for g in run)
     return tuple(steps)
 
 
@@ -295,7 +267,10 @@ class StateVectorSampler(IdealSampler):
     The value register is ``value_width`` qubits, by default
     ``coefficient_width(p)``, and wider where the constant folded with -y
     needs it.  The sampler keeps one threshold's A_y, psi = A_y|0> and, once
-    a draw needs it, G: the threshold moves only when a draw improves.
+    a draw needs it, G: the threshold moves only when a draw improves.  G =
+    A_y D A_y^dagger O is built as a gate list but given its plan here, its
+    oracle ``z`` and the reflection 2|psi><psi| - I about the psi already
+    held, so each Grover operator costs O(2^N) and G compiles nothing.
     """
 
     def __init__(self, p: BinaryPolynomial, value_width: int | None = None):
@@ -306,11 +281,14 @@ class StateVectorSampler(IdealSampler):
 
     def sample(self, y: float, l_ops: int, rng: np.random.Generator) -> int:
         if y != self.at_y:
+            self.prepared = self.grover = None  # freed before the next psi is prepared
             self.at_y, self.m = y, max(self.base_m, coefficient_width(self.p, y))
             self.prep = build_state_prep(self.p, y, self.m)
-            self.prepared, self.grover = prepare(self.prep), None
+            self.prepared = prepare(self.prep)
         if l_ops and self.grover is None:
             self.grover = build_grover(self.prep)
+            plan = (("z", self.prep.n_key), ("reflect", self.prepared.amplitudes))
+            object.__setattr__(self.grover, "plan", plan)
         state = self.prepared
         for _ in range(l_ops):
             state = apply(self.grover, state)

@@ -221,9 +221,11 @@ def test_statevector_cap_exit_code_before_allocating(tmp_path, capsys, monkeypat
             return zero(cls, n_qubits, *args, **kwargs)
 
     monkeypatch.setattr(StateVector, "zero", classmethod(spy))
+    out = tmp_path / "q"
     assert main(["solve", "--synthetic", "6,3", "--backend", "sv", "--formulation", "quadratized",
-                 "--runs", "1", "--out", str(tmp_path / "q")]) == 3
+                 "--runs", "1", "--out", str(out)]) == 3
     assert widths == [31]
+    assert not out.exists()
     assert "31 qubits above the simulation cap of 24" in capsys.readouterr().err
 
 
@@ -416,9 +418,20 @@ def test_help_exits_zero(capsys):
 def test_malformed_instance_exit_code(tmp_path, capsys, name):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(MALFORMED[name]))
-    assert main(["solve", "--instance", str(path), "--runs", "1",
-                 "--out", str(tmp_path / "m")]) == 1
+    out = tmp_path / "m"
+    assert main(["solve", "--instance", str(path), "--runs", "1", "--out", str(out)]) == 1
     assert "invalid input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--synthetic", "12,4"], 3),
+    (["formulate", "--synthetic", "4,1", "--formulation", "hubo-asc"], 1),
+])
+def test_failed_command_leaves_no_output_directory(tmp_path, argv, code):
+    out = tmp_path / "never"
+    assert main(argv + ["--out", str(out)]) == code
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -360,7 +360,8 @@ def test_ideal_trace_equals_evaluate_per_draw_reference(p, seed, iters, stop):
 class PerDrawStatevector:
     """The sv draw through ``apply`` alone, as a ``sample`` for
     ``reference_run_gas``: A_y|0> is simulated once per threshold and every
-    draw applies G to it L times."""
+    draw applies G to it L times, G's plan compiled from its gates rather
+    than the sampler's reflection about A_y|0>."""
 
     def __init__(self, p, value_width=None):
         self.p = p

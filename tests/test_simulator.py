@@ -24,8 +24,9 @@ from gascap import (
     value_register_width,
 )
 from gascap import simulator
-from gascap.circuits import CircuitSpec, GateSpec, formulation_width
+from gascap.circuits import CircuitSpec, GateSpec, coefficient_width, formulation_width
 from gascap.poly import bits_to_int, int_to_bits
+from test_gas import search_polynomials
 
 
 def test_hadamard_on_zero():
@@ -120,11 +121,12 @@ def h_layer(draw, n_total, flaw=None):
 
 @st.composite
 def circuits(draw):
-    """Random circuits plus the patterns ``apply`` compiles specially: gates
+    """Random circuits plus the shapes of the search circuits: mirrors (gates
     X, a ``diffusion``, then X^dagger exactly or with one gate's angle,
-    control or kind changed (where the mirror must end); mirrors with other
-    gates in the middle; full Hadamard layers in random qubit order; and
-    layer-diffusion-layer sandwiches, some with a flawed layer."""
+    control or kind changed), mirrors with other gates in the middle, full
+    Hadamard layers in random qubit order, which ``prepare`` writes as the
+    uniform state when they open a circuit, and layer-diffusion-layer
+    sandwiches, some with a flawed layer."""
     n_total = draw(st.integers(1, 8))
     m = draw(st.integers(0, n_total))
     qubit = st.integers(0, n_total - 1)
@@ -258,8 +260,6 @@ def _bundled_grover(hubo_asc, table, y=1.3):
 
 
 def test_grover_computes_one_diagonal_however_often_applied(hubo_asc, table, monkeypatch):
-    prep, grover = _bundled_grover(hubo_asc, table)
-    state = prepare(prep)
     diagonals = []
     kernel = simulator._phase_diagonal
 
@@ -268,13 +268,31 @@ def test_grover_computes_one_diagonal_however_often_applied(hubo_asc, table, mon
         return kernel(gates, n_qubits)
 
     monkeypatch.setattr(simulator, "_phase_diagonal", spy)
-    for _ in range(5):
-        state = apply(grover, state)
-    # O, then A_y D A_y^dagger as the reflection about A_y|0>, whose one
-    # phase run is computed once, when G is compiled
-    assert diagonals == [grover.n_qubits]
-    assert [op for op, _ in grover.plan] == ["z", "reflect"]
-    assert np.array_equal(grover.plan[1][1], prepare(prep).amplitudes)
+    m = formulation_width(hubo_asc, d_sum=table.d_sum)
+    sampler = StateVectorSampler(hubo_asc.objective, m)
+    rng = np.random.default_rng(3)
+    for l_ops in (1, 3, 2, 5):
+        sampler.sample(1.3, l_ops, rng)
+    # A_y's one phase run, computed when psi = A_y|0> is prepared; G is its
+    # oracle and the reflection about that same psi, and compiles nothing
+    assert diagonals == [sampler.prep.n_qubits]
+    assert [op for op, _ in sampler.grover.plan] == ["z", "reflect"]
+    assert sampler.grover.plan[1][1] is sampler.prepared.amplitudes
+
+
+@given(search_polynomials(max_vars=5, bound=8.0), st.floats(-40.0, 40.0, allow_nan=False),
+       st.none() | st.integers(0, 3), st.integers(1, 4))
+@settings(deadline=None, max_examples=40)
+def test_sampler_grover_plan_matches_gate_by_gate_reference(p, y, widen, l_ops):
+    # the sampler's plan for G is the only path that runs ``reflect``
+    sampler = StateVectorSampler(p, None if widen is None else coefficient_width(p) + widen)
+    sampler.sample(y, 1, np.random.default_rng(0))
+    grover = build_grover(sampler.prep)
+    got = want = sampler.prepared
+    for _ in range(l_ops):
+        got = apply(sampler.grover, got)
+        want = StateVector(want.n_qubits, apply_gate_by_gate(grover, want))
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-12
 
 
 def test_applying_a_circuit_twice_is_bit_identical(hubo_asc, table):
@@ -295,56 +313,6 @@ def test_the_plan_leaves_equality_hash_and_repr_alone():
     assert applied.plan is not None and fresh.plan is None
     assert applied == fresh and hash(applied) == hash(fresh)
     assert repr(applied) == repr(fresh) == f"CircuitSpec(n_key=1, m_val=1, gates={gates!r})"
-
-
-def _plan_ops(gates, n_key=1, m_val=2):
-    c = CircuitSpec(n_key, m_val, tuple(gates))
-    apply(c, StateVector.zero(c.n_qubits))
-    return [op for op, _ in c.plan]
-
-
-def test_only_full_hadamard_layers_around_diffusion_fuse():
-    layer = [GateSpec("h", target=q) for q in (2, 0, 1)]
-    diffusion = GateSpec("diffusion")
-    assert _plan_ops(layer + [diffusion] + layer[::-1]) == ["reflect"]
-    assert _plan_ops(layer[1:] + [diffusion] + layer) == ["h", "h", "diffusion", "h", "h", "h"]
-    doubled = layer + [GateSpec("h", target=0)]
-    assert "reflect" not in _plan_ops(doubled + [diffusion] + layer)
-    repeated = [GateSpec("h", target=q) for q in (2, 0, 0)]
-    assert "reflect" not in _plan_ops(layer + [diffusion] + repeated)
-
-
-def test_only_exact_mirrors_around_diffusion_reflect():
-    run = [GateSpec("cr", target=2, controls=(0,), theta=0.3), GateSpec("r", target=1, theta=-1.1)]
-    x = [GateSpec("h", target=0), GateSpec("qft"), *run]
-    inverse = [g.inverse() for g in reversed(x)]
-    diffusion = GateSpec("diffusion")
-    assert _plan_ops(inverse + [diffusion] + x) == ["reflect"]
-    # the mirror ends where the gates stop inverting each other
-    assert _plan_ops([GateSpec("z", target=0)] + inverse + [diffusion] + x) == ["z", "reflect"]
-    assert _plan_ops(inverse + [diffusion] + x[:-1]) == ["phase", "reflect"]
-    # the same gates around something other than a diffusion
-    assert "reflect" not in _plan_ops(inverse + [GateSpec("z", target=1)] + x)
-    # one gate of X^dagger changed, from the outermost in: only the gates
-    # inside it still mirror, and with the innermost changed none do
-    near = [
-        GateSpec("r", target=1, theta=1.2),                    # angle
-        GateSpec("cr", target=2, controls=(1,), theta=-0.3),   # control
-        GateSpec("qft"),                                       # kind: qft for iqft
-        GateSpec("z", target=0),                               # kind: z for h
-    ]
-    rng = np.random.default_rng(4)
-    for at, gate in enumerate(near):
-        c = CircuitSpec(1, 2, tuple(inverse[:at] + [gate] + inverse[at + 1:] + [diffusion] + x))
-        apply(c, StateVector.zero(3))
-        psi = [arg for op, arg in c.plan if op == "reflect"]
-        k = len(x) - 1 - at
-        assert len(psi) == (1 if k else 0), gate
-        if k:
-            assert np.array_equal(psi[0], prepare(CircuitSpec(1, 2, tuple(x[:k]))).amplitudes)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = StateVector(3, amps / np.linalg.norm(amps))
-        assert np.max(np.abs(apply(c, state).amplitudes - apply_gate_by_gate(c, state))) <= 1e-12
 
 
 @pytest.mark.parametrize("y", [0.0, 1.3, 2.5, 5.0])
@@ -560,25 +528,27 @@ def test_every_size_cap_raises_the_budget_error_type():
 def test_statevector_draw_peak_memory():
     # peaks in arrays of 2^N amplitudes, traced from a threshold's first
     # draw on.  Preparing psi = A_y|0> holds the state, A_y's phase vector and
-    # the inverse QFT's output (3.5 when exp(1j * phase) held two complex
-    # arrays); a Grover draw holds psi, G's reflection vector, the state being
-    # advanced, apply's copy and the scaled psi the reflection subtracts (6.1
-    # to 6.6 when A_y's plan stayed on the circuit for the whole threshold)
+    # the inverse QFT's output, and so does a threshold change, which drops
+    # the last psi and G first; a Grover draw holds psi, the state being
+    # advanced, apply's copy and the scaled psi the reflection subtracts
     rng = np.random.default_rng(1)
     n = 12
     terms = {(i,): float(rng.integers(-6, 7)) for i in range(n)}
     terms.update({(i, i + 1): float(rng.integers(-6, 7)) for i in range(n - 1)})
     sampler = StateVectorSampler(BinaryPolynomial(n, terms))
     y = float(np.median(sampler.values)) + 0.5
-    peaks = []
+    peaks, widths = [], []
     tracemalloc.start()
     try:
-        for l_ops in (0, 2, 2):  # prepare psi; the first Grover draw; a later one
+        # prepare psi; the first Grover draw; a later one; a new threshold
+        for at, l_ops in ((y, 0), (y, 2), (y, 2), (y - 1.0, 0)):
             tracemalloc.reset_peak()
-            sampler.sample(y, l_ops, rng)
+            sampler.sample(at, l_ops, rng)
             peaks.append(tracemalloc.get_traced_memory()[1])
+            widths.append(n + sampler.m)
     finally:
         tracemalloc.stop()
-    assert n + sampler.m == 16
-    prepared, first, later = (peak / (16 << 16) for peak in peaks)
-    assert prepared < 3.25 and first < 5.5 and later < 5.5, (prepared, first, later)
+    assert widths == [16] * 4
+    prepared, first, later, moved = (peak / (16 << 16) for peak in peaks)
+    assert prepared < 3.25 and first < 4.5 and later < 4.5 and moved < 3.25, \
+        (prepared, first, later, moved)
