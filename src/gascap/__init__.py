@@ -71,7 +71,6 @@ from .poly import (
 )
 from .simulator import (
     IdealSampler,
-    SampleOutcome,
     StateVector,
     StateVectorSampler,
     amplified_probability,

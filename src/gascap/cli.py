@@ -1,10 +1,10 @@
 """Command-line harness: formulate, estimate, solve, verify.
 
 Every command is deterministic given its arguments and seed, writes CSV plus
-a small JSON manifest (argument echo, content hash, seed), and uses exit
-codes 0 = success, 1 = validation failure, 2 = golden-value mismatch,
-3 = budget or cap exceeded.  The master seed falls back to the GASCAP_SEED
-environment variable when --seed is not given.
+a small JSON manifest (argument echo, content hash, seed) once all its work
+has succeeded, and uses exit codes 0 = success, 1 = validation failure,
+2 = golden-value mismatch, 3 = budget or cap exceeded.  The master seed falls
+back to the GASCAP_SEED environment variable when --seed is not given.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .formulation import (
     build_formulation,
     build_quadratized,
     decode,
-    dumps_formulation,
     formulation_from_table,
     variable_counts,
 )
@@ -91,20 +90,21 @@ def _load_instance(args) -> CapInstance:
     return reference_instance()
 
 
-def _write_manifest(out_dir: Path, command: str, args_echo: dict, files: dict[str, str]):
+def _write_outputs(args, command: str, files: dict[str, str]) -> None:
+    """Create --out and write ``files`` (file name -> text) and manifest.json.
+    Each command calls this once, after all its work, so a command that
+    fails leaves no directory."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
     manifest = {
         "command": command,
         "version": __version__,
-        "args": args_echo,
-        "outputs": files,  # file name -> sha256 of contents
+        "args": {k: v for k, v in vars(args).items() if k != "func"},
+        "outputs": {name: hashlib.sha256(text.encode()).hexdigest() for name, text in files.items()},
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def _write_text(out_dir: Path, name: str, text: str, hashes: dict[str, str]):
-    out_dir.mkdir(parents=True, exist_ok=True)  # so a failed command leaves no directory
-    (out_dir / name).write_text(text)
-    hashes[name] = hashlib.sha256(text.encode()).hexdigest()
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -121,30 +121,31 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _objectives(args, inst: CapInstance, table: CoeffTable):
+    """Yield (kind, objective, encoding label, Formulation or None) for each
+    --formulation; the quadratized objective has no Formulation."""
+    for kind in args.formulation:
+        if kind == "quadratized":
+            poly = build_quadratized(inst, args.penalty, table).poly
+            yield kind, poly, "quadratized(binary_ascending)", None
+        else:
+            form = build_formulation(inst, kind, args.penalty, table)
+            yield kind, form.objective, form.encoding.label, form
+
+
 # -- formulate ------------------------------------------------------------
 
 
 def cmd_formulate(args) -> int:
     inst = _load_instance(args)
-    out_dir = Path(args.out)
     table = coeff_table(inst)
-    hashes: dict[str, str] = {}
+    files: dict[str, str] = {}
     summary: dict[str, dict] = {}
 
     counts = variable_counts(inst.n_ap, inst.n_ch)
-    for kind in args.formulation:
-        if kind == "quadratized":
-            poly = build_quadratized(inst, args.penalty, table).poly
-            header = (
-                f'# {{"encoding": "quadratized(binary_ascending)", '
-                f'"n_vars": {poly.n_vars}, "penalty": {args.penalty}}}'
-            )
-            text = header + "\n" + poly.dumps()
-        else:
-            form = build_formulation(inst, kind, args.penalty, table)
-            poly = form.objective
-            text = dumps_formulation(form)
-        _write_text(out_dir, f"{kind}.poly", text + "\n", hashes)
+    for kind, poly, label, _ in _objectives(args, inst, table):
+        header = json.dumps({"encoding": label, "n_vars": poly.n_vars, "penalty": args.penalty})
+        files[f"{kind}.poly"] = f"# {header}\n{poly.dumps()}\n"
         st = poly.stats()
         summary[kind] = {
             "n_vars": poly.n_vars,
@@ -157,9 +158,9 @@ def cmd_formulate(args) -> int:
         "n_double_prime": counts.n_double_prime,
         "log2_search_space": counts.log2_search_space,
     }
-    _write_text(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n", hashes)
-    _write_manifest(out_dir, "formulate", _echo(args), hashes)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    _write_outputs(args, "formulate", files)
+    print(files["summary.json"], end="")
     return EXIT_OK
 
 
@@ -178,7 +179,6 @@ def cmd_estimate(args) -> int:
         raise ValueError(f"--sweep {args.sweep} holds no access-point count of 4 or more")
     if args.enum_cap < 0:
         raise ValueError(f"--enum-cap must not be negative, got {args.enum_cap}")
-    out_dir = Path(args.out)
     header = [
         "formulation", "encoding", "n_ap", "n_ch",
         "n", "n_prime", "n_double_prime", "m",
@@ -225,10 +225,8 @@ def cmd_estimate(args) -> int:
     header += ["cnot_enumerated", "cnot_closed_form",
                "log2_grover_queries", "log2_exhaustive_queries"]
     rows = [[_fmt(row.get(col, "")) for col in header] for row in rows_raw]
-    hashes: dict[str, str] = {}
-    _write_text(out_dir, "resources.csv", _csv_text(header, rows), hashes)
-    _write_manifest(out_dir, "estimate", _echo(args), hashes)
-    print(f"wrote {len(rows)} rows to {out_dir / 'resources.csv'}")
+    _write_outputs(args, "estimate", {"resources.csv": _csv_text(header, rows)})
+    print(f"wrote {len(rows)} rows to {Path(args.out) / 'resources.csv'}")
     return EXIT_OK
 
 
@@ -241,11 +239,10 @@ def cmd_solve(args) -> int:
         if value is not None and value <= 0:
             raise ValueError(f"{flag} must be positive, got {value}")
     inst = _load_instance(args)
-    out_dir = Path(args.out)
     table = coeff_table(inst)
     oracle = brute_force_cap(inst, table)
 
-    hashes: dict[str, str] = {}
+    files: dict[str, str] = {}
     summary: dict[str, dict] = {"oracle": {
         "best_value": oracle.best_value,
         "best_assignment": list(oracle.best_assignment),
@@ -254,20 +251,14 @@ def cmd_solve(args) -> int:
     header = ["run_seed", "formulation", "encoding", "iter", "y_i", "L_i",
               "cum_classical", "cum_quantum", "best_y_normalized"]
 
-    for kind in args.formulation:
-        width = None
-        if kind == "quadratized":
-            poly = build_quadratized(inst, args.penalty, table).poly
-            encoding = "quadratized(binary_ascending)"
-        else:
-            form = build_formulation(inst, kind, args.penalty, table)
-            poly = form.objective
-            encoding = form.encoding.label
-            if args.backend == "sv":
-                width = formulation_width(form, d_sum=table.d_sum)
+    for kind, poly, encoding, form in _objectives(args, inst, table):
         # one sampler per formulation: its value table gives the range, and
         # it makes the draws of every run
-        sampler = StateVectorSampler(poly, width) if args.backend == "sv" else IdealSampler(poly)
+        if args.backend == "sv":
+            width = None if form is None else formulation_width(form, d_sum=table.d_sum)
+            sampler = StateVectorSampler(poly, width)
+        else:
+            sampler = IdealSampler(poly)
         lo, hi = float(sampler.sorted_values[0]), float(sampler.sorted_values[-1])
         span = hi - lo if hi > lo else 1.0
         cfg = GasConfig(
@@ -305,11 +296,12 @@ def cmd_solve(args) -> int:
             "mean_quantum_queries": float(np.mean(quantum)),
             "oracle_matched": hits == args.runs,
         }
-        _write_text(out_dir, f"trace_{kind}.csv", _csv_text(header, rows), hashes)
+        files[f"trace_{kind}.csv"] = _csv_text(header, rows)
+        del sampler  # its value table, before the next formulation builds one
 
-    _write_text(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n", hashes)
-    _write_manifest(out_dir, "solve", _echo(args), hashes)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    _write_outputs(args, "solve", files)
+    print(files["summary.json"], end="")
     return EXIT_OK
 
 
@@ -379,10 +371,6 @@ def cmd_verify(args) -> int:
         print(f"[{mark}] {name}{suffix}")
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
     return EXIT_OK if not failed else EXIT_MISMATCH
-
-
-def _echo(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 # -- entry ----------------------------------------------------------------

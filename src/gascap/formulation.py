@@ -474,12 +474,3 @@ def encode_assignment(form: Formulation, assign: Sequence[int]) -> BitVector:
         else:
             bits.extend(channel_codeword(ch, form.n_ch, form.encoding))
     return tuple(bits)
-
-
-def dumps_formulation(form: Formulation) -> str:
-    """Header line plus the polynomial dump; consumed by the CLI exports."""
-    header = (
-        f'# {{"encoding": "{form.encoding.label}", "n_vars": {form.n_vars}, '
-        f'"penalty": {form.penalty}}}'
-    )
-    return header + "\n" + form.objective.dumps()

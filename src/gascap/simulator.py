@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CircuitSpec, GateSpec, build_grover, build_state_prep, coefficient_width
-from .poly import BinaryPolynomial, BitVector, CapExceededError, bits_to_int, int_to_bits
+from .poly import BinaryPolynomial, CapExceededError
 
 DEFAULT_QUBIT_CAP = 24
 
@@ -178,32 +178,12 @@ def prepare(c: CircuitSpec) -> StateVector:
     return _run(c, _compile(c), amps, from_zero=True)
 
 
-@dataclass(frozen=True)
-class SampleOutcome:
-    key_bits: BitVector
-    value_bits: BitVector
-    decoded_value: int  # two's-complement read of the value register
-
-    @classmethod
-    def from_index(cls, index: int, n_key: int, m_val: int) -> "SampleOutcome":
-        value = index & ((1 << m_val) - 1)
-        key = index >> m_val
-        decoded = value - (1 << m_val) if value >= (1 << (m_val - 1)) else value
-        return cls(
-            key_bits=int_to_bits(key, n_key),
-            value_bits=int_to_bits(value, m_val),
-            decoded_value=decoded,
-        )
-
-
-def sample(
-    s: StateVector, rng: np.random.Generator, n_key: int, m_val: int
-) -> SampleOutcome:
-    """Draw one computational-basis outcome and split it into registers."""
+def sample(s: StateVector, rng: np.random.Generator) -> int:
+    """Draw one computational-basis outcome; returns its index, key * 2^m +
+    value, so ``index >> m`` is the key."""
     probs = s.probabilities()
     probs = probs / probs.sum()
-    index = int(rng.choice(probs.size, p=probs))
-    return SampleOutcome.from_index(index, n_key, m_val)
+    return int(rng.choice(probs.size, p=probs))
 
 
 def marked_probability(s: StateVector, marked_keys: np.ndarray, m_val: int) -> float:
@@ -292,4 +272,4 @@ class StateVectorSampler(IdealSampler):
         state = self.prepared
         for _ in range(l_ops):
             state = apply(self.grover, state)
-        return bits_to_int(sample(state, rng, self.n_vars, self.m).key_bits)
+        return sample(state, rng) >> self.m

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,23 @@ def test_solve_statevector_output_is_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+def test_solve_frees_each_value_table_before_the_next(tmp_path):
+    # a sampler holds its objective's value table, three arrays of 2^18
+    # entries at 18 variables; the second formulation's search must not
+    # also hold the first one's
+    def peak(*kinds):
+        argv = ["solve", "--synthetic", "9,4", "--runs", "1", "--out", str(tmp_path / kinds[-1])]
+        tracemalloc.start()
+        try:
+            assert main(argv + [a for kind in kinds for a in ("--formulation", kind)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = max(peak("hubo-asc"), peak("hubo-desc"))  # the first also pays first-call costs
+    assert peak("hubo-asc", "hubo-desc") < alone + (1 << 19)
+
+
 @pytest.mark.parametrize("penalty", ["nan", "inf", "-inf"])
 def test_non_finite_penalty_exit_code(tmp_path, capsys, penalty):
     assert main(["solve", "--formulation", "qubo", f"--penalty={penalty}", "--runs", "2",
@@ -351,6 +369,25 @@ def test_formulate_output_is_pinned(tmp_path):
         "hubo-desc.poly": "ea50d40f7f8c1ce869fbf3caec73ad86c8a93609e4ffb6501bb57268a0bc2884",
         "quadratized.poly": "dca21633ae5974e4bb1d671b14fc098668e841b2531df76c350ec6c54dd60892",
         "summary.json": "f4e11feeabe5d2c1c96be479e9952032d9d22af0794fb4a19d652fb3abb19ea5",
+    }
+    for name, digest in want.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_formulate_penalty_output_is_pinned(tmp_path):
+    # sha256 of the outputs while each kind wrote its own .poly header; the
+    # header echoes a penalty other than the default
+    out = tmp_path / "pin-fp"
+    assert main(["formulate", "--synthetic", "6,5", "--formulation", "qubo",
+                 "--formulation", "hubo-asc", "--formulation", "hubo-desc",
+                 "--formulation", "quadratized", "--seed", "3", "--penalty", "2.5",
+                 "--out", str(out)]) == 0
+    want = {
+        "qubo.poly": "153d388ddfd62c2ad6b1f98cb4ef9f9c0c997995d49d61881975821a6546f6a1",
+        "hubo-asc.poly": "abfdb10c06094250d2f3252cd63c02a520a22f3bcdd49c4cbc88c7552f15815a",
+        "hubo-desc.poly": "99147e187fdc32e9376e19bbcdb53efead4e6b5b689c667e143b954f0f433615",
+        "quadratized.poly": "378194830f143240e4e5dd6a569c0ffcf6d09fa390f827f90257a3e71e985214",
+        "summary.json": "b06881848f2460f35ee791c7e9924e9ed478518073cd4ade33c4220153dd0454",
     }
     for name, digest in want.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
@@ -427,11 +464,35 @@ def test_malformed_instance_exit_code(tmp_path, capsys, name):
 @pytest.mark.parametrize("argv, code", [
     (["solve", "--synthetic", "12,4"], 3),
     (["formulate", "--synthetic", "4,1", "--formulation", "hubo-asc"], 1),
+    # a later formulation fails after an earlier one has succeeded: the 9x3
+    # qubo objective has 27 variables, above the value-table cap of 24, and at
+    # penalty 1e308 the one-hot coefficients overflow where the binary ones do not
+    (["solve", "--synthetic", "9,3", "--formulation", "hubo-asc", "--formulation", "qubo",
+      "--runs", "1"], 3),
+    (["formulate", "--synthetic", "6,4", "--formulation", "hubo-asc", "--formulation", "qubo",
+      "--penalty", "1e308"], 1),
 ])
 def test_failed_command_leaves_no_output_directory(tmp_path, argv, code):
     out = tmp_path / "never"
     assert main(argv + ["--out", str(out)]) == code
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["formulate", "--formulation", "qubo", "--formulation", "quadratized"],
+    ["estimate", "--sweep", "4:6:2"],
+    ["solve", "--formulation", "hubo-asc", "--formulation", "quadratized", "--runs", "2"],
+], ids=["formulate", "estimate", "solve"])
+def test_manifest_matches_the_output_directory(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    files = {path.name for path in out.iterdir()} - {"manifest.json"}
+    assert set(manifest["outputs"]) == files
+    for name, digest in manifest["outputs"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert manifest["command"] == argv[0]
+    assert manifest["args"]["out"] == str(out)
 
 
 @pytest.mark.parametrize("argv", [

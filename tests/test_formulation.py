@@ -29,7 +29,6 @@ from gascap.formulation import (
     Quadratization,
     _hubo_from_table,
     codeword_indicator,
-    dumps_formulation,
     formulation_from_table,
 )
 from gascap.poly import bits_to_int, int_to_bits
@@ -334,12 +333,6 @@ def test_decode_round_trip(hubo_asc, hubo_desc, qubo):
     for form in (hubo_asc, hubo_desc, qubo):
         for assign in itertools.product((1, 2, 3), repeat=4):
             assert decode(form, encode_assignment(form, assign)).assignment == assign
-
-
-def test_formulation_dump_has_header(hubo_desc):
-    text = dumps_formulation(hubo_desc)
-    first = text.splitlines()[0]
-    assert first.startswith("#") and '"binary_descending"' in first and '"n_vars": 8' in first
 
 
 # -- input validation -----------------------------------------------------

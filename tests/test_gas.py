@@ -14,7 +14,6 @@ from gascap import (
     StateVector,
     StateVectorSampler,
     apply,
-    bits_to_int,
     brute_force_cap,
     build_grover,
     build_state_prep,
@@ -377,7 +376,7 @@ class PerDrawStatevector:
         state = self.prepared
         for _ in range(l_ops):
             state = apply(self.grover, state)
-        return bits_to_int(sample(state, rng, self.p.n_vars, self.m).key_bits)
+        return sample(state, rng) >> self.m
 
 
 def sv_width(p, widen):

@@ -11,7 +11,6 @@ from gascap import (
     BudgetExceededError,
     CapExceededError,
     IdealSampler,
-    SampleOutcome,
     StateVector,
     StateVectorSampler,
     amplified_probability,
@@ -353,26 +352,20 @@ def test_state_prep_keys_stay_uniform_with_exact_values():
         assert probs[key, value] == pytest.approx(1 / 16, abs=1e-12)
 
 
-def test_two_complement_readout():
-    out = SampleOutcome.from_index(0b101_1101, n_key=3, m_val=4)
-    assert out.key_bits == (1, 0, 1)
-    assert out.value_bits == (1, 1, 0, 1)
-    assert out.decoded_value == 0b1101 - 16
-
-
 def test_sampling_is_seed_deterministic():
     p = BinaryPolynomial(3, {(0,): 1.0, (1, 2): -2.0})
     c = build_state_prep(p, 0.0, m=3)
     sv = apply(c, StateVector.zero(c.n_qubits))
-    a = [sample(sv, np.random.default_rng(9), 3, 3) for _ in range(5)]
-    b = [sample(sv, np.random.default_rng(9), 3, 3) for _ in range(5)]
+    a = [sample(sv, np.random.default_rng(9)) for _ in range(5)]
+    b = [sample(sv, np.random.default_rng(9)) for _ in range(5)]
     assert a == b
 
 
 def test_sample_of_deterministic_state():
-    sv = StateVector.zero(4)  # |0000> split as 2 key + 2 value
-    out = sample(sv, np.random.default_rng(0), 2, 2)
-    assert out.key_bits == (0, 0) and out.value_bits == (0, 0)
+    assert sample(StateVector.zero(4), np.random.default_rng(0)) == 0
+    amps = np.zeros(16, dtype=np.complex128)
+    amps[0b1011] = 1j
+    assert sample(StateVector(4, amps), np.random.default_rng(0)) == 0b1011
 
 
 def test_sampled_key_frequencies_roughly_uniform():
@@ -383,7 +376,7 @@ def test_sampled_key_frequencies_roughly_uniform():
     counts = np.zeros(8)
     draws = 10_000
     for _ in range(draws):
-        counts[bits_to_int(sample(sv, rng, 3, 2).key_bits)] += 1
+        counts[sample(sv, rng) >> 2] += 1  # the key above a 2-qubit value register
     # five-sigma band around the uniform expectation
     expect = draws / 8
     sigma = math.sqrt(draws * (1 / 8) * (7 / 8))
