@@ -21,6 +21,7 @@ from .cap import (
 from .circuits import (
     CircuitSpec,
     GateSpec,
+    PhaseBlock,
     ResourceReport,
     build_grover,
     build_state_prep,

@@ -8,7 +8,8 @@ the value register.  A term with coefficient a contributes theta = 2 pi a /
 the term's key qubits.  The constant term absorbs -y and is uncontrolled.
 With integer coefficients the value register then holds (E(x) - y) mod 2^m
 in two's complement, so a single Z on the sign qubit marks exactly the
-states with E(x) < y.
+states with E(x) < y.  A circuit keeps each block as one ``PhaseBlock``
+record; ``CircuitSpec.gates`` expands them into single gates on request.
 
 Qubit numbering: key qubits are 0..n-1 (variable order), value qubits are
 n..n+m-1 with value qubit 0 the sign/most-significant bit.  The inverse QFT
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .formulation import Encoding, Formulation, bits_per_channel
 from .poly import BinaryPolynomial
@@ -45,8 +47,8 @@ class GateSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        # a few comparisons per well-formed gate: a state preparation is
-        # built from hundreds of thousands of these
+        # a few comparisons per well-formed gate: ``CircuitSpec.gates`` makes
+        # one per phase rotation, tens of thousands for a 16-AP objective
         kind, target, controls = self.kind, self.target, self.controls
         if controls:
             if (kind != "cr" and kind != "r") or not isinstance(target, int) \
@@ -87,11 +89,43 @@ class GateSpec:
         return self  # h, z and diffusion are their own inverses
 
 
+@dataclass(frozen=True, slots=True)
+class PhaseBlock:
+    """One polynomial term's phase block: R(2^(m-1-j) * theta) on every value
+    qubit j, controlled on the term's key qubits (none for the constant).
+    Its m rotations are diagonal and commute, so the block is one record."""
+
+    controls: tuple[int, ...]
+    theta: float
+
+    def __post_init__(self):
+        controls = self.controls
+        if controls and min(controls) < 0:
+            raise ValueError(f"control {min(controls)} outside the key register")
+        if len(set(controls)) < len(controls):
+            raise ValueError(f"repeated control in {controls}")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
+
+    def expand(self, n_key: int, m: int) -> tuple[GateSpec, ...]:
+        """The block's m ``r``/``cr`` gates, value qubit n_key + j for j = 0..m-1."""
+        kind = "cr" if self.controls else "r"
+        # positional: keywords cost about as much again as GateSpec's checks
+        return tuple(GateSpec(kind, n_key + j, self.controls, (2.0 ** (m - 1 - j)) * self.theta)
+                     for j in range(m))
+
+    def inverse(self) -> "PhaseBlock":
+        return PhaseBlock(self.controls, -self.theta)
+
+
+Op = GateSpec | PhaseBlock
+
+
 @dataclass(frozen=True)
 class CircuitSpec:
     n_key: int
     m_val: int
-    gates: tuple[GateSpec, ...]
+    ops: tuple[Op, ...]  # an explicit gate list is ops without blocks
     # the simulation plan ``simulator.apply`` compiles on first use; it lives
     # as long as the circuit and takes no part in equality, hashing or repr
     plan: tuple | None = field(default=None, init=False, compare=False, repr=False)
@@ -102,14 +136,33 @@ class CircuitSpec:
 
     def __post_init__(self):
         total = self.n_key + self.m_val
-        for g in self.gates:
-            for q in (() if g.target is None else (g.target,)) + g.controls:
+        for op in self.ops:
+            if isinstance(op, PhaseBlock):
+                if op.controls and max(op.controls) >= self.n_key:
+                    raise ValueError(f"control {max(op.controls)} outside the key "
+                                     f"register 0..{self.n_key - 1}")
+                continue
+            for q in (() if op.target is None else (op.target,)) + op.controls:
                 if not 0 <= q < total:
-                    raise ValueError(f"gate {g} references qubit {q} outside 0..{total - 1}")
+                    raise ValueError(f"gate {op} references qubit {q} outside 0..{total - 1}")
+
+    @cached_property
+    def gates(self) -> tuple[GateSpec, ...]:
+        """``ops`` with every phase block expanded into its m gates; built on
+        first access and kept outside equality, hashing and repr."""
+        gates: list[GateSpec] = []
+        for op in self.ops:
+            if isinstance(op, PhaseBlock):
+                gates.extend(op.expand(self.n_key, self.m_val))
+            else:
+                gates.append(op)
+        return tuple(gates)
 
     def inverse(self) -> "CircuitSpec":
+        """The ops in reverse order, each inverted; a block inverts as a
+        whole, so its rotations keep their order (they commute)."""
         return CircuitSpec(
-            self.n_key, self.m_val, tuple(g.inverse() for g in reversed(self.gates))
+            self.n_key, self.m_val, tuple(op.inverse() for op in reversed(self.ops))
         )
 
 
@@ -198,48 +251,28 @@ def build_state_prep(p: BinaryPolynomial, y: float, m: int) -> CircuitSpec:
     n = p.n_vars
     limit = 2.0 ** (m - 1)
     const = p.constant_term - y
-    for label, coeff in [("constant-y", const)] + [
-        (str(s), c) for s, c in p.terms.items() if s
-    ]:
-        if not -limit <= coeff < limit:
+    for label, coeff in [("constant-y", const), *p.terms.items()]:
+        if label and not -limit <= coeff < limit:  # p's own constant is in const
             raise ValueError(
                 f"coefficient {coeff} ({label}) outside [-2^{m - 1}, 2^{m - 1}) for m={m}"
             )
 
-    gates: list[GateSpec] = []
-    for q in range(n + m):
-        gates.append(GateSpec("h", target=q))
-
-    def phase_block(coeff: float, controls: tuple[int, ...]):
-        theta = 2.0 * math.pi * coeff / (2.0 ** m)
-        kind = "cr" if controls else "r"
-        for j in range(m):
-            angle = (2.0 ** (m - 1 - j)) * theta
-            # positional: keywords cost about as much again as GateSpec's checks
-            gates.append(GateSpec(kind, n + j, controls, angle))
-
-    if const != 0.0:
-        phase_block(const, ())
-    for support, coeff in p.sorted_terms():
-        if support:
-            phase_block(coeff, tuple(support))
-
-    gates.append(GateSpec("iqft"))
-    return CircuitSpec(n_key=n, m_val=m, gates=tuple(gates))
+    terms = [((), const)] if const != 0.0 else []
+    terms += [(support, coeff) for support, coeff in p.sorted_terms() if support]
+    blocks = [PhaseBlock(controls, 2.0 * math.pi * coeff / (2.0 ** m)) for controls, coeff in terms]
+    ops = (*(GateSpec("h", target=q) for q in range(n + m)), *blocks, GateSpec("iqft"))
+    return CircuitSpec(n_key=n, m_val=m, ops=ops)
 
 
 def build_grover(a: CircuitSpec) -> CircuitSpec:
-    """One Grover operator G = A_y D A_y^dagger O as a gate list, from the
-    state preparation ``a`` = ``build_state_prep(p, y, m)``.
+    """One Grover operator G = A_y D A_y^dagger O, from the state preparation
+    ``a`` = ``build_state_prep(p, y, m)``.
 
     O is a Z on the sign qubit; D reflects about the all-zero state of the
     full register (global phase ignored).
     """
-    gates: list[GateSpec] = [GateSpec("z", target=a.n_key)]
-    gates.extend(a.inverse().gates)
-    gates.append(GateSpec("diffusion"))
-    gates.extend(a.gates)
-    return CircuitSpec(n_key=a.n_key, m_val=a.m_val, gates=tuple(gates))
+    ops = (GateSpec("z", target=a.n_key), *a.inverse().ops, GateSpec("diffusion"), *a.ops)
+    return CircuitSpec(n_key=a.n_key, m_val=a.m_val, ops=ops)
 
 
 # -- resource accounting --------------------------------------------------
@@ -280,12 +313,19 @@ def _cnot_total(cr_counts: dict[int, int]) -> int:
 
 def enumerate_resources(c: CircuitSpec) -> ResourceReport:
     """Gate histogram of a state-preparation circuit (the dominant block of
-    each search iteration).  Its largest control count is the objective's
-    degree, which sets the ancillae of the multi-control decomposition."""
+    each search iteration), counted per op: a phase block is m gates.  Its
+    largest control count is the objective's degree, which sets the
+    ancillae of the multi-control decomposition."""
     h = r = iqft = 0
     cr: dict[int, int] = {}
-    for g in c.gates:
-        if g.kind == "h":
+    for g in c.ops:
+        if isinstance(g, PhaseBlock):
+            k = len(g.controls)  # m gates of this arity, none if m is 0
+            if k and c.m_val:
+                cr[k] = cr.get(k, 0) + c.m_val
+            elif not k:
+                r += c.m_val
+        elif g.kind == "h":
             h += 1
         elif g.kind == "r":
             r += 1

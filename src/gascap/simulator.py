@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CircuitSpec, GateSpec, build_grover, build_state_prep, coefficient_width
+from .circuits import CircuitSpec, Op, PhaseBlock, build_grover, build_state_prep, coefficient_width
 from .poly import BinaryPolynomial, CapExceededError
 
 DEFAULT_QUBIT_CAP = 24
@@ -76,21 +76,33 @@ def _apply_h(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     return a.reshape(-1)
 
 
-def _phase_diagonal(gates: Iterable[GateSpec], n_qubits: int) -> np.ndarray:
-    """The diagonal exp(i * phase) of a run of ``r``/``cr`` gates.
+def _phase_diagonal(run: Iterable[Op], n_key: int, m_val: int) -> np.ndarray:
+    """The diagonal exp(i * phase) of a run of ``r``/``cr`` gates and phase
+    blocks on ``n_key`` + ``m_val`` qubits.
 
-    Each gate's angle is added, in gate order, at the index of its qubit mask
-    (target plus controls).  A gate acts on the basis states whose index
-    covers its mask, so one subset-sum (zeta) pass over the 2^N-cube turns
-    these coefficients into the total angle of every basis state.
+    Every rotation's angle is added, in gate order (a block's m rotations in
+    value-qubit order), at the index of its qubit mask (target plus
+    controls); one in-order ``np.add.at`` scatters them all.  A rotation acts
+    on the basis states whose index covers its mask, so one subset-sum
+    (zeta) pass over the 2^N-cube turns these coefficients into the total
+    angle of every basis state.
     """
+    n_qubits = n_key + m_val
     weight = [1 << (n_qubits - 1 - q) for q in range(n_qubits)]  # qubit 0 most significant
+    value_weight = np.array(weight[n_key:], dtype=np.int64)  # also each block's 2^(m-1-j)
+    masks, angles = [], []
+    for is_block, ops in itertools.groupby(run, key=lambda op: isinstance(op, PhaseBlock)):
+        ops = list(ops)
+        controls = np.array([sum(weight[q] for q in op.controls) for op in ops], dtype=np.int64)
+        theta = np.array([op.theta for op in ops])
+        if is_block:
+            masks.append((controls[:, None] | value_weight).ravel())
+            angles.append((theta[:, None] * value_weight.astype(float)).ravel())
+        else:
+            masks.append(controls | [weight[op.target] for op in ops])
+            angles.append(theta)
     phase = np.zeros(1 << n_qubits)
-    for g in gates:
-        mask = weight[g.target]
-        for q in g.controls:
-            mask |= weight[q]
-        phase[mask] += g.theta
+    np.add.at(phase, np.concatenate(masks), np.concatenate(angles))
     cube = phase.reshape((2,) * n_qubits)
     for q in range(n_qubits):
         cube[(slice(None),) * q + (1,)] += cube[(slice(None),) * q + (0,)]
@@ -98,20 +110,25 @@ def _phase_diagonal(gates: Iterable[GateSpec], n_qubits: int) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+def _is_phase(op: Op) -> bool:
+    return isinstance(op, PhaseBlock) or op.kind in ("r", "cr")
+
+
 def _compile(c: CircuitSpec) -> tuple[tuple[str, object], ...]:
     """The steps ``apply`` runs for ``c``, each a (kernel, argument) pair:
-    ``phase`` multiplies by the diagonal of a run of ``r``/``cr`` gates,
-    ``h``/``z`` take their target qubit, and ``iqft``/``qft`` (an orthonormal
-    FFT along the value register) and ``diffusion`` take nothing.
+    ``phase`` multiplies by the diagonal of a run of ``r``/``cr`` gates and
+    phase blocks, ``h``/``z`` take their target qubit, and ``iqft``/``qft``
+    (an orthonormal FFT along the value register) and ``diffusion`` take
+    nothing.
 
     ``_run`` has one more kernel, ``reflect``, which takes psi and applies
     2|psi><psi| - I; no circuit compiles to it, but ``StateVectorSampler``
     gives G = A_y D A_y^dagger O the plan ``z``, ``reflect`` about A_y|0>.
     """
     steps = []
-    for phase, run in itertools.groupby(c.gates, key=lambda g: g.kind in ("r", "cr")):
+    for phase, run in itertools.groupby(c.ops, key=_is_phase):
         if phase:
-            steps.append(("phase", _phase_diagonal(run, c.n_qubits)))
+            steps.append(("phase", _phase_diagonal(run, c.n_key, c.m_val)))
         else:
             steps.extend((g.kind, g.target) for g in run)
     return tuple(steps)
@@ -248,7 +265,7 @@ class StateVectorSampler(IdealSampler):
     ``coefficient_width(p)``, and wider where the constant folded with -y
     needs it.  The sampler keeps one threshold's A_y, psi = A_y|0> and, once
     a draw needs it, G: the threshold moves only when a draw improves.  G =
-    A_y D A_y^dagger O is built as a gate list but given its plan here, its
+    A_y D A_y^dagger O is built from A_y's ops but given its plan here, its
     oracle ``z`` and the reflection 2|psi><psi| - I about the psi already
     held, so each Grover operator costs O(2^N) and G compiles nothing.
     """

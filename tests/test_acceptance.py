@@ -3,7 +3,7 @@ required to reproduce, one test per criterion, each printing a PASS line.
 
 Sweeps: criteria 4, 5 and 11 use the doubling sweep N_AP = 4, 8, ..., 128
 with N_CH = floor(N_AP / 2) (the sweep behind the reference scaling plots);
-criteria 6 and 7 use N_AP in {4, 6, 8, 10, 12} so circuits can be enumerated.
+criteria 6 and 7 use N_AP in {4, 6, ..., 16}, where circuits are enumerated.
 """
 
 import math
@@ -42,7 +42,7 @@ from gascap.formulation import (
 from gascap.poly import BinaryPolynomial, int_to_bits
 
 DOUBLING_SWEEP = [4, 8, 16, 32, 64, 128]
-ENUM_SWEEP = [4, 6, 8, 10, 12]
+ENUM_SWEEP = [4, 6, 8, 10, 12, 14, 16]
 GOLDEN_PARTITION = frozenset({frozenset({0, 3}), frozenset({1}), frozenset({2})})
 
 

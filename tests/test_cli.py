@@ -401,6 +401,15 @@ def test_estimate_output_is_pinned(tmp_path):
     assert digest == "6fd8879a9978d8b402936cc96b6f591cc0da0b2a21622458906b7098f2f3f2db"
 
 
+def test_compile_estimate_output_is_pinned(tmp_path):
+    # sha256 of resources.csv for the compile benchmark's sweep while every
+    # phase rotation was its own gate, counted one by one
+    out = tmp_path / "pin-e16"
+    assert main(["estimate", "--sweep", "4:16:1", "--enum-cap", "16", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "resources.csv").read_bytes()).hexdigest()
+    assert digest == "853c90110b6fce78ff99ed383431a0371a92dc163129a7c92003332735d631f2"
+
+
 def test_solve_one_hot_and_quadratized_output_is_pinned(tmp_path):
     # sha256 of the outputs while Encoding's values were the output labels;
     # the traces carry the one_hot and quadratized(binary_ascending) labels

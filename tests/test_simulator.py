@@ -262,9 +262,9 @@ def test_grover_computes_one_diagonal_however_often_applied(hubo_asc, table, mon
     diagonals = []
     kernel = simulator._phase_diagonal
 
-    def spy(gates, n_qubits):
-        diagonals.append(n_qubits)
-        return kernel(gates, n_qubits)
+    def spy(run, n_key, m_val):
+        diagonals.append(n_key + m_val)
+        return kernel(run, n_key, m_val)
 
     monkeypatch.setattr(simulator, "_phase_diagonal", spy)
     m = formulation_width(hubo_asc, d_sum=table.d_sum)
@@ -311,7 +311,7 @@ def test_the_plan_leaves_equality_hash_and_repr_alone():
     prepare(fresh)  # a circuit is prepared once, so prepare keeps no plan
     assert applied.plan is not None and fresh.plan is None
     assert applied == fresh and hash(applied) == hash(fresh)
-    assert repr(applied) == repr(fresh) == f"CircuitSpec(n_key=1, m_val=1, gates={gates!r})"
+    assert repr(applied) == repr(fresh) == f"CircuitSpec(n_key=1, m_val=1, ops={gates!r})"
 
 
 @pytest.mark.parametrize("y", [0.0, 1.3, 2.5, 5.0])
