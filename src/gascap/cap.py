@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Sequence
 
@@ -80,60 +80,52 @@ class CapInstance:
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """Pairwise interference coefficients derived from an instance.
+    """Pairwise interference coefficients of N_AP >= 2 access points.
 
-    ``d[i, k] = c[i, k] - c_min + epsilon`` is strictly positive for i != k;
-    the minimum pair sits exactly at epsilon.  Diagonals are zero by
-    convention and never used.
+    Built from the symmetric, finite cost matrix ``c`` and the shift
+    ``epsilon`` > 0; everything else follows from those two and is computed
+    once, here: ``c_min`` is the smallest off-diagonal cost, ``d[i, k] =
+    c[i, k] - c_min + epsilon`` is strictly positive for i != k (the minimum
+    pair sits exactly at epsilon, the diagonal is zero and never used), and
+    ``d_sum`` is the sum of the d over the pairs i < k.
     """
 
     c: np.ndarray
-    d: np.ndarray
-    c_min: float
-    d_sum: float
     epsilon: float = 0.01
+    d: np.ndarray = field(init=False, repr=False, compare=False)
+    c_min: float = field(init=False, repr=False, compare=False)
+    d_sum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=np.float64)
-        d = np.asarray(self.d, dtype=np.float64)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        n = c.shape[0]
-        if c.shape != (n, n) or d.shape != (n, n):
-            raise ValueError("c and d must be square matrices of equal size")
+        n = c.shape[0] if c.ndim else 0
+        if c.shape != (n, n):
+            raise ValueError(f"c must be a square matrix, got shape {c.shape}")
+        if n < 2:
+            raise ValueError(f"a coefficient table needs at least 2 access points, got {n}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("all entries of c must be finite")
+        if not np.array_equal(c, c.T):
+            raise ValueError("c must be symmetric")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
         iu = np.triu_indices(n, k=1)
-        if not np.allclose(c, c.T) or not np.allclose(d, d.T):
-            raise ValueError("c and d must be symmetric")
-        if not np.allclose(d[iu], c[iu] - self.c_min + self.epsilon):
-            raise ValueError("d does not satisfy d = c - c_min + epsilon")
-        if not np.all(d[iu] > 0):
-            raise ValueError("all off-diagonal d must be strictly positive")
-        if not math.isclose(self.d_sum, float(d[iu].sum()), rel_tol=0, abs_tol=1e-9):
-            raise ValueError("d_sum does not match the sum of the d entries")
+        c_min = float(c[iu].min())
+        d = np.zeros_like(c)
+        d[iu] = c[iu] - c_min + self.epsilon
+        d += d.T
+        for name, value in (("c", c), ("d", d), ("c_min", c_min), ("d_sum", float(d[iu].sum()))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_ap(self) -> int:
         return self.c.shape[0]
 
     @classmethod
-    def from_c_matrix(cls, c: np.ndarray, epsilon: float) -> "CoeffTable":
-        c = np.asarray(c, dtype=np.float64)
-        n = c.shape[0]
-        if n < 2:
-            raise ValueError(f"a coefficient table needs at least 2 access points, got {n}")
-        iu = np.triu_indices(n, k=1)
-        c_min = float(c[iu].min())
-        d = np.zeros_like(c)
-        d[iu] = c[iu] - c_min + epsilon
-        d += d.T
-        return cls(c=c, d=d, c_min=c_min, d_sum=float(d[iu].sum()), epsilon=epsilon)
-
-    @classmethod
     def uniform(cls, n_ap: int, value: float = 1.0) -> "CoeffTable":
         """Table with every pairwise cost fixed to ``value`` (the normalization
         used for gate-count and qubit-count comparisons)."""
-        c = np.zeros((n_ap, n_ap))
-        return cls.from_c_matrix(c, epsilon=value)
+        return cls(np.zeros((n_ap, n_ap)), epsilon=value)
 
 
 def interference_coeff(inst: CapInstance, i: int, k: int) -> float:
@@ -172,7 +164,7 @@ def coeff_table(inst: CapInstance) -> CoeffTable:
         for k in range(i + 1, n):
             c[i, k] = interference_coeff(inst, i, k)
             c[k, i] = c[i, k]
-    return CoeffTable.from_c_matrix(c, epsilon=inst.epsilon)
+    return CoeffTable(c, epsilon=inst.epsilon)
 
 
 def assignment_interference(

@@ -16,13 +16,16 @@ n..n+m-1 with value qubit 0 the sign/most-significant bit.  The inverse QFT
 is emitted as one unit and carries no terminal swap layer; readout uses the
 same big-endian convention.
 
-Register sizing.  ``value_register_width`` applies the two's-complement
-inequalities strictly: every coefficient and the polynomial's value bounds
-must lie in [-2^(m-1), 2^(m-1)).  Reference circuits for the binary-encoded
-objective are sized by the coefficient inequality alone (real-valued
-objectives tolerate rare wraparound because every sample is re-evaluated
-classically), which ``coefficient_width`` reproduces; one-hot circuits use
-the closed-form bound on max(E).
+Register sizing.  A width is the smallest m >= 1 whose two's complement
+[-2^(m-1), 2^(m-1)) holds a set of values, so it depends only on their
+minimum and maximum and is read off their binary exponents in O(1); m = 1 is
+the sign qubit alone, and a non-finite value or one outside m <= 128 raises.
+``value_register_width`` applies this strictly, to every coefficient and the
+polynomial's value bounds.  Reference circuits for the binary-encoded
+objective are sized by the coefficients alone (real-valued objectives
+tolerate rare wraparound because every sample is re-evaluated classically),
+which ``coefficient_width`` reproduces; one-hot circuits use the closed-form
+bound on max(E), floored at the sign qubit as well.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .formulation import Encoding, Formulation, bits_per_channel
 from .poly import BinaryPolynomial
@@ -47,37 +52,24 @@ class GateSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        # a few comparisons per well-formed gate: ``CircuitSpec.gates`` makes
-        # one per phase rotation, tens of thousands for a 16-AP objective
-        kind, target, controls = self.kind, self.target, self.controls
-        if controls:
-            if (kind != "cr" and kind != "r") or not isinstance(target, int) \
-                    or len({target, *controls}) <= len(controls):
-                raise ValueError(self._malformed())
-        elif kind in _TARGETED:
-            if kind == "cr" or not isinstance(target, int):
-                raise ValueError(self._malformed())
-        elif kind not in _WHOLE_REGISTER or target is not None:
-            raise ValueError(self._malformed())
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-
-    def _malformed(self) -> str:
-        """Why ``__post_init__`` rejects this gate."""
         kind, target, controls = self.kind, self.target, self.controls
         if kind in _WHOLE_REGISTER:
-            return f"{kind} gates take no target or controls"
-        if kind not in _TARGETED:
-            return f"unknown gate kind {kind!r}"
-        if not isinstance(target, int):
-            return f"{kind} gates need an integer target, got {target!r}"
-        if not controls:
-            return "cr gates need at least one control"
-        if kind in ("h", "z"):
-            return f"{kind} gates take no controls"
-        if target in controls:
-            return f"control {target} equals the target"
-        return f"repeated control in {controls}"
+            if target is not None or controls:
+                raise ValueError(f"{kind} gates take no target or controls")
+        elif kind not in _TARGETED:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        elif not isinstance(target, int):
+            raise ValueError(f"{kind} gates need an integer target, got {target!r}")
+        elif kind == "cr" and not controls:
+            raise ValueError("cr gates need at least one control")
+        elif kind in ("h", "z") and controls:
+            raise ValueError(f"{kind} gates take no controls")
+        elif target in controls:
+            raise ValueError(f"control {target} equals the target")
+        elif len(set(controls)) < len(controls):
+            raise ValueError(f"repeated control in {controls}")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
 
     def inverse(self) -> "GateSpec":
         if self.kind in ("r", "cr"):
@@ -135,6 +127,9 @@ class CircuitSpec:
         return self.n_key + self.m_val
 
     def __post_init__(self):
+        if self.n_key < 0 or self.m_val < 0:
+            raise ValueError(f"register widths must be nonnegative, got n_key={self.n_key}, "
+                             f"m_val={self.m_val}")
         total = self.n_key + self.m_val
         for op in self.ops:
             if isinstance(op, PhaseBlock):
@@ -169,13 +164,18 @@ class CircuitSpec:
 # -- register sizing ----------------------------------------------------
 
 
-def _width_for_value(v: float) -> int:
-    """Smallest m with -2^(m-1) <= v < 2^(m-1)."""
+def _width(lo: float, hi: float) -> int:
+    """Smallest m >= 1 with -2^(m-1) <= v < 2^(m-1) for v = lo and v = hi,
+    hence for every value between them.  ``math.frexp`` writes v as f * 2^e
+    with 1/2 <= |f| < 1, so v < 2^e, and v >= -2^(e-1) only when f = -1/2;
+    m is at most 128."""
     m = 1
-    while not (-(2 ** (m - 1)) <= v < 2 ** (m - 1)):
-        m += 1
-        if m > 128:
+    for v in (lo, hi):
+        f, e = math.frexp(v)
+        w = e if f == -0.5 else e + 1
+        if not math.isfinite(v) or w > 128:
             raise ValueError(f"value {v} not representable")
+        m = max(m, w)
     return m
 
 
@@ -185,12 +185,11 @@ def value_register_width(
     """Width m such that every coefficient and the value range fit the two's
     complement; ``bounds`` overrides the interval-arithmetic estimate when
     tighter (min, max) enclosures are known."""
-    st = p.stats()
-    lo, hi = bounds if bounds is not None else (st.min_value_bound, st.max_value_bound)
-    m = 1
-    for v in [lo, hi] + list(p.terms.values()):
-        m = max(m, _width_for_value(v))
-    return m
+    if bounds is None:
+        st = p.stats()
+        bounds = (st.min_value_bound, st.max_value_bound)
+    values = np.fromiter((*bounds, *p.terms.values()), np.float64)
+    return _width(values.min(), values.max())  # numpy's extremes keep a NaN
 
 
 def coefficient_width(p: BinaryPolynomial, y: float = 0.0) -> int:
@@ -200,26 +199,23 @@ def coefficient_width(p: BinaryPolynomial, y: float = 0.0) -> int:
     overflow is tolerated because each measured key is valued exactly from
     the classical value table before the threshold moves.
     """
-    m = 1
-    const = p.constant_term - y
-    if const != 0.0:
-        m = _width_for_value(const)
-    for s, c in p.terms.items():
-        if s:
-            m = max(m, _width_for_value(c))
-    return m
+    values = np.fromiter((c for s, c in p.terms.items() if s), np.float64)
+    values = np.append(values, p.constant_term - y)
+    return _width(values.min(), values.max())  # numpy's extremes keep a NaN
 
 
 def qubo_width(n_ap: int, n_ch: int, d_sum: float, w: float) -> int:
     """Closed-form width for the one-hot objective: max(E) = N_CH * D_sum +
-    w * N_AP * (N_CH - 1)^2, plus the sign bit."""
+    w * N_AP * (N_CH - 1)^2, plus the sign bit, which is the whole register
+    when max(E) <= 1/2."""
     max_e = n_ch * d_sum + w * n_ap * (n_ch - 1) ** 2
-    return math.ceil(math.log2(max_e)) + 1
+    return max(1, math.ceil(math.log2(max_e)) + 1)
 
 
 def hubo_width_closed_form(d_sum: float) -> int:
-    """Closed-form width for the binary-encoded objective: max(E') = D_sum."""
-    return math.ceil(math.log2(d_sum)) + 1
+    """Closed-form width for the binary-encoded objective: max(E') = D_sum,
+    plus the sign bit, which is the whole register when D_sum <= 1/2."""
+    return max(1, math.ceil(math.log2(d_sum)) + 1)
 
 
 def formulation_width(form: Formulation, d_sum: float | None = None) -> int:
@@ -248,6 +244,8 @@ def closed_form_qubits(
 def build_state_prep(p: BinaryPolynomial, y: float, m: int) -> CircuitSpec:
     """The operator A_y for polynomial p at threshold y with an m-qubit
     value register."""
+    if m < 1:
+        raise ValueError(f"the value register needs at least the sign qubit, got m={m}")
     n = p.n_vars
     limit = 2.0 ** (m - 1)
     const = p.constant_term - y
@@ -296,8 +294,6 @@ class ResourceReport:
     r_count: int                      # uncontrolled phase rotations
     cr_counts: dict[int, int]         # control arity k >= 1 -> gate count
     iqft_count: int
-    ancillae: int                     # for the multi-control decomposition
-    cnot_count: int
 
     def cr(self, k: int) -> int:
         return self.cr_counts.get(k, 0)
@@ -306,16 +302,21 @@ class ResourceReport:
     def max_arity(self) -> int:
         return max(self.cr_counts, default=0)
 
+    @property
+    def ancillae(self) -> int:
+        """Work qubits of the multi-control decomposition: one fewer than
+        the largest control count."""
+        return max(0, self.max_arity - 1)
 
-def _cnot_total(cr_counts: dict[int, int]) -> int:
-    return sum(cnot_cost(k) * v for k, v in cr_counts.items())
+    @property
+    def cnot_count(self) -> int:
+        """CNOTs after decomposing every controlled rotation (``cnot_cost``)."""
+        return sum(cnot_cost(k) * count for k, count in self.cr_counts.items())
 
 
 def enumerate_resources(c: CircuitSpec) -> ResourceReport:
     """Gate histogram of a state-preparation circuit (the dominant block of
-    each search iteration), counted per op: a phase block is m gates.  Its
-    largest control count is the objective's degree, which sets the
-    ancillae of the multi-control decomposition."""
+    each search iteration), counted per op: a phase block is m gates."""
     h = r = iqft = 0
     cr: dict[int, int] = {}
     for g in c.ops:
@@ -342,8 +343,6 @@ def enumerate_resources(c: CircuitSpec) -> ResourceReport:
         r_count=r,
         cr_counts=cr,
         iqft_count=iqft,
-        ancillae=max(0, max(cr, default=0) - 1),
-        cnot_count=_cnot_total(cr),
     )
 
 
@@ -370,16 +369,12 @@ def closed_form_resources(n_ap: int, n_ch: int, kind: str) -> ResourceReport:
                 count = pairs * math.comb(2 * n_b, k)
             if count:
                 cr[k] = count * beta
-        ancillae = max(0, 2 * n_b - 1)
     else:
         n = n_ap * n_ch
         beta = qubo_width(n_ap, n_ch, pairs, 1)
         cr = {1: n * beta, 2: (n_ch * pairs + n_ap * math.comb(n_ch, 2)) * beta}
-        ancillae = 1
     return ResourceReport(
-        n_key=n, m_val=beta, h_count=n + beta, r_count=beta,
-        cr_counts=cr, iqft_count=1, ancillae=ancillae,
-        cnot_count=_cnot_total(cr),
+        n_key=n, m_val=beta, h_count=n + beta, r_count=beta, cr_counts=cr, iqft_count=1,
     )
 
 

@@ -82,7 +82,7 @@ def test_interference_coeff_rejects_bad_indices(instance):
 
 def test_ranking_invariant_under_uniform_cost_shift(instance, table):
     # adding a constant to every pairwise cost cancels in the c_min subtraction
-    shifted = CoeffTable.from_c_matrix(table.c + 3.25, epsilon=instance.epsilon)
+    shifted = CoeffTable(table.c + 3.25, epsilon=instance.epsilon)
     assert np.allclose(shifted.d, table.d)
     assignments = list(itertools.product(range(1, 4), repeat=4))
     before = [assignment_interference(instance, table, a) for a in assignments]
@@ -193,7 +193,7 @@ MALFORMED = {
 def test_coeff_table_needs_two_access_points(n_ap):
     want = f"^a coefficient table needs at least 2 access points, got {n_ap}$"
     with pytest.raises(ValueError, match=want):
-        CoeffTable.from_c_matrix(np.zeros((n_ap, n_ap)), epsilon=0.01)
+        CoeffTable(np.zeros((n_ap, n_ap)), epsilon=0.01)
 
 
 def test_small_instance_is_well_formed():

@@ -42,3 +42,20 @@ def test_demo_05_stdout_is_pinned():
     assert result.returncode == 0, result.stderr.decode()
     digest = hashlib.sha256(result.stdout).hexdigest()
     assert digest == "5085938393a64e51b843917dcd18ef30a4c738d1ed6db0b6fec43238efb2fa26"
+
+
+# sha256 of the printed coefficient tables, encodings and resource counts,
+# taken while CoeffTable stored d, c_min and d_sum and ResourceReport stored
+# its ancillae and CNOT totals
+EARLY_DEMO_DIGESTS = {
+    "01_interference_model.py": "dddeef3a1e2f014b18e811edc808b3565ddc22327561159dde032020f04afe57",
+    "02_objective_encodings.py": "6e6b3f3e0f67e91e429e50e9acaac8c0a61a6b417020a40d89d5896883512ea5",
+    "03_circuit_resources.py": "c928da13ad9c50d6ceef2a349a4cc2c2900787019d8f7c18d9f580cd15a21c6c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EARLY_DEMO_DIGESTS))
+def test_early_demo_stdout_is_pinned(name):
+    result = run_demo(DEMO_DIR / name)
+    assert result.returncode == 0, result.stderr.decode()
+    assert hashlib.sha256(result.stdout).hexdigest() == EARLY_DEMO_DIGESTS[name]

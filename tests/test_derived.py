@@ -1,0 +1,309 @@
+"""Values derived from their inputs, checked against the code they replaced.
+
+``CoeffTable`` computes ``d``, ``c_min`` and ``d_sum`` from (c, epsilon);
+``ResourceReport`` computes ``ancillae`` and ``cnot_count`` from its control
+histogram; register widths come from two extremes in O(1).  Each reference
+below is the earlier construction, kept here verbatim in behaviour.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gascap import (
+    BinaryPolynomial,
+    CoeffTable,
+    build_formulation,
+    build_state_prep,
+    closed_form_qubits,
+    closed_form_resources,
+    coeff_table,
+    coefficient_width,
+    enumerate_resources,
+    formulation_resources,
+    formulation_width,
+    value_register_width,
+)
+from gascap.cap import synthetic_instance
+from gascap.circuits import CircuitSpec, GateSpec, _width, cnot_cost, hubo_width_closed_form, qubo_width
+from gascap.formulation import bits_per_channel, formulation_from_table
+
+# -- references -------------------------------------------------------------
+
+
+def loop_width(v: float) -> int:
+    """Smallest m with -2^(m-1) <= v < 2^(m-1), by search."""
+    m = 1
+    while not (-(2 ** (m - 1)) <= v < 2 ** (m - 1)):
+        m += 1
+        if m > 128:
+            raise ValueError(f"value {v} not representable")
+    return m
+
+
+def loop_value_register_width(p, bounds=None):
+    st_ = p.stats()
+    lo, hi = bounds if bounds is not None else (st_.min_value_bound, st_.max_value_bound)
+    m = 1
+    for v in [lo, hi] + list(p.terms.values()):
+        m = max(m, loop_width(v))
+    return m
+
+
+def loop_coefficient_width(p, y=0.0):
+    m = 1
+    const = p.constant_term - y
+    if const != 0.0:
+        m = loop_width(const)
+    for s, c in p.terms.items():
+        if s:
+            m = max(m, loop_width(c))
+    return m
+
+
+def reference_table(c, epsilon):
+    """(d, c_min, d_sum) as the former ``CoeffTable.from_c_matrix`` built them."""
+    c = np.asarray(c, dtype=np.float64)
+    n = c.shape[0]
+    iu = np.triu_indices(n, k=1)
+    c_min = float(c[iu].min())
+    d = np.zeros_like(c)
+    d[iu] = c[iu] - c_min + epsilon
+    d += d.T
+    return d, c_min, float(d[iu].sum())
+
+
+def stored_ancillae(cr_counts):
+    return max(0, max(cr_counts, default=0) - 1)
+
+
+def stored_cnot_count(cr_counts):
+    return sum(cnot_cost(k) * v for k, v in cr_counts.items())
+
+
+def same_outcome(fast, slow):
+    """Both raise the not-representable ValueError, or both return one value."""
+    try:
+        want = slow()
+    except ValueError as exc:
+        assert "not representable" in str(exc)
+        with pytest.raises(ValueError, match=r"^value .* not representable$"):
+            fast()
+        return
+    assert fast() == want
+
+
+# -- register widths ----------------------------------------------------------
+
+EDGE = 2.0 ** 127
+powers = st.integers(-1074, 130).map(lambda k: math.ldexp(1.0, k))
+near_powers = st.tuples(powers, st.sampled_from([-math.inf, 0.0, math.inf])).map(
+    lambda pair: pair[0] if pair[1] == 0.0 else math.nextafter(*pair))
+edges = st.sampled_from([EDGE, math.nextafter(EDGE, 0.0), math.nextafter(EDGE, math.inf),
+                         0.0, 5e-324, 2.2250738585072014e-308, 0.5, 1.0])
+subnormals = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+magnitudes = st.one_of(powers, near_powers, edges, subnormals,
+                       st.floats(allow_nan=False, allow_infinity=False), st.floats(-64.0, 64.0))
+finite = st.tuples(magnitudes, st.booleans()).map(lambda pair: -pair[0] if pair[1] else pair[0])
+values = st.one_of(finite, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@settings(deadline=None, max_examples=1000)
+@given(values, values)
+@example(-EDGE, 0.0)
+@example(0.0, EDGE)
+@example(-0.0, -0.0)
+@example(math.nan, 1.0)
+@example(-math.inf, 1.0)
+def test_width_equals_the_search_on_both_ends(lo, hi):
+    same_outcome(lambda: _width(lo, hi), lambda: max(loop_width(lo), loop_width(hi)))
+
+
+@st.composite
+def polynomials(draw, coeffs=finite):
+    n = draw(st.integers(0, 5))
+    supports = st.lists(st.integers(0, max(n - 1, 0)), max_size=n, unique=True) if n else st.just([])
+    terms = draw(st.lists(st.tuples(supports, coeffs), max_size=8))
+    return BinaryPolynomial(n, {tuple(sorted(support)): c for support, c in terms})
+
+
+def spoiled(p, where, bad):
+    """p with one coefficient (the ``where``-th, cyclically) set to ``bad``."""
+    keys = list(p.terms) or [()]
+    key = keys[where % len(keys)]
+    return BinaryPolynomial(p.n_vars, {**p.terms, key: bad})
+
+
+small = st.floats(-1e6, 1e6)
+
+
+@settings(deadline=None, max_examples=400)
+@given(polynomials(), finite)
+def test_coefficient_width_equals_the_search(p, y):
+    same_outcome(lambda: coefficient_width(p, y), lambda: loop_coefficient_width(p, y))
+
+
+@settings(deadline=None, max_examples=400)
+@given(polynomials(small), st.one_of(st.none(), st.tuples(finite, finite)))
+def test_value_register_width_equals_the_search(p, bounds):
+    same_outcome(lambda: value_register_width(p, bounds),
+                 lambda: loop_value_register_width(p, bounds))
+
+
+@settings(deadline=None, max_examples=200)
+@given(polynomials(small), st.integers(0, 7), st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.floats(-10.0, 10.0))
+def test_a_non_finite_coefficient_anywhere_raises(p, where, bad, y):
+    q = spoiled(p, where, bad)
+    for width in (lambda: coefficient_width(q, y), lambda: value_register_width(q),
+                  lambda: value_register_width(q, bounds=(-1.0, 1.0))):
+        with pytest.raises(ValueError, match=r"^value .* not representable$"):
+            width()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, EDGE])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_non_finite_or_huge_bounds_raise(bad, slot):
+    bounds = [0.0, 1.0]
+    bounds[slot] = bad
+    with pytest.raises(ValueError, match=r"^value .* not representable$"):
+        value_register_width(BinaryPolynomial(2, {(0,): 1.0}), bounds=tuple(bounds))
+
+
+# -- CoeffTable ---------------------------------------------------------------
+
+
+@st.composite
+def symmetric_costs(draw):
+    n = draw(st.integers(2, 9))
+    entries = st.one_of(st.floats(-50.0, 50.0), st.floats(-1e-3, 1e-3), st.integers(-5, 5).map(float))
+    c = np.zeros((n, n))
+    for i in range(n):
+        for k in range(i + 1, n):
+            c[i, k] = c[k, i] = draw(entries)
+    return c
+
+
+@settings(deadline=None, max_examples=300)
+@given(symmetric_costs(), st.one_of(st.sampled_from([0.01, 0.1, 1.0]), st.floats(1e-9, 1e3)))
+def test_coeff_table_derives_the_reference_bits(c, epsilon):
+    table = CoeffTable(c, epsilon)
+    d, c_min, d_sum = reference_table(c, epsilon)
+    assert np.array_equal(table.d, d)
+    assert table.c_min == c_min
+    assert table.d_sum == d_sum
+    assert table.d.dtype == np.float64 and np.all(table.d[np.triu_indices(len(c), 1)] > 0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_coeff_table_of_an_instance_matches_the_reference(seed):
+    inst = synthetic_instance(7, 3, seed=seed)
+    table = coeff_table(inst)
+    d, c_min, d_sum = reference_table(table.c, inst.epsilon)
+    assert np.array_equal(table.d, d) and table.c_min == c_min and table.d_sum == d_sum
+    assert isinstance(table.d, np.ndarray)
+
+
+def test_coeff_table_keeps_two_settable_fields():
+    table = CoeffTable.uniform(4, 1.0)
+    assert table.d_sum == 6.0 and table.c_min == 0.0
+    assert "d=" not in repr(table) and "epsilon=1.0" in repr(table)
+    with pytest.raises(TypeError):
+        CoeffTable(np.zeros((3, 3)), 0.01, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("c, want", [
+    (np.zeros((2, 3)), "square"),
+    (np.zeros(4), "square"),
+    (np.zeros((2, 2, 2)), "square"),
+    (np.zeros((1, 1)), "at least 2 access points, got 1"),
+    (np.zeros((0, 0)), "at least 2 access points, got 0"),
+    (np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]]), "symmetric"),
+    (np.array([[0.0, np.nan], [np.nan, 0.0]]), "finite"),
+    (np.array([[0.0, np.inf], [np.inf, 0.0]]), "finite"),
+    (np.array([[np.inf, 1.0], [1.0, 0.0]]), "finite"),
+])
+def test_coeff_table_rejects_a_malformed_c(c, want):
+    with pytest.raises(ValueError, match=want):
+        CoeffTable(c, 0.01)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.01, -math.inf, math.inf, math.nan])
+def test_coeff_table_rejects_a_bad_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        CoeffTable(np.zeros((3, 3)), epsilon)
+
+
+# -- resource reports -----------------------------------------------------------
+
+
+def test_closed_form_report_totals_equal_the_stored_formulas():
+    for n_ap in range(2, 40):
+        for n_ch in range(2, 12):
+            for kind in ("qubo", "hubo-asc", "hubo-desc"):
+                rep = closed_form_resources(n_ap, n_ch, kind)
+                stored = 1 if kind == "qubo" else max(0, 2 * bits_per_channel(n_ch) - 1)
+                assert rep.ancillae == stored == stored_ancillae(rep.cr_counts)
+                assert rep.cnot_count == stored_cnot_count(rep.cr_counts) > 0
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(2, 16), st.integers(2, 6), st.sampled_from(["qubo", "hubo-asc", "hubo-desc"]))
+@example(16, 6, "hubo-asc")
+def test_enumerated_report_totals_equal_the_stored_formulas(n_ap, n_ch, kind):
+    t = CoeffTable.uniform(n_ap, 1.0)
+    form = formulation_from_table(t, n_ch, kind, 1.0)
+    rep = formulation_resources(form, d_sum=t.d_sum)
+    assert rep.ancillae == stored_ancillae(rep.cr_counts) == max(0, form.objective.degree - 1)
+    assert rep.cnot_count == stored_cnot_count(rep.cr_counts)
+
+
+@pytest.mark.parametrize("terms", [{}, {(): 3.0}, {(0,): 1.0}, {(0, 1, 2): -1.5, (1,): 0.5}])
+def test_report_totals_of_small_circuits(terms):
+    rep = enumerate_resources(build_state_prep(BinaryPolynomial(3, terms), 0.0, 3))
+    assert rep.ancillae == stored_ancillae(rep.cr_counts) >= 0
+    assert rep.cnot_count == stored_cnot_count(rep.cr_counts)
+
+
+# -- registers of at least one qubit ------------------------------------------
+
+
+def test_closed_form_widths_keep_the_sign_qubit():
+    assert hubo_width_closed_form(0.01) == 1
+    for d_sum in (0.51, 0.75, 1.0, 1.5, 6.0, 120.0):  # the floor changes nothing above 1/2
+        assert hubo_width_closed_form(d_sum) == math.ceil(math.log2(d_sum)) + 1
+    assert qubo_width(2, 2, 0.01, 0.1) == 1
+    assert closed_form_qubits(2, 2, 0.01, 1.0, "hubo-asc") == 2 + 1
+    assert closed_form_qubits(2, 2, 0.01, 0.1, "qubo") == 4 + 1
+
+
+def test_two_ap_one_hot_report_has_no_negative_count():
+    with pytest.warns(UserWarning, match="trivial"):
+        inst = synthetic_instance(2, 2, seed=1)
+    table = coeff_table(inst)
+    assert table.d_sum == inst.epsilon == 0.01
+    form = build_formulation(inst, "qubo", 0.1, table)
+    assert formulation_width(form, d_sum=table.d_sum) == 1
+    rep = formulation_resources(form, d_sum=table.d_sum)
+    assert rep.m_val == rep.r_count == 1
+    assert rep.cr_counts == {1: 4, 2: 4} and rep.cnot_count == 32 and rep.ancillae == 1
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_state_prep_needs_the_sign_qubit(m):
+    with pytest.raises(ValueError, match=f"at least the sign qubit, got m={m}"):
+        build_state_prep(BinaryPolynomial(1, {(0,): 0.25}), 0.0, m)
+
+
+@pytest.mark.parametrize("n_key, m_val", [(-1, 1), (1, -1)])
+def test_circuit_spec_rejects_negative_registers(n_key, m_val):
+    with pytest.raises(ValueError, match="register widths must be nonnegative"):
+        CircuitSpec(n_key, m_val, ())
+
+
+def test_circuit_spec_allows_a_key_only_register():
+    c = CircuitSpec(2, 0, (GateSpec("h", target=0), GateSpec("h", target=1)))
+    assert c.n_qubits == 2

@@ -67,7 +67,7 @@ def instances(draw, max_ap=6, max_ch=4):
         for k in range(i + 1, n_ap):
             c[i, k] = c[k, i] = draw(st.sampled_from(levels))
     eps = draw(st.sampled_from([0.01, 0.1, 0.3, 1.0]))
-    return inst, CoeffTable.from_c_matrix(c, epsilon=eps)
+    return inst, CoeffTable(c, epsilon=eps)
 
 
 def assert_matches_odometer(inst, table, chunk=gas.ORACLE_CHUNK):
