@@ -24,8 +24,10 @@ N_CH < 2^N_B, and leaves no invalid codewords to penalize.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, combinations
 from typing import Sequence
 
 from .cap import CapInstance, CoeffTable, coeff_table
@@ -187,7 +189,7 @@ def _qubo_from_table(table: CoeffTable, n_ch: int, w: float) -> Formulation:
 
     return Formulation(
         encoding=Encoding.ONE_HOT,
-        objective=BinaryPolynomial(n_vars, terms),
+        objective=BinaryPolynomial._from_canonical(n_vars, terms),
         penalty=w,
         n_ap=n_ap,
         n_ch=n_ch,
@@ -259,7 +261,7 @@ def _hubo_from_table(
 
     return Formulation(
         encoding=enc,
-        objective=BinaryPolynomial(n_vars, terms),
+        objective=BinaryPolynomial._from_canonical(n_vars, terms),
         penalty=w_prime,
         n_ap=n_ap,
         n_ch=n_ch,
@@ -303,57 +305,62 @@ class Quadratization:
     aux_map: tuple[tuple[tuple[int, int], int], ...]  # ((var_a, var_b), aux_index)
 
 
-def _count_pairs(freq: dict[tuple[int, int], int], support: tuple[int, ...], delta: int):
-    for a_pos in range(len(support)):
-        for b_pos in range(a_pos + 1, len(support)):
-            pair = (support[a_pos], support[b_pos])
-            count = freq.get(pair, 0) + delta
-            if count:
-                freq[pair] = count
-            else:
-                del freq[pair]
-
-
 def quadratize(p: BinaryPolynomial, scale: float) -> Quadratization:
     """Reduce to degree <= 2 by repeatedly replacing a variable pair (a, b)
     with a fresh auxiliary y and adding scale * (ab - 2ay - 2by + 3y), which
     vanishes exactly when y = ab.
 
     The pair occurring in the most degree->=3 terms is substituted first,
-    ties broken lexicographically.  The pair counts are kept up to date as
-    terms are rewritten, and each rewritten term keeps its place in the
-    term order.
+    ties broken to the smallest (a, b).  The pair counts live in a
+    ``Counter`` fed by ``itertools.combinations`` of each support, and each
+    variable keeps the set of slots whose term has degree >= 3 and holds it.
+    A substitution visits only the slots in both a's and b's sets, and moves
+    their pairs out of and back into the counter.  Each rewritten term keeps
+    its place in the term order.
     """
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be finite and positive, got {scale}")
     # [support, coeff] slots in term order, and each support's slot
     slots = [[s, c] for s, c in p.terms.items()]
     index = {s: j for j, (s, _) in enumerate(slots)}
-    freq: dict[tuple[int, int], int] = {}
-    for s in index:
-        if len(s) >= 3:
-            _count_pairs(freq, s, 1)
+    high = [j for j, (s, _) in enumerate(slots) if len(s) >= 3]
+    freq = Counter(chain.from_iterable(combinations(slots[j][0], 2) for j in high))
+    occ: dict[int, set[int]] = defaultdict(set)
+    for j in high:
+        for v in slots[j][0]:
+            occ[v].add(j)
     n_vars = p.n_vars
     aux_map: list[tuple[tuple[int, int], int]] = []
 
-    while freq:
-        a, b = max(freq, key=lambda pair: (freq[pair], -pair[0], -pair[1]))
+    # a pair's count may fall to 0 and stay in the counter; none is ever
+    # negative, so substitution stops once the highest count is 0
+    while top := max(freq.values(), default=0):
+        a, b = min(pair for pair, count in freq.items() if count == top)
         y = n_vars
         n_vars += 1
         aux_map.append(((a, b), y))
 
-        for j, slot in enumerate(slots):
+        hit = occ[a] & occ[b]
+        old, new_high = [], []
+        for j in hit:
+            slot = slots[j]
             s = slot[0]
-            if len(s) < 3 or a not in s or b not in s:
-                continue
             # y is fresh, so the rewritten support is new and y sorts last
             new = tuple(v for v in s if v != a and v != b) + (y,)
-            _count_pairs(freq, s, -1)
+            old.append(s)
             if len(new) >= 3:
-                _count_pairs(freq, new, 1)
+                new_high.append(new)
+                occ[y].add(j)
+            else:
+                occ[new[0]].discard(j)
             del index[s]
             index[new] = j
             slot[0] = new
+        occ[a] -= hit
+        occ[b] -= hit
+        # counted in C, then subtracted once per distinct pair
+        freq.subtract(Counter(chain.from_iterable(combinations(s, 2) for s in old)))
+        freq.update(chain.from_iterable(combinations(s, 2) for s in new_high))
 
         # Only (a, b) can already be present, since y is fresh.  A sum there
         # that cancels to exactly 0.0 stays in its slot until BinaryPolynomial
@@ -370,7 +377,7 @@ def quadratize(p: BinaryPolynomial, scale: float) -> Quadratization:
             slots.append([support, coeff])
 
     return Quadratization(
-        poly=BinaryPolynomial(n_vars, dict(slots)), aux_map=tuple(aux_map)
+        poly=BinaryPolynomial._from_canonical(n_vars, dict(slots)), aux_map=tuple(aux_map)
     )
 
 

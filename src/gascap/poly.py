@@ -1,10 +1,12 @@
 """Multilinear pseudo-Boolean polynomials.
 
 A polynomial over binary variables x_0, ..., x_{n-1} is stored as a map from
-monomial supports (sorted tuples of variable indices, () for the constant
-term) to nonzero real coefficients.  Because x^2 = x for x in {0, 1}, every
-product reduces to this multilinear canonical form, and two polynomials are
-equal as functions iff their term maps are equal.
+monomial supports (sorted tuples of distinct variable indices, () for the
+constant term) to nonzero real coefficients.  Every index lies in
+0..n_vars-1; any other index, negative ones included, is rejected with a
+ValueError.  Because x^2 = x for x in {0, 1}, every product reduces to this
+multilinear canonical form, and two polynomials are equal as functions iff
+their term maps are equal.
 
 Variable index 0 is the most significant position of a bit vector: the
 integer enumeration order of assignments coincides with lexicographic order
@@ -46,11 +48,6 @@ def _canonical_terms(terms: Mapping[Sequence[int], float]) -> dict[tuple[int, ..
     return out
 
 
-def term_order_key(support: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Graded lexicographic order: by degree, then by support."""
-    return (len(support), support)
-
-
 class BinaryPolynomial:
     """Immutable multilinear polynomial in canonical form."""
 
@@ -61,10 +58,26 @@ class BinaryPolynomial:
             raise ValueError("n_vars must be nonnegative")
         canon = _canonical_terms(terms or {})
         for support in canon:
-            if support and support[-1] >= n_vars:
-                raise ValueError(f"variable index {support[-1]} out of range for n_vars={n_vars}")
+            if support and not (support[0] >= 0 and support[-1] < n_vars):
+                index = support[0] if support[0] < 0 else support[-1]
+                raise ValueError(f"variable index {index} out of range for n_vars={n_vars}")
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "terms", canon)
+
+    @classmethod
+    def _from_canonical(
+        cls, n_vars: int, terms: Mapping[tuple[int, ...], float]
+    ) -> "BinaryPolynomial":
+        """Wrap ``terms`` whose supports are already sorted, distinct and in
+        0..n_vars-1, as the algebra and the builders make them.  Of the
+        public constructor's work only two steps can still change such a
+        dict, and only they are done: each coefficient becomes a ``float``
+        and exact zeros, -0.0 included, are dropped, in input order."""
+        canon = {s: f for s, c in terms.items() if (f := float(c)) != 0.0}
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "n_vars", n_vars)
+        object.__setattr__(poly, "terms", canon)
+        return poly
 
     def __setattr__(self, *_):
         raise AttributeError("BinaryPolynomial is immutable")
@@ -96,7 +109,8 @@ class BinaryPolynomial:
         return self.terms.get((), 0.0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], float]]:
-        return sorted(self.terms.items(), key=lambda kv: term_order_key(kv[0]))
+        """Terms in graded lexicographic order: by degree, then by support."""
+        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def coefficient(self, support: Iterable[int]) -> float:
         return self.terms.get(tuple(sorted(set(support))), 0.0)
@@ -121,10 +135,11 @@ class BinaryPolynomial:
         terms = dict(self.terms)
         for s, c in other.terms.items():
             terms[s] = terms.get(s, 0.0) + c
-        return BinaryPolynomial(n, terms)
+        return BinaryPolynomial._from_canonical(n, terms)
 
     def scale(self, factor: float) -> "BinaryPolynomial":
-        return BinaryPolynomial(self.n_vars, {s: c * factor for s, c in self.terms.items()})
+        return BinaryPolynomial._from_canonical(
+            self.n_vars, {s: c * factor for s, c in self.terms.items()})
 
     def multiply(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
         n = max(self.n_vars, other.n_vars)
@@ -134,7 +149,7 @@ class BinaryPolynomial:
             for s2, c2 in other.terms.items():
                 key = tuple(sorted(set1.union(s2)))
                 terms[key] = terms.get(key, 0.0) + c1 * c2
-        return BinaryPolynomial(n, terms)
+        return BinaryPolynomial._from_canonical(n, terms)
 
     def __add__(self, other):
         if isinstance(other, (int, float)):

@@ -374,6 +374,26 @@ def test_formulate_output_is_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+def test_formulate_benchmark_size_output_is_pinned(tmp_path):
+    # sha256 of the outputs at the compile benchmark's 16 x 6 size, where
+    # quadratize makes 64 substitutions and many pair counts tie, taken while
+    # its pair counts lived in a Python dict and every builder's dict was
+    # canonicalized again by the public constructor
+    out = tmp_path / "pin-f16"
+    assert main(["formulate", "--synthetic", "16,6", "--formulation", "qubo",
+                 "--formulation", "hubo-asc", "--formulation", "hubo-desc",
+                 "--formulation", "quadratized", "--seed", "1", "--out", str(out)]) == 0
+    want = {
+        "qubo.poly": "804ecedb21ed6c735afc627b9d610a5a99deab614c7e822b6b4a801708cc29d7",
+        "hubo-asc.poly": "28b37c030d72aee8a142e63a7922f7aa7de379c1ab057d56e78c0a742f6426b1",
+        "hubo-desc.poly": "8026e03119a24d6ea86cad93af6bf9d6dd186846be1e439fcb2b0d22562bbc4a",
+        "quadratized.poly": "092ae49ecee335da5d41a4c258cf2bfced19d2c2807499d25e47090045e56ed1",
+        "summary.json": "4b205acbb5e250d6f122ac6c7caa2b03c6a2ec574e85683ca6e53a45dd5ed4ba",
+    }
+    for name, digest in want.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 def test_formulate_penalty_output_is_pinned(tmp_path):
     # sha256 of the outputs while each kind wrote its own .poly header; the
     # header echoes a penalty other than the default

@@ -524,18 +524,108 @@ def first_pair(p):
     return max(freq, key=lambda pair: (freq[pair], -pair[0], -pair[1]))
 
 
+def with_cancelling_pair(p, scale):
+    """``p`` with its first substituted pair's term set to -scale, so that
+    the first penalty cancels it to exactly 0.0."""
+    pair = first_pair(p)
+    if pair is None:
+        return p
+    terms = dict(p.terms)
+    terms[pair] = -scale
+    return BinaryPolynomial(p.n_vars, terms)
+
+
 @given(high_degree_polynomials(), st.sampled_from([1.0, 3.0, 0.5, 17.25]), st.booleans())
 @example(BinaryPolynomial(4, {(0, 1, 2): 1.0, (0, 1, 3): 2.0, (0, 1): -3.0, (2,): 1.0}), 3.0, False)
 @settings(deadline=None)
 def test_quadratize_matches_reference(p, scale, cancel):
-    pair = first_pair(p)
-    if cancel and pair is not None:
-        # an existing (a, b) term that the first penalty cancels exactly
-        terms = dict(p.terms)
-        terms[pair] = -scale
-        p = BinaryPolynomial(p.n_vars, terms)
+    if cancel:
+        p = with_cancelling_pair(p, scale)
     got = quadratize(p, scale)
     want = quadratize_reference(p, scale)
+    assert got.aux_map == want.aux_map
+    assert got.poly.n_vars == want.poly.n_vars
+    assert list(got.poly.terms.items()) == list(want.poly.terms.items())
+
+
+def quadratize_pair_count_reference(p, scale):
+    """``quadratize`` as it was while its pair counts lived in a dict updated
+    pair by pair in Python and each substitution scanned every slot: the
+    reference for the counter and the per-variable slot sets."""
+
+    def count_pairs(freq, support, delta):
+        for a_pos in range(len(support)):
+            for b_pos in range(a_pos + 1, len(support)):
+                pair = (support[a_pos], support[b_pos])
+                count = freq.get(pair, 0) + delta
+                if count:
+                    freq[pair] = count
+                else:
+                    del freq[pair]
+
+    slots = [[s, c] for s, c in p.terms.items()]
+    index = {s: j for j, (s, _) in enumerate(slots)}
+    freq = {}
+    for s in index:
+        if len(s) >= 3:
+            count_pairs(freq, s, 1)
+    n_vars = p.n_vars
+    aux_map = []
+    while freq:
+        a, b = max(freq, key=lambda pair: (freq[pair], -pair[0], -pair[1]))
+        y = n_vars
+        n_vars += 1
+        aux_map.append(((a, b), y))
+        for j, slot in enumerate(slots):
+            s = slot[0]
+            if len(s) < 3 or a not in s or b not in s:
+                continue
+            new = tuple(v for v in s if v != a and v != b) + (y,)
+            count_pairs(freq, s, -1)
+            if len(new) >= 3:
+                count_pairs(freq, new, 1)
+            del index[s]
+            index[new] = j
+            slot[0] = new
+        j = index.get((a, b))
+        if j is not None:
+            slots[j][1] += scale
+        else:
+            index[(a, b)] = len(slots)
+            slots.append([(a, b), scale])
+        for support, coeff in (((a, y), -2.0 * scale), ((b, y), -2.0 * scale), ((y,), 3.0 * scale)):
+            index[support] = len(slots)
+            slots.append([support, coeff])
+    return Quadratization(poly=BinaryPolynomial(n_vars, dict(slots)), aux_map=tuple(aux_map))
+
+
+@st.composite
+def crowded_polynomials(draw):
+    """Up to 12 terms of degree up to 6 on at most 7 variables, so that the
+    highest pair count is often shared by several pairs."""
+    n = draw(st.integers(3, 7))
+    support = st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=6).map(
+        lambda s: tuple(sorted(s)))
+    coeff = st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    return BinaryPolynomial(n, draw(st.dictionaries(support, coeff, max_size=12)))
+
+
+# (0, 1) and (2, 3) both occur in two cubic terms: the tie goes to (0, 1)
+TIED = BinaryPolynomial(6, {(2, 3, 4): 1.0, (2, 3, 5): 2.0, (0, 1, 4): -1.0, (0, 1, 5): 0.5})
+
+
+@given(st.one_of(high_degree_polynomials(), crowded_polynomials()),
+       st.sampled_from([1.0, 3.0, 0.5, 17.25]), st.booleans())
+@example(TIED, 1.0, False)
+@example(TIED, 0.5, True)
+@example(BinaryPolynomial(5, {(0, 1, 2, 3, 4): 1.0, (0, 1, 2): -1.0, (2, 3, 4): 2.0}), 3.0, True)
+@settings(deadline=None, max_examples=200)
+def test_quadratize_matches_pair_count_reference(p, scale, cancel):
+    if cancel:
+        p = with_cancelling_pair(p, scale)
+    got = quadratize(p, scale)
+    want = quadratize_pair_count_reference(p, scale)
     assert got.aux_map == want.aux_map
     assert got.poly.n_vars == want.poly.n_vars
     assert list(got.poly.terms.items()) == list(want.poly.terms.items())

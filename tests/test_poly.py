@@ -91,6 +91,50 @@ def test_canonicalization_is_idempotent():
         assert again == p
 
 
+@pytest.mark.parametrize("support,index", [((-1,), -1), ((-2, 0), -2), ((0, 2), 2), ((-1, 5), -1)])
+def test_out_of_range_index_is_rejected(support, index):
+    # a negative index would alias x_{n+index} in evaluate and evaluate_all
+    with pytest.raises(ValueError, match=f"variable index {index} out of range"):
+        BinaryPolynomial(2, {support: 1.0})
+
+
+@pytest.mark.parametrize("text,index", [("1.0 : -1", -1), ("2.5 : 0\n1.0 : 0 2", 2)])
+def test_loads_poly_rejects_out_of_range_index(text, index):
+    with pytest.raises(ValueError, match=f"variable index {index} out of range"):
+        loads_poly(text, 2)
+
+
+# exact zeros of both signs, ints and numpy scalars, which the private
+# constructor must turn into the floats the public one stores
+CANONICAL_COEFFS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, -2, np.float64(0.0), np.float64(-0.0)]),
+    st.integers(-5, 5),
+    st.floats(allow_nan=False),
+    st.floats(-1e6, 1e6).map(np.float64),
+)
+
+
+@st.composite
+def canonical_dicts(draw):
+    n = draw(st.integers(0, 10))
+    support = st.lists(st.integers(0, n - 1), unique=True, max_size=n).map(
+        lambda s: tuple(sorted(s))) if n else st.just(())
+    return n, draw(st.dictionaries(support, CANONICAL_COEFFS, max_size=24))
+
+
+@given(canonical_dicts())
+@example((3, {(0,): 0.0, (): -0.0, (1,): 3, (0, 2): np.float64(0.5), (2,): -0.0, (1, 2): 0}))
+@settings(deadline=None)
+def test_private_constructor_equals_public_on_canonical_dicts(case):
+    n, terms = case
+    got = BinaryPolynomial._from_canonical(n, terms)
+    want = BinaryPolynomial(n, terms)
+    assert got.n_vars == want.n_vars
+    assert list(got.terms.items()) == list(want.terms.items())  # dict order too
+    assert [type(c) for c in got.terms.values()] == [float] * len(want.terms)
+    assert got.dumps() == want.dumps()
+
+
 def test_stats_reference_polynomial():
     st = fig_poly().stats()
     assert st.degree == 3
