@@ -21,7 +21,7 @@ from .cap import (
 from .circuits import (
     CircuitSpec,
     GateSpec,
-    PhaseBlock,
+    PhaseLayer,
     ResourceReport,
     build_grover,
     build_state_prep,

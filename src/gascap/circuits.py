@@ -2,14 +2,16 @@
 
 The state-preparation operator A_y acts on a key register of n qubits (one
 per binary variable) and a value register of m qubits.  It is Hadamards on
-everything, one phase block per polynomial term, and a final inverse QFT on
-the value register.  A term with coefficient a contributes theta = 2 pi a /
-2^m; the block applies R(2^(m-1-j) * theta) to value qubit j, controlled on
-the term's key qubits.  The constant term absorbs -y and is uncontrolled.
-With integer coefficients the value register then holds (E(x) - y) mod 2^m
-in two's complement, so a single Z on the sign qubit marks exactly the
-states with E(x) < y.  A circuit keeps each block as one ``PhaseBlock``
-record; ``CircuitSpec.gates`` expands them into single gates on request.
+everything, one phase layer, and a final inverse QFT on the value register.
+In the layer a term with coefficient a contributes theta = 2 pi a / 2^m and
+applies R(2^(m-1-j) * theta) to value qubit j, controlled on the term's key
+qubits.  The constant term absorbs -y and is uncontrolled.  With integer
+coefficients the value register then holds (E(x) - y) mod 2^m in two's
+complement, so a single Z on the sign qubit marks exactly the states with
+E(x) < y.  A circuit keeps the layer as one ``PhaseLayer`` record of the
+polynomial and the threshold, so building, inverting and counting A_y costs
+no record per term; ``CircuitSpec.gates`` expands it into single gates on
+request.
 
 Qubit numbering: key qubits are 0..n-1 (variable order), value qubits are
 n..n+m-1 with value qubit 0 the sign/most-significant bit.  The inverse QFT
@@ -31,6 +33,7 @@ bound on max(E), floored at the sign qubit as well.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -82,42 +85,52 @@ class GateSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class PhaseBlock:
-    """One polynomial term's phase block: R(2^(m-1-j) * theta) on every value
-    qubit j, controlled on the term's key qubits (none for the constant).
-    Its m rotations are diagonal and commute, so the block is one record."""
+class PhaseLayer:
+    """A_y's phase rotations for polynomial ``p`` at threshold ``y``: first
+    the constant p.constant_term - y, uncontrolled and only when non-zero,
+    then the other terms in graded order (``p.sorted_terms``).  A term with
+    coefficient c has theta = 2 pi c / 2^m and applies R(2^(m-1-j) * theta)
+    to value qubit j, controlled on its support.  The rotations are diagonal
+    and commute, so the layer is one record; ``sign`` = -1 negates every
+    theta, which is the inverse, exactly.  ``len`` is the number of terms."""
 
-    controls: tuple[int, ...]
-    theta: float
+    p: BinaryPolynomial
+    y: float
+    sign: int = 1
 
-    def __post_init__(self):
-        controls = self.controls
-        if controls and min(controls) < 0:
-            raise ValueError(f"control {min(controls)} outside the key register")
-        if len(set(controls)) < len(controls):
-            raise ValueError(f"repeated control in {controls}")
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+    def __len__(self) -> int:
+        terms = self.p.terms
+        return len(terms) - (() in terms) + (self.p.constant_term - self.y != 0.0)
+
+    def blocks(self, m: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """Each term's controls and theta, in gate order."""
+        const = self.p.constant_term - self.y
+        terms = [((), const)] if const != 0.0 else []
+        terms += [t for t in self.p.sorted_terms() if t[0]]
+        coeffs = np.array([c for _, c in terms], dtype=np.float64)
+        return [s for s, _ in terms], self.sign * (2.0 * math.pi * coeffs / 2.0 ** m)
 
     def expand(self, n_key: int, m: int) -> tuple[GateSpec, ...]:
-        """The block's m ``r``/``cr`` gates, value qubit n_key + j for j = 0..m-1."""
-        kind = "cr" if self.controls else "r"
+        """The layer's ``r``/``cr`` gates, each term's m on value qubits
+        n_key + j for j = 0..m-1."""
+        controls, thetas = self.blocks(m)
+        scale = [2.0 ** (m - 1 - j) for j in range(m)]
         # positional: keywords cost about as much again as GateSpec's checks
-        return tuple(GateSpec(kind, n_key + j, self.controls, (2.0 ** (m - 1 - j)) * self.theta)
-                     for j in range(m))
+        return tuple(GateSpec("cr" if c else "r", n_key + j, c, w * theta)
+                     for c, theta in zip(controls, thetas.tolist()) for j, w in enumerate(scale))
 
-    def inverse(self) -> "PhaseBlock":
-        return PhaseBlock(self.controls, -self.theta)
+    def inverse(self) -> "PhaseLayer":
+        return PhaseLayer(self.p, self.y, -self.sign)
 
 
-Op = GateSpec | PhaseBlock
+Op = GateSpec | PhaseLayer
 
 
 @dataclass(frozen=True)
 class CircuitSpec:
     n_key: int
     m_val: int
-    ops: tuple[Op, ...]  # an explicit gate list is ops without blocks
+    ops: tuple[Op, ...]  # an explicit gate list is ops without a layer
     # the simulation plan ``simulator.apply`` compiles on first use; it lives
     # as long as the circuit and takes no part in equality, hashing or repr
     plan: tuple | None = field(default=None, init=False, compare=False, repr=False)
@@ -132,10 +145,10 @@ class CircuitSpec:
                              f"m_val={self.m_val}")
         total = self.n_key + self.m_val
         for op in self.ops:
-            if isinstance(op, PhaseBlock):
-                if op.controls and max(op.controls) >= self.n_key:
-                    raise ValueError(f"control {max(op.controls)} outside the key "
-                                     f"register 0..{self.n_key - 1}")
+            if isinstance(op, PhaseLayer):
+                if op.p.n_vars > self.n_key:
+                    raise ValueError(f"layer on variables 0..{op.p.n_vars - 1} outside the "
+                                     f"key register 0..{self.n_key - 1}")
                 continue
             for q in (() if op.target is None else (op.target,)) + op.controls:
                 if not 0 <= q < total:
@@ -143,18 +156,18 @@ class CircuitSpec:
 
     @cached_property
     def gates(self) -> tuple[GateSpec, ...]:
-        """``ops`` with every phase block expanded into its m gates; built on
+        """``ops`` with every phase layer expanded into its gates; built on
         first access and kept outside equality, hashing and repr."""
         gates: list[GateSpec] = []
         for op in self.ops:
-            if isinstance(op, PhaseBlock):
+            if isinstance(op, PhaseLayer):
                 gates.extend(op.expand(self.n_key, self.m_val))
             else:
                 gates.append(op)
         return tuple(gates)
 
     def inverse(self) -> "CircuitSpec":
-        """The ops in reverse order, each inverted; a block inverts as a
+        """The ops in reverse order, each inverted; a layer inverts as a
         whole, so its rotations keep their order (they commute)."""
         return CircuitSpec(
             self.n_key, self.m_val, tuple(op.inverse() for op in reversed(self.ops))
@@ -249,16 +262,18 @@ def build_state_prep(p: BinaryPolynomial, y: float, m: int) -> CircuitSpec:
     n = p.n_vars
     limit = 2.0 ** (m - 1)
     const = p.constant_term - y
-    for label, coeff in [("constant-y", const), *p.terms.items()]:
-        if label and not -limit <= coeff < limit:  # p's own constant is in const
-            raise ValueError(
-                f"coefficient {coeff} ({label}) outside [-2^{m - 1}, 2^{m - 1}) for m={m}"
-            )
+    values = np.append(np.fromiter(p.terms.values(), np.float64, len(p.terms)), const)
+    if not (-limit <= values.min() and values.max() < limit):  # also when one is NaN
+        # the values include p's own constant, which the scan skips: it is in const
+        for label, coeff in [("constant-y", const), *p.terms.items()]:
+            if label and not -limit <= coeff < limit:
+                raise ValueError(
+                    f"coefficient {coeff} ({label}) outside [-2^{m - 1}, 2^{m - 1}) for m={m}"
+                )
 
-    terms = [((), const)] if const != 0.0 else []
-    terms += [(support, coeff) for support, coeff in p.sorted_terms() if support]
-    blocks = [PhaseBlock(controls, 2.0 * math.pi * coeff / (2.0 ** m)) for controls, coeff in terms]
-    ops = (*(GateSpec("h", target=q) for q in range(n + m)), *blocks, GateSpec("iqft"))
+    layer = PhaseLayer(p, y)
+    ops = (*(GateSpec("h", target=q) for q in range(n + m)), *((layer,) if len(layer) else ()),
+           GateSpec("iqft"))
     return CircuitSpec(n_key=n, m_val=m, ops=ops)
 
 
@@ -316,16 +331,18 @@ class ResourceReport:
 
 def enumerate_resources(c: CircuitSpec) -> ResourceReport:
     """Gate histogram of a state-preparation circuit (the dominant block of
-    each search iteration), counted per op: a phase block is m gates."""
+    each search iteration), counted per op: a phase layer is m gates per
+    term, so its count is m times the histogram of its terms' degrees."""
     h = r = iqft = 0
     cr: dict[int, int] = {}
     for g in c.ops:
-        if isinstance(g, PhaseBlock):
-            k = len(g.controls)  # m gates of this arity, none if m is 0
-            if k and c.m_val:
-                cr[k] = cr.get(k, 0) + c.m_val
-            elif not k:
+        if isinstance(g, PhaseLayer):
+            if g.p.constant_term - g.y != 0.0:
                 r += c.m_val
+            degrees = Counter(map(len, g.p.terms))
+            for k in sorted(degrees):  # ascending arity, the order of the gates
+                if k and c.m_val:
+                    cr[k] = cr.get(k, 0) + degrees[k] * c.m_val
         elif g.kind == "h":
             h += 1
         elif g.kind == "r":

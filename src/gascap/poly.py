@@ -2,11 +2,11 @@
 
 A polynomial over binary variables x_0, ..., x_{n-1} is stored as a map from
 monomial supports (sorted tuples of distinct variable indices, () for the
-constant term) to nonzero real coefficients.  Every index lies in
-0..n_vars-1; any other index, negative ones included, is rejected with a
-ValueError.  Because x^2 = x for x in {0, 1}, every product reduces to this
-multilinear canonical form, and two polynomials are equal as functions iff
-their term maps are equal.
+constant term) to nonzero real coefficients.  Every index is an integer in
+0..n_vars-1; any other index, a negative, bool or non-integer one included,
+is rejected with a ValueError.  Because x^2 = x for x in {0, 1}, every
+product reduces to this multilinear canonical form, and two polynomials are
+equal as functions iff their term maps are equal.
 
 Variable index 0 is the most significant position of a bit vector: the
 integer enumeration order of assignments coincides with lexicographic order
@@ -37,6 +37,9 @@ class CapExceededError(BudgetExceededError, ValueError):
 def _canonical_terms(terms: Mapping[Sequence[int], float]) -> dict[tuple[int, ...], float]:
     out: dict[tuple[int, ...], float] = {}
     for support, coeff in terms.items():
+        for i in support:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise ValueError(f"variable index {i!r} is not an integer")
         key = tuple(sorted(set(support)))
         if len(key) != len(tuple(support)):
             raise ValueError(f"duplicate variable in monomial support {support!r}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CircuitSpec, Op, PhaseBlock, build_grover, build_state_prep, coefficient_width
+from .circuits import CircuitSpec, Op, PhaseLayer, build_grover, build_state_prep, coefficient_width
 from .poly import BinaryPolynomial, CapExceededError
 
 DEFAULT_QUBIT_CAP = 24
@@ -78,29 +78,31 @@ def _apply_h(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
 
 def _phase_diagonal(run: Iterable[Op], n_key: int, m_val: int) -> np.ndarray:
     """The diagonal exp(i * phase) of a run of ``r``/``cr`` gates and phase
-    blocks on ``n_key`` + ``m_val`` qubits.
+    layers on ``n_key`` + ``m_val`` qubits.
 
-    Every rotation's angle is added, in gate order (a block's m rotations in
-    value-qubit order), at the index of its qubit mask (target plus
-    controls); one in-order ``np.add.at`` scatters them all.  A rotation acts
-    on the basis states whose index covers its mask, so one subset-sum
-    (zeta) pass over the 2^N-cube turns these coefficients into the total
-    angle of every basis state.
+    Every rotation's angle is added, in gate order (a layer's terms in its
+    order, each term's m rotations in value-qubit order), at the index of its
+    qubit mask (target plus controls); one in-order ``np.add.at`` scatters
+    them all.  A rotation acts on the basis states whose index covers its
+    mask, so one subset-sum (zeta) pass over the 2^N-cube turns these
+    coefficients into the total angle of every basis state.
     """
     n_qubits = n_key + m_val
     weight = [1 << (n_qubits - 1 - q) for q in range(n_qubits)]  # qubit 0 most significant
-    value_weight = np.array(weight[n_key:], dtype=np.int64)  # also each block's 2^(m-1-j)
+    value_weight = np.array(weight[n_key:], dtype=np.int64)  # also each term's 2^(m-1-j)
     masks, angles = [], []
-    for is_block, ops in itertools.groupby(run, key=lambda op: isinstance(op, PhaseBlock)):
-        ops = list(ops)
-        controls = np.array([sum(weight[q] for q in op.controls) for op in ops], dtype=np.int64)
-        theta = np.array([op.theta for op in ops])
-        if is_block:
-            masks.append((controls[:, None] | value_weight).ravel())
-            angles.append((theta[:, None] * value_weight.astype(float)).ravel())
+    for is_layer, ops in itertools.groupby(run, key=lambda op: isinstance(op, PhaseLayer)):
+        if is_layer:
+            for layer in ops:
+                supports, theta = layer.blocks(m_val)
+                controls = np.array([sum(weight[q] for q in s) for s in supports], dtype=np.int64)
+                masks.append((controls[:, None] | value_weight).ravel())
+                angles.append((theta[:, None] * value_weight.astype(float)).ravel())
         else:
-            masks.append(controls | [weight[op.target] for op in ops])
-            angles.append(theta)
+            ops = list(ops)
+            masks.append(np.array([sum(weight[q] for q in (op.target, *op.controls)) for op in ops],
+                                  dtype=np.int64))
+            angles.append(np.array([op.theta for op in ops]))
     phase = np.zeros(1 << n_qubits)
     np.add.at(phase, np.concatenate(masks), np.concatenate(angles))
     cube = phase.reshape((2,) * n_qubits)
@@ -111,13 +113,13 @@ def _phase_diagonal(run: Iterable[Op], n_key: int, m_val: int) -> np.ndarray:
 
 
 def _is_phase(op: Op) -> bool:
-    return isinstance(op, PhaseBlock) or op.kind in ("r", "cr")
+    return isinstance(op, PhaseLayer) or op.kind in ("r", "cr")
 
 
 def _compile(c: CircuitSpec) -> tuple[tuple[str, object], ...]:
     """The steps ``apply`` runs for ``c``, each a (kernel, argument) pair:
     ``phase`` multiplies by the diagonal of a run of ``r``/``cr`` gates and
-    phase blocks, ``h``/``z`` take their target qubit, and ``iqft``/``qft``
+    phase layers, ``h``/``z`` take their target qubit, and ``iqft``/``qft``
     (an orthonormal FFT along the value register) and ``diffusion`` take
     nothing.
 
@@ -200,7 +202,11 @@ def sample(s: StateVector, rng: np.random.Generator) -> int:
     value, so ``index >> m`` is the key."""
     probs = s.probabilities()
     probs = probs / probs.sum()
-    return int(rng.choice(probs.size, p=probs))
+    # what ``rng.choice(probs.size, p=probs)`` computes, the same index and
+    # draw, without its validation passes over the probabilities
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def marked_probability(s: StateVector, marked_keys: np.ndarray, m_val: int) -> float:

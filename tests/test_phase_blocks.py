@@ -1,6 +1,7 @@
-"""Phase blocks: A_y keeps one ``PhaseBlock`` per polynomial term, and every
-consumer (``gates``, ``enumerate_resources``, the simulator's phase kernel)
-must agree with the circuit built one ``GateSpec`` per rotation."""
+"""Phase layers: A_y keeps its rotations as one ``PhaseLayer`` of the
+polynomial and the threshold, and every consumer (``gates``,
+``enumerate_resources``, ``build_grover``, the simulator's phase kernel) must
+agree with the circuit built one ``GateSpec`` per rotation."""
 
 import math
 import re
@@ -15,22 +16,23 @@ from gascap import (
     BinaryPolynomial,
     CircuitSpec,
     GateSpec,
-    PhaseBlock,
+    PhaseLayer,
     StateVector,
     apply,
     build_grover,
     build_state_prep,
     coefficient_width,
     enumerate_resources,
+    formulation_resources,
 )
-from gascap import simulator
+from gascap import circuits, simulator
 from test_gas import search_polynomials
 from test_simulator import apply_gate_by_gate
 
 
 def eager_state_prep(p: BinaryPolynomial, y: float, m: int) -> tuple[GateSpec, ...]:
     """A_y as one ``GateSpec`` per rotation, the way it was built before
-    phase blocks: the reference for ``build_state_prep(p, y, m).gates``."""
+    phase layers: the reference for ``build_state_prep(p, y, m).gates``."""
     n = p.n_vars
     limit = 2.0 ** (m - 1)
     const = p.constant_term - y
@@ -102,8 +104,9 @@ def test_state_prep_gates_equal_the_eager_builder(case):
     c = build_state_prep(p, y, m)
     # repr shows every float exactly, so equal reprs mean equal bits
     assert c.gates == want and repr(c.gates) == repr(want)
-    assert len(c.ops) == p.n_vars + m + len([s for s in p.terms if s]) \
-        + (p.constant_term - y != 0.0) + 1
+    # n + m Hadamards, the layer (left out when it has no term) and the IQFT
+    has_layer = any(s for s in p.terms) or p.constant_term - y != 0.0
+    assert len(c.ops) == p.n_vars + m + 1 + has_layer
 
 
 @given(state_preps())
@@ -139,20 +142,25 @@ def test_state_prep_phase_vector_equals_the_gate_by_gate_sum(case):
 
 @st.composite
 def mixed_phase_runs(draw):
-    """A run of blocks and single ``r``/``cr`` gates on the value register,
-    many of them on the same qubit masks, so the order of addition shows."""
+    """A run of layers and single ``r``/``cr`` gates on the value register,
+    their supports drawn from a pool of at most four, so that many rotations
+    share a qubit mask across ops and the order of addition shows."""
     n_key, m = draw(st.integers(0, 4)), draw(st.integers(1, 4))
-    controls = st.lists(st.integers(0, n_key - 1), unique=True, max_size=n_key).map(tuple) \
+    subsets = st.lists(st.integers(0, n_key - 1), unique=True, max_size=n_key).map(tuple) \
         if n_key else st.just(())
-    theta = st.floats(-10.0, 10.0, allow_nan=False)
+    pool = draw(st.lists(subsets, min_size=1, max_size=4))
+    controls = st.sampled_from(pool)
+    coeff = st.floats(-10.0, 10.0, allow_nan=False)
     ops = []
     for _ in range(draw(st.integers(1, 10))):
-        ctrl = draw(controls)
         if draw(st.booleans()):
-            ops.append(PhaseBlock(ctrl, draw(theta)))
+            terms = draw(st.dictionaries(controls, coeff, max_size=len(pool)))
+            layer = PhaseLayer(BinaryPolynomial(n_key, terms), draw(coeff))
+            ops.append(layer.inverse() if draw(st.booleans()) else layer)
         else:
+            ctrl = draw(controls)
             target = n_key + draw(st.integers(0, m - 1))
-            ops.append(GateSpec("cr" if ctrl else "r", target, ctrl, draw(theta)))
+            ops.append(GateSpec("cr" if ctrl else "r", target, ctrl, draw(coeff)))
     return CircuitSpec(n_key, m, tuple(ops))
 
 
@@ -181,12 +189,54 @@ def test_grover_matches_the_gate_level_reference(case, seed):
 
 
 def test_block_expands_to_its_rotations():
-    block = PhaseBlock((0, 2), 0.75)
-    assert block.expand(3, 3) == (GateSpec("cr", 3, (0, 2), 3.0), GateSpec("cr", 4, (0, 2), 1.5),
-                                  GateSpec("cr", 5, (0, 2), 0.75))
-    assert PhaseBlock((), -0.5).expand(1, 2) == (GateSpec("r", 1, (), -1.0),
-                                                 GateSpec("r", 2, (), -0.5))
-    assert block.inverse() == PhaseBlock((0, 2), -0.75)
+    p = BinaryPolynomial(3, {(0, 2): 2.0, (): 1.0, (1,): -1.0})
+    layer = PhaseLayer(p, 0.5)
+    # constant - y first, then graded order; theta = 2 pi c / 2^m, here m = 3
+    const, x1, x02 = (2.0 * math.pi * c / 8.0 for c in (0.5, -1.0, 2.0))
+    want = (GateSpec("r", 3, (), 4.0 * const), GateSpec("r", 4, (), 2.0 * const),
+            GateSpec("r", 5, (), const),
+            GateSpec("cr", 3, (1,), 4.0 * x1), GateSpec("cr", 4, (1,), 2.0 * x1),
+            GateSpec("cr", 5, (1,), x1),
+            GateSpec("cr", 3, (0, 2), 4.0 * x02), GateSpec("cr", 4, (0, 2), 2.0 * x02),
+            GateSpec("cr", 5, (0, 2), x02))
+    assert layer.expand(3, 3) == want and len(layer) == 3
+    assert layer.inverse() == PhaseLayer(p, 0.5, -1) and layer.inverse().inverse() == layer
+    assert layer.inverse().expand(3, 3) == tuple(g.inverse() for g in want)
+    assert len(PhaseLayer(p, 1.0)) == 2 and PhaseLayer(p, 1.0).expand(3, 1)[0].controls == (1,)
+
+
+@given(state_preps())
+@settings(deadline=None, max_examples=100)
+def test_layer_inverse_negates_every_expanded_theta(case):
+    p, y, m = case
+    layer = PhaseLayer(p, y)
+    gates, inverse = layer.expand(p.n_vars, m), layer.inverse().expand(p.n_vars, m)
+    want = tuple(GateSpec(g.kind, g.target, g.controls, -g.theta) for g in gates)
+    assert inverse == want and repr(inverse) == repr(want)
+
+
+def test_grover_inverts_the_layer_as_one_op():
+    p = BinaryPolynomial(3, {(): 1.0, (0, 2): -2.5, (1,): 0.25})
+    a = build_state_prep(p, 0.5, 4)
+    [layer] = [op for op in a.ops if isinstance(op, PhaseLayer)]
+    g = build_grover(a)
+    assert [op for op in g.ops if isinstance(op, PhaseLayer)] == [layer.inverse(), layer]
+    assert len(g.ops) == 2 * len(a.ops) + 2
+
+
+def test_counting_resources_builds_no_gate_list(hubo_asc, table, monkeypatch):
+    # the spy sees the circuit formulation_resources builds, after it is counted
+    built = []
+    count = circuits.enumerate_resources
+
+    def spy(circuit):
+        built.append(circuit)
+        return count(circuit)
+
+    monkeypatch.setattr(circuits, "enumerate_resources", spy)
+    formulation_resources(hubo_asc, d_sum=table.d_sum)
+    [circuit] = built
+    assert "gates" not in circuit.__dict__
 
 
 def test_gates_are_cached_outside_equality_hash_and_repr():
@@ -198,29 +248,40 @@ def test_gates_are_cached_outside_equality_hash_and_repr():
     assert CircuitSpec(3, 4, expanded.gates).gates == expanded.gates
 
 
-# -- block validation ----------------------------------------------------------
+# -- layer validation ----------------------------------------------------------
+#
+# A layer's controls are its polynomial's supports, so the polynomial's
+# invariant keeps them distinct and inside 0..n_vars-1, and the circuit keeps
+# n_vars inside the key register.
 
 
 def test_block_rejects_a_repeated_control():
-    with pytest.raises(ValueError, match=re.escape("repeated control in (1, 0, 1)")):
-        PhaseBlock((1, 0, 1), 0.5)
+    with pytest.raises(ValueError, match=re.escape("duplicate variable in monomial support (1, 0, 1)")):
+        BinaryPolynomial(3, {(1, 0, 1): 0.5})
 
 
 def test_block_rejects_a_negative_control():
-    with pytest.raises(ValueError, match="^control -1 outside the key register$"):
-        PhaseBlock((0, -1), 0.5)
+    with pytest.raises(ValueError, match="^variable index -1 out of range for n_vars=2$"):
+        BinaryPolynomial(2, {(0, -1): 0.5})
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 def test_block_rejects_a_non_finite_theta(theta):
+    p = BinaryPolynomial(1, {(0,): theta})
+    with pytest.raises(ValueError, match=re.escape(f"coefficient {theta} ((0,)) outside")):
+        build_state_prep(p, 0.0, 4)
+    with pytest.raises(ValueError, match=re.escape(f"coefficient {-theta} (constant-y) outside")):
+        build_state_prep(BinaryPolynomial(1, {(0,): 0.5}), theta, 4)
     with pytest.raises(ValueError, match="theta must be finite"):
-        PhaseBlock((0,), theta)
+        PhaseLayer(p, 0.0).expand(1, 4)
 
 
 def test_circuit_rejects_a_block_controlled_outside_the_key_register():
-    # a control on the value register would also be one of the block's targets
-    with pytest.raises(ValueError, match=re.escape("control 2 outside the key register 0..1")):
-        CircuitSpec(2, 3, (PhaseBlock((0, 2), 0.5),))
-    with pytest.raises(ValueError, match=re.escape("control 0 outside the key register 0..-1")):
-        CircuitSpec(0, 1, (PhaseBlock((0,), 0.5),))
-    assert CircuitSpec(2, 3, (PhaseBlock((1, 0), 0.5), PhaseBlock((), 0.5))).n_qubits == 5
+    # a control on the value register would also be one of the layer's targets
+    layer = PhaseLayer(BinaryPolynomial(3, {(0, 2): 0.5}), 0.0)
+    with pytest.raises(ValueError, match=re.escape("layer on variables 0..2 outside the key register 0..1")):
+        CircuitSpec(2, 3, (layer,))
+    with pytest.raises(ValueError, match=re.escape("layer on variables 0..0 outside the key register 0..-1")):
+        CircuitSpec(0, 1, (PhaseLayer(BinaryPolynomial(1, {(0,): 0.5}), 0.0),))
+    assert CircuitSpec(2, 3, (PhaseLayer(BinaryPolynomial(2, {(1, 0): 0.5}), 0.5),)).n_qubits == 5
+    assert CircuitSpec(3, 1, (PhaseLayer(BinaryPolynomial(1), 0.0),)).n_qubits == 4

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -96,6 +98,16 @@ def test_out_of_range_index_is_rejected(support, index):
     # a negative index would alias x_{n+index} in evaluate and evaluate_all
     with pytest.raises(ValueError, match=f"variable index {index} out of range"):
         BinaryPolynomial(2, {support: 1.0})
+
+
+@pytest.mark.parametrize("support,index", [((1.5,), "1.5"), ((True,), "True"), ((0, False), "False"),
+                                           ((np.float64(1.0),), "np.float64(1.0)")])
+def test_non_integer_index_is_rejected(support, index):
+    # 1.5 and True both lie in 0..n_vars-1 but name no variable; a phase
+    # layer takes its controls from these supports
+    with pytest.raises(ValueError, match=f"^variable index {re.escape(index)} is not an integer$"):
+        BinaryPolynomial(3, {support: 1.0})
+    assert BinaryPolynomial(3, {(np.int64(2),): 1.0}).coefficient((2,)) == 1.0
 
 
 @pytest.mark.parametrize("text,index", [("1.0 : -1", -1), ("2.5 : 0\n1.0 : 0 2", 2)])

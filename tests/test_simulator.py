@@ -368,6 +368,23 @@ def test_sample_of_deterministic_state():
     assert sample(StateVector(4, amps), np.random.default_rng(0)) == 0b1011
 
 
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0))
+@settings(deadline=None, max_examples=200)
+def test_sample_draws_what_rng_choice_draws(n, state_seed, seed, sparsity):
+    # the same index as ``rng.choice`` over the normalised probabilities, and
+    # the generator left in the same place
+    rng = np.random.default_rng(state_seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps[rng.random(1 << n) < sparsity] = 0.0
+    amps[rng.integers(1 << n)] += 1.0  # never the zero vector
+    sv = StateVector(n, amps / np.linalg.norm(amps))
+    probs = sv.probabilities()
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert sample(sv, got_rng) == int(want_rng.choice(probs.size, p=probs / probs.sum()))
+    assert got_rng.random() == want_rng.random()
+
+
 def test_sampled_key_frequencies_roughly_uniform():
     p = BinaryPolynomial(3, {(0, 1): 1.0})
     c = build_state_prep(p, 0.0, m=2)
