@@ -14,7 +14,6 @@ from gascap import (
     brute_force_cap,
     build_formulation,
     coeff_table,
-    log2_expected_queries,
     reference_instance,
     run_batch,
     run_gas,
@@ -42,7 +41,7 @@ for name, form in forms.items():
     hits = sum(t.best_y <= oracle.best_value + 1e-9 for t in traces)
     mean_c = np.mean([t.classical_queries for t in traces])
     mean_q = np.mean([t.quantum_queries for t in traces])
-    ref = 2.0 ** log2_expected_queries(form.objective.n_vars).grover
+    ref = 2.0 ** (form.objective.n_vars / 2.0)
     print(f"{name:>11} {form.objective.n_vars:>5} {hits:>5}/100 "
           f"{mean_c:>10.1f} {mean_q:>8.1f} {ref:>10.1f}")
 

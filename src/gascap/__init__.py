@@ -56,7 +56,6 @@ from .gas import (
     GasTrace,
     brute_force_cap,
     co_channel_partition,
-    log2_expected_queries,
     run_batch,
     run_gas,
     run_seed,
@@ -77,6 +76,5 @@ from .simulator import (
     amplified_probability,
     apply,
     marked_probability,
-    prepare,
     sample,
 )

@@ -197,6 +197,16 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _real(value, name: str):
+    """A JSON number, or nested lists of them, as float(s); a bool, string,
+    null or object raises ValueError (``float`` would take most of them)."""
+    if isinstance(value, list):
+        return [_real(v, name) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def instance_from_dict(data: dict) -> CapInstance:
     """Instance from its JSON form; any malformed field raises ValueError."""
     if not isinstance(data, dict):
@@ -204,17 +214,14 @@ def instance_from_dict(data: dict) -> CapInstance:
     groups = data["assoc"]
     if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
         raise ValueError("assoc must be a list of user-index lists")
-    try:
-        return CapInstance(
-            n_ap=_integer(data["n_ap"], "n_ap"),
-            n_ch=_integer(data["n_ch"], "n_ch"),
-            alpha=float(data.get("alpha", 1.0)),
-            distances=np.asarray(data["distances"], dtype=np.float64),
-            assoc=tuple(tuple(_integer(u, "a user index") for u in g) for g in groups),
-            epsilon=float(data.get("epsilon", 0.01)),
-        )
-    except TypeError as exc:  # e.g. a null alpha or an object among the distances
-        raise ValueError(f"malformed instance: {exc}") from exc
+    return CapInstance(
+        n_ap=_integer(data["n_ap"], "n_ap"),
+        n_ch=_integer(data["n_ch"], "n_ch"),
+        alpha=_real(data.get("alpha", 1.0), "alpha"),
+        distances=np.asarray(_real(data["distances"], "a distance"), dtype=np.float64),
+        assoc=tuple(tuple(_integer(u, "a user index") for u in g) for g in groups),
+        epsilon=_real(data.get("epsilon", 0.01), "epsilon"),
+    )
 
 
 def instance_to_dict(inst: CapInstance) -> dict:

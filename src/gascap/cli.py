@@ -50,7 +50,6 @@ from .gas import (
     GasConfig,
     brute_force_cap,
     co_channel_partition,
-    log2_expected_queries,
     run_batch,
 )
 from .simulator import IdealSampler, StateVectorSampler
@@ -193,7 +192,7 @@ def cmd_estimate(args) -> int:
         table = CoeffTable.uniform(n_ap, 1.0)
         d_sum = table.d_sum
         for kind in ENCODING_KINDS:
-            queries = log2_expected_queries(counts.n if kind == "qubo" else counts.n_prime)
+            n_key = counts.n if kind == "qubo" else counts.n_prime
             closed_total = closed_form_qubits(n_ap, n_ch, d_sum, 1.0, kind)
             closed = closed_form_resources(n_ap, n_ch, kind)
             row = {
@@ -204,8 +203,9 @@ def cmd_estimate(args) -> int:
                 "n_double_prime": counts.n_double_prime,
                 "qubits_closed_form": closed_total,
                 "cnot_closed_form": closed.cnot_count,
-                "log2_grover_queries": queries.grover,
-                "log2_exhaustive_queries": queries.exhaustive,
+                # sqrt(2^n) amplified against 2^n exhaustive queries over n key bits, in log2
+                "log2_grover_queries": n_key / 2.0,
+                "log2_exhaustive_queries": float(n_key),
             }
             if n_ap <= args.enum_cap:
                 form = formulation_from_table(table, n_ch, kind, 1.0)

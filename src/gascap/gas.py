@@ -184,15 +184,3 @@ def brute_force_cap(inst: CapInstance, table: CoeffTable) -> BruteForceResult:
     return BruteForceResult(
         best_assignment=best_assign, best_value=best_value, evaluations=space
     )
-
-
-@dataclass(frozen=True)
-class QueryEstimate:
-    grover: float
-    exhaustive: float
-
-
-def log2_expected_queries(n_vars: int) -> QueryEstimate:
-    """Reference scaling curves in log2, usable far beyond float range:
-    sqrt(2^n) amplified versus 2^n exhaustive queries."""
-    return QueryEstimate(grover=n_vars / 2.0, exhaustive=float(n_vars))

@@ -15,10 +15,10 @@ different fidelity/cost trade-offs:
   key * 2^m + value, i.e. key qubits occupy the high bits (key qubit 0 most
   significant) and the value register the low bits (value qubit 0 = sign bit
   at position m-1).  Capped at 24 qubits, where one state is 256 MB.
-  ``apply`` compiles a circuit once into numpy steps (see ``_compile``);
-  ``prepare`` applies a circuit to |0...0>.  The sampler runs each Grover
-  operator as its oracle and one O(2^N) reflection about the psi = A_y|0>
-  it holds.
+  ``apply`` compiles a circuit once into numpy steps (see ``_compile``).
+  The sampler writes psi = A_y|0> straight from the value table, since A_y
+  puts E(x) - y into the value register, and runs each Grover operator as
+  its oracle and one O(2^N) reflection about that psi.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .circuits import CircuitSpec, Op, PhaseLayer, build_grover, build_state_pre
 from .poly import BinaryPolynomial, CapExceededError
 
 DEFAULT_QUBIT_CAP = 24
+_REFLECT_BLOCK = 1 << 13  # amplitudes per step of the reflection about psi
 
 
 def _check_cap(n_qubits: int) -> None:
@@ -123,7 +124,7 @@ def _compile(c: CircuitSpec) -> tuple[tuple[str, object], ...]:
     (an orthonormal FFT along the value register) and ``diffusion`` take
     nothing.
 
-    ``_run`` has one more kernel, ``reflect``, which takes psi and applies
+    ``apply`` has one more kernel, ``reflect``, which takes psi and applies
     2|psi><psi| - I; no circuit compiles to it, but ``StateVectorSampler``
     gives G = A_y D A_y^dagger O the plan ``z``, ``reflect`` about A_y|0>.
     """
@@ -136,38 +137,8 @@ def _compile(c: CircuitSpec) -> tuple[tuple[str, object], ...]:
     return tuple(steps)
 
 
-def _run(c: CircuitSpec, steps, amps: np.ndarray, from_zero: bool = False) -> StateVector:
-    """Run ``steps``, ``c``'s plan, on ``amps``, which it may overwrite.
-    ``from_zero`` says ``amps`` is |0...0>: a plan opening with a Hadamard on
-    every qubit once then starts from the uniform state, written with the
-    bits those passes give."""
-    n_total, m = c.n_qubits, c.m_val
-    if from_zero and sorted(q for op, q in steps[:n_total] if op == "h") == list(range(n_total)):
-        amp, inv = 1.0, 1.0 / math.sqrt(2.0)
-        for _ in range(n_total):
-            amp *= inv  # rounded as each Hadamard pass rounds it
-        amps.fill(amp)
-        steps = steps[n_total:]
-    for op, arg in steps:
-        if op == "phase":
-            amps *= arg
-        elif op == "reflect":
-            np.subtract(arg * (2.0 * np.vdot(arg, amps)), amps, out=amps)
-        elif op == "h":
-            amps = _apply_h(amps, arg, n_total)
-        elif op == "z":
-            amps.reshape(1 << arg, 2, -1)[:, 1, :] *= -1.0
-        elif op == "iqft":
-            # exp(-2 pi i jk / 2^m) / sqrt(2^m): numpy's forward transform
-            amps = np.fft.fft(amps.reshape(-1, 1 << m), axis=1, norm="ortho").reshape(-1)
-        elif op == "qft":
-            amps = np.fft.ifft(amps.reshape(-1, 1 << m), axis=1, norm="ortho").reshape(-1)
-        else:  # diffusion
-            first = amps[0]
-            amps = -amps
-            amps[0] = first
-
-    out = StateVector(n_qubits=n_total, amplitudes=amps)
+def _checked(n_qubits: int, amps: np.ndarray) -> StateVector:
+    out = StateVector(n_qubits=n_qubits, amplitudes=amps)
     if not math.isclose(out.norm(), 1.0, rel_tol=0, abs_tol=1e-9):
         raise ValueError(f"norm drifted to {out.norm()}")
     return out
@@ -186,15 +157,32 @@ def apply(c: CircuitSpec, s: StateVector) -> StateVector:
     _check_cap(c.n_qubits)
     if c.plan is None:
         object.__setattr__(c, "plan", _compile(c))
-    return _run(c, c.plan, s.amplitudes.copy())
-
-
-def prepare(c: CircuitSpec) -> StateVector:
-    """``c`` applied to |0...0>, as ``apply(c, StateVector.zero(c.n_qubits))``
-    gives it, without the Hadamard passes of an opening layer.  A circuit is
-    prepared once, so its plan is compiled for this call and not kept."""
-    amps = StateVector.zero(c.n_qubits).amplitudes  # checks the cap before compiling
-    return _run(c, _compile(c), amps, from_zero=True)
+    n_total, m = c.n_qubits, c.m_val
+    amps = s.amplitudes.copy()
+    for op, arg in c.plan:
+        if op == "phase":
+            amps *= arg
+        elif op == "reflect":
+            # a block at a time, so the scaled psi is never a full-size
+            # temporary that each Grover operator frees and faults back in
+            scale = 2.0 * np.vdot(arg, amps)
+            for lo in range(0, amps.size, _REFLECT_BLOCK):
+                block = amps[lo:lo + _REFLECT_BLOCK]
+                np.subtract(arg[lo:lo + _REFLECT_BLOCK] * scale, block, out=block)
+        elif op == "h":
+            amps = _apply_h(amps, arg, n_total)
+        elif op == "z":
+            amps.reshape(1 << arg, 2, -1)[:, 1, :] *= -1.0
+        elif op == "iqft":
+            # exp(-2 pi i jk / 2^m) / sqrt(2^m): numpy's forward transform
+            amps = np.fft.fft(amps.reshape(-1, 1 << m), axis=1, norm="ortho").reshape(-1)
+        elif op == "qft":
+            amps = np.fft.ifft(amps.reshape(-1, 1 << m), axis=1, norm="ortho").reshape(-1)
+        else:  # diffusion
+            first = amps[0]
+            amps = -amps
+            amps[0] = first
+    return _checked(n_total, amps)
 
 
 def sample(s: StateVector, rng: np.random.Generator) -> int:
@@ -270,10 +258,14 @@ class StateVectorSampler(IdealSampler):
     The value register is ``value_width`` qubits, by default
     ``coefficient_width(p)``, and wider where the constant folded with -y
     needs it.  The sampler keeps one threshold's A_y, psi = A_y|0> and, once
-    a draw needs it, G: the threshold moves only when a draw improves.  G =
-    A_y D A_y^dagger O is built from A_y's ops but given its plan here, its
-    oracle ``z`` and the reflection 2|psi><psi| - I about the psi already
-    held, so each Grover operator costs O(2^N) and G compiles nothing.
+    a draw needs it, G: the threshold moves only when a draw improves.  A_y
+    writes E(x) - y into the value register, so psi comes from the value
+    table: key x's row is the orthonormal FFT of exp(2 pi i (E(x) - y) k /
+    2^m) over k = 0..2^m-1, scaled by 1/sqrt(2^(n+m)).  A_y is still built,
+    for its coefficient range check and as G's source.  G = A_y D A_y^dagger
+    O is given its plan here, its oracle ``z`` and the reflection 2|psi><psi|
+    - I about the psi already held, so each Grover operator costs O(2^N) and
+    G compiles nothing.
     """
 
     def __init__(self, p: BinaryPolynomial, value_width: int | None = None):
@@ -284,10 +276,10 @@ class StateVectorSampler(IdealSampler):
 
     def sample(self, y: float, l_ops: int, rng: np.random.Generator) -> int:
         if y != self.at_y:
-            self.prepared = self.grover = None  # freed before the next psi is prepared
+            self.prepared = self.grover = None  # freed before the next psi is written
             self.at_y, self.m = y, max(self.base_m, coefficient_width(self.p, y))
             self.prep = build_state_prep(self.p, y, self.m)
-            self.prepared = prepare(self.prep)
+            self.prepared = self._psi(y)
         if l_ops and self.grover is None:
             self.grover = build_grover(self.prep)
             plan = (("z", self.prep.n_key), ("reflect", self.prepared.amplitudes))
@@ -296,3 +288,13 @@ class StateVectorSampler(IdealSampler):
         for _ in range(l_ops):
             state = apply(self.grover, state)
         return sample(state, rng) >> self.m
+
+    def _psi(self, y: float) -> StateVector:
+        n_total, size = self.n_vars + self.m, 1 << self.m
+        rows = StateVector.zero(n_total).amplitudes.reshape(-1, size)  # checks the cap first
+        rows[0, 0] = 0.0
+        np.multiply.outer(self.values - y, np.arange(size) * (2.0 * math.pi / size), out=rows.imag)
+        np.exp(rows, out=rows)
+        rows *= 1.0 / math.sqrt(1 << n_total)
+        # out of place: a transform onto its own input drifts the norm
+        return _checked(n_total, np.fft.fft(rows, axis=1, norm="ortho").reshape(-1))

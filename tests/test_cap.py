@@ -186,6 +186,10 @@ MALFORMED = {
     "fractional-user": {**SMALL, "assoc": [[0], [1], [2.7]]},
     "fractional-n-ap": {**SMALL, "n_ap": 3.5},
     "null-alpha": {**SMALL, "alpha": None},
+    "bool-alpha": {**SMALL, "alpha": True},
+    "string-epsilon": {**SMALL, "epsilon": "0.5"},
+    "bool-distance": {**SMALL, "distances": [[True, 2.0, 3.0], [2.0, 1.0, 3.0], [3.0, 2.0, 1.0]]},
+    "string-distance": {**SMALL, "distances": [[1.0, 2.0, 3.0], [2.0, "0.5", 3.0], [3.0, 2.0, 1.0]]},
 }
 
 
@@ -203,6 +207,7 @@ def test_small_instance_is_well_formed():
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_instance_from_dict_rejects_malformed_json(name):
     # each of these once raised TypeError or was silently truncated by int()
+    # or converted by float()
     with pytest.raises(ValueError):
         instance_from_dict(MALFORMED[name])
 

@@ -18,7 +18,6 @@ from gascap import (
     build_grover,
     build_state_prep,
     coefficient_width,
-    log2_expected_queries,
     run_batch,
     run_gas,
     run_seed,
@@ -189,15 +188,6 @@ def test_brute_force_budget(monkeypatch):
     monkeypatch.setattr(gas.np, "arange", lambda *a, **k: pytest.fail("enumerated"))
     with pytest.raises(BudgetExceededError, match=f"{4 ** 12} exceeds .* {ORACLE_BUDGET}"):
         brute_force_cap(inst, table)
-
-
-def test_expected_queries():
-    q = log2_expected_queries(12)
-    assert (2.0 ** q.grover, 2.0 ** q.exhaustive) == (64.0, 4096.0)
-    assert 2.0 ** log2_expected_queries(8).grover == 16.0
-    assert 2.0 ** log2_expected_queries(0).grover == 1.0
-    lg = log2_expected_queries(768)
-    assert (lg.grover, lg.exhaustive) == (384.0, 768.0)
 
 
 def test_run_batch_is_seed_paired(hubo_asc, hubo_desc):

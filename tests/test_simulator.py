@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gascap import (
@@ -18,7 +18,6 @@ from gascap import (
     build_grover,
     build_state_prep,
     marked_probability,
-    prepare,
     sample,
     value_register_width,
 )
@@ -123,8 +122,7 @@ def circuits(draw):
     """Random circuits plus the shapes of the search circuits: mirrors (gates
     X, a ``diffusion``, then X^dagger exactly or with one gate's angle,
     control or kind changed), mirrors with other gates in the middle, full
-    Hadamard layers in random qubit order, which ``prepare`` writes as the
-    uniform state when they open a circuit, and layer-diffusion-layer
+    Hadamard layers in random qubit order, and layer-diffusion-layer
     sandwiches, some with a flawed layer."""
     n_total = draw(st.integers(1, 8))
     m = draw(st.integers(0, n_total))
@@ -221,26 +219,6 @@ def test_apply_matches_gate_by_gate_reference(case):
     assert np.max(np.abs(got - apply_gate_by_gate(c, state))) <= 1e-12
 
 
-@given(circuits(), st.sampled_from([None, "full", "missing", "repeat"]), st.data())
-@settings(deadline=None)
-def test_prepare_matches_gate_by_gate_reference(case, opening, data):
-    c, _ = case
-    if opening is not None:
-        # a full opening layer is written as the uniform state, a flawed one is not
-        layer = h_layer(data.draw, c.n_qubits, None if opening == "full" else opening)
-        c = CircuitSpec(c.n_key, c.m_val, tuple(layer) + c.gates)
-    got = prepare(c).amplitudes
-    want = apply_gate_by_gate(c, StateVector.zero(c.n_qubits))
-    assert np.max(np.abs(got - want)) <= 1e-12
-
-
-def test_prepare_writes_the_bits_of_the_hadamard_passes():
-    # (1/sqrt 2)^n rounded once differs from n rounded passes from n = 6 on
-    for n in range(1, 15):
-        c = CircuitSpec(n - 1, 1, tuple(GateSpec("h", target=q) for q in reversed(range(n))))
-        assert np.array_equal(prepare(c).amplitudes, apply(c, StateVector.zero(n)).amplitudes)
-
-
 def test_apply_leaves_its_input_unchanged():
     c = CircuitSpec(1, 1, (GateSpec("h", target=0), GateSpec("r", target=1, theta=0.7),
                            GateSpec("z", target=0), GateSpec("iqft")))
@@ -272,11 +250,28 @@ def test_grover_computes_one_diagonal_however_often_applied(hubo_asc, table, mon
     rng = np.random.default_rng(3)
     for l_ops in (1, 3, 2, 5):
         sampler.sample(1.3, l_ops, rng)
-    # A_y's one phase run, computed when psi = A_y|0> is prepared; G is its
-    # oracle and the reflection about that same psi, and compiles nothing
-    assert diagonals == [sampler.prep.n_qubits]
+    # psi = A_y|0> comes from the value table, so A_y compiles nothing; G is
+    # its oracle and the reflection about that same psi, and compiles nothing
+    assert diagonals == []
     assert [op for op, _ in sampler.grover.plan] == ["z", "reflect"]
     assert sampler.grover.plan[1][1] is sampler.prepared.amplitudes
+
+
+@given(search_polynomials(max_vars=6, bound=1e3), st.floats(-2e3, 2e3, allow_nan=False),
+       st.none() | st.integers(1, 4))
+@example(BinaryPolynomial.constant(2.5, 3), 2.5, None)  # A_y without a phase layer
+@example(BinaryPolynomial.constant(-4.0, 0), 1.0, 2)  # no key qubit
+@settings(deadline=None, max_examples=100)
+def test_sampler_psi_matches_gate_level_state_prep(p, y, widen):
+    # psi from the value table against A_y simulated gate run by gate run.
+    # Both round each phase 2 pi (E(x) - y) k / 2^m to its size, and a row of
+    # psi has norm 1/sqrt(2^n), so past |E - y| ~ 1e2 the bound grows with it
+    sampler = StateVectorSampler(p, None if widen is None else coefficient_width(p) + widen)
+    sampler.sample(y, 0, np.random.default_rng(0))
+    want = apply(build_state_prep(p, y, sampler.m), StateVector.zero(p.n_vars + sampler.m))
+    rounding = 2 * math.pi * np.finfo(float).eps * np.max(np.abs(sampler.values - y))
+    bound = max(1e-12, 8 * rounding / math.sqrt(1 << p.n_vars))
+    assert np.max(np.abs(sampler.prepared.amplitudes - want.amplitudes)) <= bound
 
 
 @given(search_polynomials(max_vars=5, bound=8.0), st.floats(-40.0, 40.0, allow_nan=False),
@@ -308,7 +303,6 @@ def test_the_plan_leaves_equality_hash_and_repr_alone():
     gates = (GateSpec("h", target=0), GateSpec("r", target=1, theta=0.7), GateSpec("iqft"))
     applied, fresh = CircuitSpec(1, 1, gates), CircuitSpec(1, 1, gates)
     apply(applied, StateVector.zero(2))
-    prepare(fresh)  # a circuit is prepared once, so prepare keeps no plan
     assert applied.plan is not None and fresh.plan is None
     assert applied == fresh and hash(applied) == hash(fresh)
     assert repr(applied) == repr(fresh) == f"CircuitSpec(n_key=1, m_val=1, ops={gates!r})"
@@ -537,10 +531,11 @@ def test_every_size_cap_raises_the_budget_error_type():
 
 def test_statevector_draw_peak_memory():
     # peaks in arrays of 2^N amplitudes, traced from a threshold's first
-    # draw on.  Preparing psi = A_y|0> holds the state, A_y's phase vector and
-    # the inverse QFT's output, and so does a threshold change, which drops
-    # the last psi and G first; a Grover draw holds psi, the state being
-    # advanced, apply's copy and the scaled psi the reflection subtracts
+    # draw on.  Writing psi = A_y|0> holds its phases and the FFT's output,
+    # and so does a threshold change, which drops the last psi and G first; a
+    # Grover draw holds psi and the state being advanced, and apply's copy
+    # while it runs or the draw's probabilities and their cumulative sums
+    # after: the reflection takes a block at a time
     rng = np.random.default_rng(1)
     n = 12
     terms = {(i,): float(rng.integers(-6, 7)) for i in range(n)}
@@ -550,7 +545,7 @@ def test_statevector_draw_peak_memory():
     peaks, widths = [], []
     tracemalloc.start()
     try:
-        # prepare psi; the first Grover draw; a later one; a new threshold
+        # write psi; the first Grover draw; a later one; a new threshold
         for at, l_ops in ((y, 0), (y, 2), (y, 2), (y - 1.0, 0)):
             tracemalloc.reset_peak()
             sampler.sample(at, l_ops, rng)
@@ -560,5 +555,5 @@ def test_statevector_draw_peak_memory():
         tracemalloc.stop()
     assert widths == [16] * 4
     prepared, first, later, moved = (peak / (16 << 16) for peak in peaks)
-    assert prepared < 3.25 and first < 4.5 and later < 4.5 and moved < 3.25, \
+    assert prepared < 2.25 and first < 4.0 and later < 4.0 and moved < 2.25, \
         (prepared, first, later, moved)
