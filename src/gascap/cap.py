@@ -137,8 +137,6 @@ def interference_coeff(inst: CapInstance, i: int, k: int) -> float:
             raise IndexError(f"AP index {idx} out of range 0..{inst.n_ap - 1}")
     if i > k:
         i, k = k, i
-    if not inst.assoc[i] or not inst.assoc[k]:
-        raise ValueError("association sets must be nonempty")
 
     def gain(ap: int, users: Sequence[int]) -> float:
         # overflow to inf is caught below, by the finiteness check on C_ik
@@ -246,16 +244,10 @@ def reference_instance() -> CapInstance:
     return instance_from_dict(json.loads(text))
 
 
-def synthetic_instance(
-    n_ap: int,
-    n_ch: int,
-    seed: int,
-    uts_per_ap: int = 2,
-    alpha: float = 1.0,
-    epsilon: float = 0.01,
-) -> CapInstance:
-    """Random instance: APs and users uniform in the unit square, a fixed
-    number of users per AP, Euclidean distances."""
+def synthetic_instance(n_ap: int, n_ch: int, seed: int) -> CapInstance:
+    """Random instance: APs and users uniform in the unit square, two users
+    per AP, Euclidean distances, path-loss exponent 1 and epsilon 0.01."""
+    uts_per_ap = 2
     rng = np.random.default_rng(seed)
     n_ut = n_ap * uts_per_ap
     ap_xy = rng.uniform(0.0, 1.0, size=(n_ap, 2))
@@ -266,6 +258,6 @@ def synthetic_instance(
         tuple(range(i * uts_per_ap, (i + 1) * uts_per_ap)) for i in range(n_ap)
     )
     return CapInstance(
-        n_ap=n_ap, n_ch=n_ch, alpha=alpha,
-        distances=dist, assoc=assoc, epsilon=epsilon,
+        n_ap=n_ap, n_ch=n_ch, alpha=1.0,
+        distances=dist, assoc=assoc, epsilon=0.01,
     )

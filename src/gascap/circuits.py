@@ -192,16 +192,11 @@ def _width(lo: float, hi: float) -> int:
     return m
 
 
-def value_register_width(
-    p: BinaryPolynomial, bounds: tuple[float, float] | None = None
-) -> int:
-    """Width m such that every coefficient and the value range fit the two's
-    complement; ``bounds`` overrides the interval-arithmetic estimate when
-    tighter (min, max) enclosures are known."""
-    if bounds is None:
-        st = p.stats()
-        bounds = (st.min_value_bound, st.max_value_bound)
-    values = np.fromiter((*bounds, *p.terms.values()), np.float64)
+def value_register_width(p: BinaryPolynomial) -> int:
+    """Width m such that every coefficient and the interval-arithmetic
+    value range fit the two's complement."""
+    st = p.stats()
+    values = np.fromiter((st.min_value_bound, st.max_value_bound, *p.terms.values()), np.float64)
     return _width(values.min(), values.max())  # numpy's extremes keep a NaN
 
 
@@ -218,16 +213,22 @@ def coefficient_width(p: BinaryPolynomial, y: float = 0.0) -> int:
 
 
 def qubo_width(n_ap: int, n_ch: int, d_sum: float, w: float) -> int:
-    """Closed-form width for the one-hot objective: max(E) = N_CH * D_sum +
-    w * N_AP * (N_CH - 1)^2, plus the sign bit, which is the whole register
-    when max(E) <= 1/2."""
+    """The paper's closed-form width for the one-hot objective: ceil(log2
+    max(E)) plus the sign bit, with max(E) = N_CH * D_sum + w * N_AP *
+    (N_CH - 1)^2, and the sign bit alone when max(E) <= 1/2.  When max(E) is
+    a power of two the register stops one short of it: at 4 x 2 under the
+    uniform table max(E) = 16 and m = 5, where ``value_register_width`` gives
+    6.  The formula is kept as the paper states it."""
     max_e = n_ch * d_sum + w * n_ap * (n_ch - 1) ** 2
     return max(1, math.ceil(math.log2(max_e)) + 1)
 
 
 def hubo_width_closed_form(d_sum: float) -> int:
-    """Closed-form width for the binary-encoded objective: max(E') = D_sum,
-    plus the sign bit, which is the whole register when D_sum <= 1/2."""
+    """The paper's closed-form width for the binary-encoded objective:
+    ceil(log2 max(E')) plus the sign bit, with max(E') = D_sum, and the sign
+    bit alone when D_sum <= 1/2.  As in ``qubo_width`` the register stops
+    one short of max(E') when D_sum is a power of two; the formula is kept
+    as the paper states it."""
     return max(1, math.ceil(math.log2(d_sum)) + 1)
 
 

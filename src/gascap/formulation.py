@@ -169,23 +169,20 @@ def _qubo_from_table(table: CoeffTable, n_ch: int, w: float) -> Formulation:
     n_ap = table.n_ap
     n_vars = n_ap * n_ch
     layout = {(i, c): i * n_ch + (c - 1) for i in range(n_ap) for c in range(1, n_ch + 1)}
+    # every support below is sorted and written once
     terms: dict[tuple[int, ...], float] = {}
-
-    def bump(support: tuple[int, ...], coeff: float):
-        terms[support] = terms.get(support, 0.0) + coeff
-
     for i in range(n_ap):
         for k in range(i + 1, n_ap):
             for c in range(1, n_ch + 1):
-                bump((layout[(i, c)], layout[(k, c)]), float(table.d[i, k]))
+                terms[(layout[(i, c)], layout[(k, c)])] = float(table.d[i, k])
     # (sum_c x - 1)^2 = 1 - sum_c x + 2 sum_{c<l} x_c x_l  on binary variables
-    bump((), w * n_ap)
+    terms[()] = w * n_ap
     for i in range(n_ap):
         for c in range(1, n_ch + 1):
-            bump((layout[(i, c)],), -w)
+            terms[(layout[(i, c)],)] = -w
         for c in range(1, n_ch + 1):
             for l in range(c + 1, n_ch + 1):
-                bump(tuple(sorted((layout[(i, c)], layout[(i, l)]))), 2.0 * w)
+                terms[(layout[(i, c)], layout[(i, l)])] = 2.0 * w
 
     return Formulation(
         encoding=Encoding.ONE_HOT,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cap import CapInstance, CoeffTable, assignment_interference
-from .poly import BitVector, BudgetExceededError, int_to_bits
+from .poly import BudgetExceededError, bits_to_int
 from .simulator import IdealSampler
 
 
@@ -55,7 +55,7 @@ class GasIteration:
     y_i: float
     k_i: float
     l_i: int
-    sampled_x: BitVector
+    sampled_key: int  # the sampler's index into its value table, x_0 most significant
     sampled_y: float
     improved: bool
 
@@ -63,7 +63,7 @@ class GasIteration:
 @dataclass
 class GasTrace:
     iterations: list[GasIteration] = field(default_factory=list)
-    best_x: BitVector = ()
+    best_key: int = 0
     best_y: float = math.inf
     classical_queries: int = 0
     quantum_queries: int = 0
@@ -77,9 +77,9 @@ def run_gas(sampler: IdealSampler, cfg: GasConfig, rng: np.random.Generator) -> 
     sqrt_space = math.sqrt(2.0 ** n)
 
     trace = GasTrace()
-    x = tuple(int(b) for b in rng.integers(0, 2, size=n))
+    x = rng.integers(0, 2, size=n).tolist()
     trace.classical_queries = 1
-    trace.best_x, trace.best_y = x, p.evaluate(x)
+    trace.best_key, trace.best_y = bits_to_int(x), p.evaluate(x)
 
     k = 1.0
     while True:
@@ -95,18 +95,17 @@ def run_gas(sampler: IdealSampler, cfg: GasConfig, rng: np.random.Generator) -> 
         key = sampler.sample(trace.best_y, l_i, rng)
         # evaluate_all equals evaluate bit for bit, so the table is exact
         y_new = float(sampler.values[key])
-        x_new = int_to_bits(key, n)
         improved = y_new < trace.best_y
         trace.iterations.append(
             GasIteration(
                 i=i, y_i=trace.best_y, k_i=k, l_i=l_i,
-                sampled_x=x_new, sampled_y=y_new, improved=improved,
+                sampled_key=key, sampled_y=y_new, improved=improved,
             )
         )
         trace.classical_queries += 1
         trace.quantum_queries += l_i
         if improved:
-            trace.best_x, trace.best_y = x_new, y_new
+            trace.best_key, trace.best_y = key, y_new
             k = 1.0
         else:
             k = min(LAMBDA * k, sqrt_space)

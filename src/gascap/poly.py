@@ -217,7 +217,6 @@ class BinaryPolynomial:
     # -- analysis -----------------------------------------------------
 
     def stats(self) -> "PolyStats":
-        coeffs = list(self.terms.values())
         # interval arithmetic: each monomial contributes 0 or its coefficient,
         # except the constant term which always contributes
         const = self.constant_term
@@ -226,10 +225,8 @@ class BinaryPolynomial:
         return PolyStats(
             degree=self.degree,
             term_count=len(self.terms),
-            max_abs_coeff=max((abs(c) for c in coeffs), default=0.0),
             min_value_bound=lo,
             max_value_bound=hi,
-            all_integer=all(float(c).is_integer() for c in coeffs),
         )
 
     def exhaustive_min(self) -> tuple[BitVector, float]:
@@ -239,11 +236,6 @@ class BinaryPolynomial:
         """
         values = self.evaluate_all()
         best = int(np.argmin(values))  # argmin returns the first = lex smallest
-        return int_to_bits(best, self.n_vars), float(values[best])
-
-    def exhaustive_max(self) -> tuple[BitVector, float]:
-        values = self.evaluate_all()
-        best = int(np.argmax(values))
         return int_to_bits(best, self.n_vars), float(values[best])
 
     # -- text format ---------------------------------------------------
@@ -261,10 +253,8 @@ class BinaryPolynomial:
 class PolyStats:
     degree: int
     term_count: int
-    max_abs_coeff: float
     min_value_bound: float
     max_value_bound: float
-    all_integer: bool
 
 
 def loads_poly(text: str, n_vars: int) -> BinaryPolynomial:

@@ -188,13 +188,16 @@ def apply(c: CircuitSpec, s: StateVector) -> StateVector:
 def sample(s: StateVector, rng: np.random.Generator) -> int:
     """Draw one computational-basis outcome; returns its index, key * 2^m +
     value, so ``index >> m`` is the key."""
-    probs = s.probabilities()
-    probs = probs / probs.sum()
-    # what ``rng.choice(probs.size, p=probs)`` computes, the same index and
-    # draw, without its validation passes over the probabilities
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    # what ``rng.choice(p.size, p=p)`` computes, the same index and draw,
+    # without its validation passes, in one half-size array: |a|^2 squares
+    # |a| and the cumulative sum (``cumsum``'s own kernel) runs in place,
+    # with the bits of the out-of-place forms
+    p = np.abs(s.amplitudes)
+    np.multiply(p, p, out=p)
+    p /= p.sum()
+    np.add.accumulate(p, out=p)
+    p /= p[-1]
+    return int(p.searchsorted(rng.random(), side="right"))
 
 
 def marked_probability(s: StateVector, marked_keys: np.ndarray, m_val: int) -> float:

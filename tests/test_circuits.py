@@ -32,7 +32,6 @@ def fig_poly():
 def test_value_register_width_reference():
     # max value 2 needs the strict inequality: 2 < 2^(m-1) forces m = 3
     assert value_register_width(fig_poly()) == 3
-    assert value_register_width(fig_poly(), bounds=(-0.8, 2.0)) == 3
 
 
 def test_value_register_width_zero_polynomial():
@@ -40,9 +39,9 @@ def test_value_register_width_zero_polynomial():
 
 
 def test_value_register_width_monotone_in_bounds():
-    p = BinaryPolynomial(2, {(0,): 1.0})
-    assert value_register_width(p, bounds=(0.0, 1.0)) == 2
-    assert value_register_width(p, bounds=(0.0, 100.0)) == 8
+    # four coefficients of 25 fit six bits, their sum 100 needs eight
+    assert value_register_width(BinaryPolynomial(2, {(0,): 1.0})) == 2
+    assert value_register_width(BinaryPolynomial(4, {(i,): 25.0 for i in range(4)})) == 8
 
 
 def test_coefficient_width_reference_circuit(hubo_desc, table):
@@ -58,10 +57,9 @@ def test_sizing_rules_differ_on_reference_objective(hubo_desc):
     # coefficient rule here: the objective's true maximum 8.527 does not fit
     # [-8, 8).  The compiled circuit accepts the rare wraparound because the
     # adaptive loop re-evaluates every sample classically.
-    _, lo = hubo_desc.objective.exhaustive_min()
-    _, hi = hubo_desc.objective.exhaustive_max()
+    hi = hubo_desc.objective.evaluate_all().max()
     assert hi == pytest.approx(8.527, abs=5e-3)
-    assert value_register_width(hubo_desc.objective, bounds=(lo, hi)) == 5
+    assert 2.0 ** 3 <= hi < 2.0 ** 4  # past four signed bits, within five
     assert coefficient_width(hubo_desc.objective) == 4
 
 

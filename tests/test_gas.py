@@ -27,7 +27,7 @@ from gascap import (
 )
 from gascap import gas
 from gascap.gas import ORACLE_BUDGET, GasIteration, co_channel_partition
-from gascap.poly import int_to_bits
+from gascap.poly import bits_to_int, int_to_bits
 
 
 def test_config_requires_a_termination_rule():
@@ -125,7 +125,8 @@ def test_invalid_samples_are_evaluated_not_rejected(qubo):
     cfg = GasConfig(max_classical_iters=60, master_seed=13)
     trace = run_gas(IdealSampler(qubo.objective), cfg, np.random.default_rng(13))
     for it in trace.iterations:
-        assert it.sampled_y == pytest.approx(qubo.objective.evaluate(it.sampled_x))
+        x = int_to_bits(it.sampled_key, qubo.objective.n_vars)
+        assert it.sampled_y == pytest.approx(qubo.objective.evaluate(x))
 
 
 def test_gas_finds_optimum_with_generous_budget(hubo_desc):
@@ -294,7 +295,7 @@ def reference_run_gas(p, cfg, rng, sampler):
     trace = GasTrace()
     x = tuple(int(b) for b in rng.integers(0, 2, size=n))
     trace.classical_queries = 1
-    trace.best_x, trace.best_y = x, p.evaluate(x)
+    trace.best_key, trace.best_y = bits_to_int(x), p.evaluate(x)
     k, i = 1.0, 0
     while True:
         if cfg.max_classical_iters is not None and i >= cfg.max_classical_iters:
@@ -304,17 +305,17 @@ def reference_run_gas(p, cfg, rng, sampler):
         if cfg.max_quantum_queries is not None and trace.quantum_queries >= cfg.max_quantum_queries:
             break
         l_i = int(rng.integers(0, math.ceil(k - 1.0) + 1))
-        x_new = int_to_bits(sampler.sample(trace.best_y, l_i, rng), n)
-        y_new = p.evaluate(x_new)
+        key = sampler.sample(trace.best_y, l_i, rng)
+        y_new = p.evaluate(int_to_bits(key, n))
         improved = y_new < trace.best_y
         trace.iterations.append(GasIteration(
             i=i, y_i=trace.best_y, k_i=k, l_i=l_i,
-            sampled_x=x_new, sampled_y=y_new, improved=improved,
+            sampled_key=key, sampled_y=y_new, improved=improved,
         ))
         trace.classical_queries += 1
         trace.quantum_queries += l_i
         if improved:
-            trace.best_x, trace.best_y = x_new, y_new
+            trace.best_key, trace.best_y = key, y_new
             k = 1.0
         else:
             k = min(8.0 / 7.0 * k, sqrt_space)
@@ -436,10 +437,12 @@ def test_statevector_queries_are_charged_per_draw(hubo_asc):
 @settings(deadline=None, max_examples=20)
 def test_statevector_values_are_the_evaluated_keys(p, seed):
     cfg = GasConfig(max_classical_iters=12, master_seed=seed)
-    trace = run_gas(StateVectorSampler(p), cfg, run_seed(0, seed))
-    assert trace.best_y == p.evaluate(trace.best_x)
+    sampler = StateVectorSampler(p)
+    trace = run_gas(sampler, cfg, run_seed(0, seed))
+    best_x = int_to_bits(trace.best_key, p.n_vars)
+    assert trace.best_y == sampler.values[trace.best_key] == p.evaluate(best_x)
     for it in trace.iterations:
-        assert it.sampled_y == p.evaluate(it.sampled_x)
+        assert it.sampled_y == p.evaluate(int_to_bits(it.sampled_key, p.n_vars))
         assert type(it.sampled_y) is float
 
 

@@ -151,7 +151,6 @@ def test_stats_reference_polynomial():
     st = fig_poly().stats()
     assert st.degree == 3
     assert st.term_count == 3
-    assert st.max_abs_coeff == pytest.approx(1.8)
     # exhaustive extrema of this polynomial are exactly -0.8 and 2
     assert st.min_value_bound <= -0.8
     assert st.max_value_bound >= 2.0
@@ -161,7 +160,6 @@ def test_stats_constant():
     st = BinaryPolynomial.constant(5.0).stats()
     assert st.degree == 0
     assert (st.min_value_bound, st.max_value_bound) == (5.0, 5.0)
-    assert st.all_integer
 
 
 def test_stats_bounds_enclose_exhaustive_range():

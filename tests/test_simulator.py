@@ -518,7 +518,7 @@ def test_ideal_sampler_cap():
 
 def test_every_size_cap_raises_the_budget_error_type():
     big = BinaryPolynomial.zero(25)
-    calls = (big.evaluate_all, big.exhaustive_min, big.exhaustive_max,
+    calls = (big.evaluate_all, big.exhaustive_min,
              lambda: IdealSampler(big),
              # the cap is checked before the amplitudes are touched
              lambda: apply(CircuitSpec(25, 0, ()), StateVector(25, np.zeros(1))))
@@ -534,8 +534,8 @@ def test_statevector_draw_peak_memory():
     # draw on.  Writing psi = A_y|0> holds its phases and the FFT's output,
     # and so does a threshold change, which drops the last psi and G first; a
     # Grover draw holds psi and the state being advanced, and apply's copy
-    # while it runs or the draw's probabilities and their cumulative sums
-    # after: the reflection takes a block at a time
+    # while it runs or the draw's half-size probabilities after: the
+    # reflection takes a block at a time
     rng = np.random.default_rng(1)
     n = 12
     terms = {(i,): float(rng.integers(-6, 7)) for i in range(n)}
@@ -555,5 +555,20 @@ def test_statevector_draw_peak_memory():
         tracemalloc.stop()
     assert widths == [16] * 4
     prepared, first, later, moved = (peak / (16 << 16) for peak in peaks)
-    assert prepared < 2.25 and first < 4.0 and later < 4.0 and moved < 2.25, \
+    assert prepared < 2.25 and first < 3.5 and later < 3.5 and moved < 2.25, \
         (prepared, first, later, moved)
+
+
+def test_draw_peak_memory_is_half_an_array():
+    # one draw holds one float array of 2^N: |a|^2 and its cumulative sums
+    # are written in place
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
+    sv = StateVector(16, amps / np.linalg.norm(amps))
+    tracemalloc.start()
+    try:
+        sample(sv, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 << 16) < 0.55, peak / (16 << 16)
