@@ -75,6 +75,7 @@ from .simulator import (
     StateVectorSampler,
     amplified_probability,
     apply,
+    key_cdf,
     marked_probability,
     sample,
 )

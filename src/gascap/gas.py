@@ -13,7 +13,8 @@ initial uniform sample); quantum queries = the L_i Grover operators each
 draw asks for.  The charge is per draw, as on hardware, where every draw
 prepares its state afresh.  The backend is the sampler that draws each
 key: ``IdealSampler``, or ``StateVectorSampler``, which simulates A_y|0> once
-per threshold and then exactly the operators it charges.
+per threshold and keeps the key distribution of each (y_i, L_i) it draws
+from, so it applies at most the operators it charges.
 """
 
 from __future__ import annotations

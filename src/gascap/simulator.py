@@ -18,7 +18,10 @@ different fidelity/cost trade-offs:
   ``apply`` compiles a circuit once into numpy steps (see ``_compile``).
   The sampler writes psi = A_y|0> straight from the value table, since A_y
   puts E(x) - y into the value register, and runs each Grover operator as
-  its oracle and one O(2^N) reflection about that psi.
+  its oracle and one O(2^N) reflection about that psi.  A draw reads only
+  the key distribution (``key_cdf``) of G^L psi, which depends on (y, L)
+  alone, so the sampler keeps a bounded memo of them and simulates each
+  (y, L) once while its entry lives.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .circuits import CircuitSpec, Op, PhaseLayer, build_grover, build_state_pre
 from .poly import BinaryPolynomial, CapExceededError
 
 DEFAULT_QUBIT_CAP = 24
-_REFLECT_BLOCK = 1 << 13  # amplitudes per step of the reflection about psi
+_BLOCK = 1 << 13  # amplitudes per step of the blocked kernels, ``reflect`` and ``z``
 
 
 def _check_cap(n_qubits: int) -> None:
@@ -166,13 +169,18 @@ def apply(c: CircuitSpec, s: StateVector) -> StateVector:
             # a block at a time, so the scaled psi is never a full-size
             # temporary that each Grover operator frees and faults back in
             scale = 2.0 * np.vdot(arg, amps)
-            for lo in range(0, amps.size, _REFLECT_BLOCK):
-                block = amps[lo:lo + _REFLECT_BLOCK]
-                np.subtract(arg[lo:lo + _REFLECT_BLOCK] * scale, block, out=block)
+            for lo in range(0, amps.size, _BLOCK):
+                block = amps[lo:lo + _BLOCK]
+                np.subtract(arg[lo:lo + _BLOCK] * scale, block, out=block)
         elif op == "h":
             amps = _apply_h(amps, arg, n_total)
         elif op == "z":
-            amps.reshape(1 << arg, 2, -1)[:, 1, :] *= -1.0
+            # row blocks: numpy buffers the strided half it negates, so one
+            # pass over every row would take a quarter of an array
+            rows = amps.reshape(1 << arg, 2, -1)
+            step = max(1, _BLOCK // rows[0].size)
+            for lo in range(0, rows.shape[0], step):
+                rows[lo:lo + step, 1, :] *= -1.0
         elif op == "iqft":
             # exp(-2 pi i jk / 2^m) / sqrt(2^m): numpy's forward transform
             amps = np.fft.fft(amps.reshape(-1, 1 << m), axis=1, norm="ortho").reshape(-1)
@@ -185,19 +193,32 @@ def apply(c: CircuitSpec, s: StateVector) -> StateVector:
     return _checked(n_total, amps)
 
 
-def sample(s: StateVector, rng: np.random.Generator) -> int:
-    """Draw one computational-basis outcome; returns its index, key * 2^m +
-    value, so ``index >> m`` is the key."""
-    # what ``rng.choice(p.size, p=p)`` computes, the same index and draw,
-    # without its validation passes, in one half-size array: |a|^2 squares
-    # |a| and the cumulative sum (``cumsum``'s own kernel) runs in place,
-    # with the bits of the out-of-place forms
+def key_cdf(s: StateVector, m: int = 0) -> np.ndarray:
+    """The cumulative distribution of the keys measured on ``s``, a key being
+    the index over the low ``m`` qubits: entry k is the chance that the index
+    lies in rows 0..k of 2^m amplitudes.  With ``m`` = 0 a key is the index.
+
+    The cumulative sums are monotone, so the first index above a uniform u
+    lies in row k exactly when row k's end is the first row end above u:
+    ``sample(key_cdf(s, m), rng) == sample(key_cdf(s), rng) >> m``, from the
+    same draw.
+    """
+    # the bits ``rng.choice(p.size, p=p)`` searches, in one half-size array:
+    # |a|^2 squares |a| and the cumulative sum (``cumsum``'s own kernel) runs
+    # in place, with the bits of the out-of-place forms
     p = np.abs(s.amplitudes)
     np.multiply(p, p, out=p)
     p /= p.sum()
     np.add.accumulate(p, out=p)
     p /= p[-1]
-    return int(p.searchsorted(rng.random(), side="right"))
+    return p[(1 << m) - 1::1 << m].copy() if m else p
+
+
+def sample(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw one entry of a cumulative distribution such as ``key_cdf``'s:
+    the index ``rng.choice`` returns and the one uniform draw it makes,
+    without its validation passes."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def marked_probability(s: StateVector, marked_keys: np.ndarray, m_val: int) -> float:
@@ -260,40 +281,66 @@ class StateVectorSampler(IdealSampler):
 
     The value register is ``value_width`` qubits, by default
     ``coefficient_width(p)``, and wider where the constant folded with -y
-    needs it.  The sampler keeps one threshold's A_y, psi = A_y|0> and, once
-    a draw needs it, G: the threshold moves only when a draw improves.  A_y
-    writes E(x) - y into the value register, so psi comes from the value
-    table: key x's row is the orthonormal FFT of exp(2 pi i (E(x) - y) k /
-    2^m) over k = 0..2^m-1, scaled by 1/sqrt(2^(n+m)).  A_y is still built,
-    for its coefficient range check and as G's source.  G = A_y D A_y^dagger
-    O is given its plan here, its oracle ``z`` and the reflection 2|psi><psi|
-    - I about the psi already held, so each Grover operator costs O(2^N) and
-    G compiles nothing.
+    needs it.  A draw needs only the key distribution of G^L A_y|0>, which
+    depends on (y, L) alone, so the sampler keeps it: ``cdfs`` maps (y, L)
+    to ``key_cdf`` of that state, 2^n floats, and the register width, and
+    drops the least recently drawn entry past ``2 << base_m`` of them, the
+    bytes of one state at the base width.  A repeated (y, L) costs one
+    search; only a new one is simulated.
+
+    For that the sampler keeps one threshold's A_y, psi = A_y|0>, once a draw
+    needs it G, and the frontier G^{L_f} psi, the state furthest advanced at
+    that threshold.  A_y writes E(x) - y into the value register, so psi
+    comes from the value table: key x's row is the orthonormal FFT of
+    exp(2 pi i (E(x) - y) k / 2^m) over k = 0..2^m-1, scaled by
+    1/sqrt(2^(n+m)).  A_y is still built, for its coefficient range check and
+    as G's source.  G = A_y D A_y^dagger O is given its plan here, its oracle
+    ``z`` and the reflection 2|psi><psi| - I about the psi already held, so
+    each Grover operator costs O(2^N) and G compiles nothing.  An L at or
+    past L_f advances the frontier; a smaller one starts again from psi.
     """
 
     def __init__(self, p: BinaryPolynomial, value_width: int | None = None):
         super().__init__(p)
         self.base_m = value_width if value_width is not None else coefficient_width(p)
+        self.cdfs: dict[tuple[float, int], tuple[np.ndarray, int]] = {}  # oldest draw first
         self.at_y: float | None = None
-        self.prep = self.grover = self.prepared = None
+        self.prep = self.grover = self.prepared = self.front = None
+        self.front_l = 0
 
     def sample(self, y: float, l_ops: int, rng: np.random.Generator) -> int:
+        entry = self.cdfs.pop((y, l_ops), None)
+        if entry is None:
+            entry = self._simulate(y, l_ops)
+            if len(self.cdfs) >= 2 << self.base_m:
+                del self.cdfs[next(iter(self.cdfs))]
+        self.cdfs[y, l_ops] = entry
+        cdf, self.m = entry
+        return sample(cdf, rng)
+
+    def _simulate(self, y: float, l_ops: int) -> tuple[np.ndarray, int]:
+        """The key cdf of G^L psi at threshold ``y`` and its register width."""
         if y != self.at_y:
-            self.prepared = self.grover = None  # freed before the next psi is written
-            self.at_y, self.m = y, max(self.base_m, coefficient_width(self.p, y))
-            self.prep = build_state_prep(self.p, y, self.m)
-            self.prepared = self._psi(y)
+            self.prepared = self.grover = self.front = None  # freed before the next psi is written
+            m = max(self.base_m, coefficient_width(self.p, y))
+            self.at_y, self.prep = y, build_state_prep(self.p, y, m)
+            self.prepared = self._psi(y, m)
+            self.front, self.front_l = self.prepared, 0
+        m = self.prep.m_val
         if l_ops and self.grover is None:
             self.grover = build_grover(self.prep)
             plan = (("z", self.prep.n_key), ("reflect", self.prepared.amplitudes))
             object.__setattr__(self.grover, "plan", plan)
-        state = self.prepared
-        for _ in range(l_ops):
-            state = apply(self.grover, state)
-        return sample(state, rng) >> self.m
+        state, done = (self.front, self.front_l) if l_ops >= self.front_l else (self.prepared, 0)
+        if l_ops > done:
+            self.front = None  # so apply holds psi, the state and its copy
+            for _ in range(l_ops - done):
+                state = apply(self.grover, state)
+            self.front, self.front_l = state, l_ops
+        return key_cdf(state, m), m
 
-    def _psi(self, y: float) -> StateVector:
-        n_total, size = self.n_vars + self.m, 1 << self.m
+    def _psi(self, y: float, m: int) -> StateVector:
+        n_total, size = self.n_vars + m, 1 << m
         rows = StateVector.zero(n_total).amplitudes.reshape(-1, size)  # checks the cap first
         rows[0, 0] = 0.0
         np.multiply.outer(self.values - y, np.arange(size) * (2.0 * math.pi / size), out=rows.imag)

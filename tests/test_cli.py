@@ -293,6 +293,22 @@ def test_solve_statevector_output_is_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+def test_solve_statevector_benchmark_size_output_is_pinned(tmp_path):
+    # sha256 of the outputs while every draw simulated its state afresh; at
+    # 25 runs per formulation the draws revisit thresholds and rotation counts
+    out = tmp_path / "pin-sv-25"
+    assert main(["solve", "--backend", "sv", "--formulation", "hubo-asc",
+                 "--formulation", "hubo-desc", "--runs", "25", "--seed", "4",
+                 "--out", str(out)]) == 0
+    want = {
+        "summary.json": "dc9905dca3935f596e6ae62ede1719f48609558e18e3f71bfb0b8d64e4e4389e",
+        "trace_hubo-asc.csv": "709216d3ade7157e40c27acb6e135e66c6821c0cd5c40c42e345f76445bf15b8",
+        "trace_hubo-desc.csv": "c80ad202d2f5c8ab37fbdaf64d9c3a1f01122d0f69e7a49791d817bd6d06170b",
+    }
+    for name, digest in want.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 def test_solve_frees_each_value_table_before_the_next(tmp_path):
     # a sampler holds its objective's value table, three arrays of 2^18
     # entries at 18 variables; the second formulation's search must not

@@ -18,6 +18,7 @@ from gascap import (
     build_grover,
     build_state_prep,
     coefficient_width,
+    key_cdf,
     run_batch,
     run_gas,
     run_seed,
@@ -274,14 +275,32 @@ def test_statevector_builds_circuits_once_per_threshold(hubo_asc, monkeypatch):
     assert seen["grover"] == amplified
 
 
-def test_statevector_applies_every_charged_operator(hubo_asc, monkeypatch):
+def test_statevector_simulates_each_draw_once_while_kept(hubo_asc, monkeypatch):
+    # the draws of a batch repeat (threshold, L) pairs; the sampler keeps the
+    # key distribution of each and simulates a pair again only once its entry
+    # is gone, so it applies fewer Grover operators than it charges
     seen = spy_statevector_draw(monkeypatch)
+    simulated = []
+    simulate = StateVectorSampler._simulate
+
+    def spy(self, y, l_ops):
+        assert (y, l_ops) not in self.cdfs
+        simulated.append((y, l_ops))
+        return simulate(self, y, l_ops)
+
+    monkeypatch.setattr(StateVectorSampler, "_simulate", spy)
     cfg = GasConfig(max_classical_iters=40, master_seed=3)
     p = hubo_asc.objective
-    trace = run_gas(StateVectorSampler(p), cfg, run_seed(0, 3))
-    by_y = draws_by_threshold(trace)
-    assert seen["applied"] == {y: sum(l_seq) for y, l_seq in by_y.items() if any(l_seq)}
-    assert sum(seen["applied"].values()) == trace.quantum_queries > 0
+    sampler = StateVectorSampler(p)
+    got = list(run_batch(sampler, cfg, 6))
+    monkeypatch.undo()
+    want = [reference_run_gas(p, cfg, run_seed(i, 3), PerDrawStatevector(p)) for i in range(6)]
+    assert repr(got) == repr(want)
+    draws = sum(len(t.iterations) for t in got)
+    charged = sum(t.quantum_queries for t in got)
+    assert 0 < sum(seen["applied"].values()) < charged
+    assert len(simulated) < draws
+    assert len(sampler.cdfs) <= 2 << sampler.base_m
 
 
 # -- table lookups against re-evaluation ---------------------------------
@@ -367,7 +386,7 @@ class PerDrawStatevector:
         state = self.prepared
         for _ in range(l_ops):
             state = apply(self.grover, state)
-        return sample(state, rng) >> self.m
+        return sample(key_cdf(state), rng) >> self.m
 
 
 def sv_width(p, widen):
@@ -402,6 +421,30 @@ def test_statevector_sampler_equals_per_draw_reference(p, seed, widen, l_ops, y1
         # a key's total probability rarely depends on the register width, so
         # check the width itself
         assert got_sampler.m == want_sampler.m
+
+
+@given(search_polynomials(max_vars=4, bound=8.0), st.integers(0, 2**32 - 1),
+       st.sampled_from([None, 1, 2]),
+       st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5)), min_size=1, max_size=30))
+@example(BinaryPolynomial(2, {(0,): 1.0, (1,): -2.0}), 0, 1, [0.5, -1.0],
+         [(0, 3), (0, 1), (0, 3), (1, 2), (1, 0), (0, 4), (1, 1), (1, 5), (0, 2), (0, 3), (1, 2)])
+@settings(deadline=None, max_examples=60)
+def test_statevector_memo_equals_per_draw_reference(p, seed, width, thresholds, draws):
+    # revisited thresholds, a smaller L after a larger one (the frontier
+    # starts again from psi) and, with a 1- or 2-qubit base register, more
+    # distinct draws than the memo keeps (4 or 8 entries)
+    got_sampler, want_sampler = StateVectorSampler(p, width), PerDrawStatevector(p, width)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    kept = []  # the draws the memo should hold, least recently drawn first
+    for at, l_ops in draws:
+        y = thresholds[at % len(thresholds)]
+        assert got_sampler.sample(y, l_ops, got_rng) == want_sampler.sample(y, l_ops, want_rng)
+        assert got_sampler.m == want_sampler.m
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        kept = [d for d in kept if d != (y, l_ops)] + [(y, l_ops)]
+        kept = kept[-(2 << got_sampler.base_m):]
+        assert list(got_sampler.cdfs) == kept
 
 
 def test_shared_statevector_sampler_equals_fresh_per_run(hubo_asc, monkeypatch):

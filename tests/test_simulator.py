@@ -17,6 +17,7 @@ from gascap import (
     apply,
     build_grover,
     build_state_prep,
+    key_cdf,
     marked_probability,
     sample,
     value_register_width,
@@ -350,16 +351,16 @@ def test_sampling_is_seed_deterministic():
     p = BinaryPolynomial(3, {(0,): 1.0, (1, 2): -2.0})
     c = build_state_prep(p, 0.0, m=3)
     sv = apply(c, StateVector.zero(c.n_qubits))
-    a = [sample(sv, np.random.default_rng(9)) for _ in range(5)]
-    b = [sample(sv, np.random.default_rng(9)) for _ in range(5)]
+    a = [sample(key_cdf(sv), np.random.default_rng(9)) for _ in range(5)]
+    b = [sample(key_cdf(sv), np.random.default_rng(9)) for _ in range(5)]
     assert a == b
 
 
 def test_sample_of_deterministic_state():
-    assert sample(StateVector.zero(4), np.random.default_rng(0)) == 0
+    assert sample(key_cdf(StateVector.zero(4)), np.random.default_rng(0)) == 0
     amps = np.zeros(16, dtype=np.complex128)
     amps[0b1011] = 1j
-    assert sample(StateVector(4, amps), np.random.default_rng(0)) == 0b1011
+    assert sample(key_cdf(StateVector(4, amps)), np.random.default_rng(0)) == 0b1011
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
@@ -375,8 +376,25 @@ def test_sample_draws_what_rng_choice_draws(n, state_seed, seed, sparsity):
     sv = StateVector(n, amps / np.linalg.norm(amps))
     probs = sv.probabilities()
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert sample(sv, got_rng) == int(want_rng.choice(probs.size, p=probs / probs.sum()))
+    assert sample(key_cdf(sv), got_rng) == int(want_rng.choice(probs.size, p=probs / probs.sum()))
     assert got_rng.random() == want_rng.random()
+
+
+@given(st.integers(0, 6), st.integers(0, 4), st.integers(0, 2**32 - 1),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@settings(deadline=None, max_examples=200)
+def test_key_cdf_row_ends_draw_the_key(n, m, state_seed, seed, sparsity):
+    # the draw from row ends is the key of the draw from every amplitude,
+    # from the same uniform; zero rows make flat stretches of the cdf
+    rng = np.random.default_rng(state_seed)
+    size = 1 << (n + m)
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    amps[rng.random(size) < sparsity] = 0.0
+    amps[rng.integers(size)] += 1.0
+    sv = StateVector(n + m, amps / np.linalg.norm(amps))
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert sample(key_cdf(sv, m), got_rng) == sample(key_cdf(sv), want_rng) >> m
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_sampled_key_frequencies_roughly_uniform():
@@ -384,10 +402,11 @@ def test_sampled_key_frequencies_roughly_uniform():
     c = build_state_prep(p, 0.0, m=2)
     sv = apply(c, StateVector.zero(c.n_qubits))
     rng = np.random.default_rng(123)
+    cdf = key_cdf(sv, 2)  # keys above a 2-qubit value register
     counts = np.zeros(8)
     draws = 10_000
     for _ in range(draws):
-        counts[sample(sv, rng) >> 2] += 1  # the key above a 2-qubit value register
+        counts[sample(cdf, rng)] += 1
     # five-sigma band around the uniform expectation
     expect = draws / 8
     sigma = math.sqrt(draws * (1 / 8) * (7 / 8))
@@ -529,6 +548,17 @@ def test_every_size_cap_raises_the_budget_error_type():
         assert isinstance(info.value, ValueError)
 
 
+def _peak_sampler():
+    """A sampler on 12 key and 4 value qubits, a threshold inside its range
+    and a generator."""
+    rng = np.random.default_rng(1)
+    n = 12
+    terms = {(i,): float(rng.integers(-6, 7)) for i in range(n)}
+    terms.update({(i, i + 1): float(rng.integers(-6, 7)) for i in range(n - 1)})
+    sampler = StateVectorSampler(BinaryPolynomial(n, terms))
+    return sampler, float(np.median(sampler.values)) + 0.5, rng
+
+
 def test_statevector_draw_peak_memory():
     # peaks in arrays of 2^N amplitudes, traced from a threshold's first
     # draw on.  Writing psi = A_y|0> holds its phases and the FFT's output,
@@ -536,12 +566,8 @@ def test_statevector_draw_peak_memory():
     # Grover draw holds psi and the state being advanced, and apply's copy
     # while it runs or the draw's half-size probabilities after: the
     # reflection takes a block at a time
-    rng = np.random.default_rng(1)
-    n = 12
-    terms = {(i,): float(rng.integers(-6, 7)) for i in range(n)}
-    terms.update({(i, i + 1): float(rng.integers(-6, 7)) for i in range(n - 1)})
-    sampler = StateVectorSampler(BinaryPolynomial(n, terms))
-    y = float(np.median(sampler.values)) + 0.5
+    sampler, y, rng = _peak_sampler()
+    n = sampler.n_vars
     peaks, widths = [], []
     tracemalloc.start()
     try:
@@ -559,6 +585,59 @@ def test_statevector_draw_peak_memory():
         (prepared, first, later, moved)
 
 
+def test_statevector_frontier_draw_peak_memory():
+    # a draw past the frontier releases it before advancing, and a draw short
+    # of it starts again from psi: each holds psi, the state being advanced
+    # and apply's copy, never the old frontier besides
+    sampler, y, rng = _peak_sampler()
+    peaks = []
+    tracemalloc.start()
+    try:
+        sampler.sample(y, 2, rng)  # psi and the frontier, traced
+        for l_ops in (5, 3):
+            tracemalloc.reset_peak()
+            sampler.sample(y, l_ops, rng)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (16 << 16))
+    finally:
+        tracemalloc.stop()
+    assert sampler.front_l == 3
+    assert max(peaks) < 3.5, peaks
+
+
+@pytest.mark.parametrize("n_key,m_val", [(12, 4), (8, 8), (4, 12), (15, 1), (0, 16)])
+def test_oracle_negates_the_sign_half_with_the_same_bits(n_key, m_val):
+    # the oracle z on the sign bit, a block of rows at a time, against one
+    # strided pass; zeros of both signs keep the sign the pass gives them
+    rng = np.random.default_rng(n_key)
+    amps = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
+    amps[rng.random(amps.size) < 0.1] = 0.0
+    amps.real[rng.random(amps.size) < 0.1] = -0.0
+    sv = StateVector(16, amps / np.linalg.norm(amps))
+    got = apply(CircuitSpec(n_key, m_val, (GateSpec("z", n_key),)), sv).amplitudes
+    want = sv.amplitudes.copy()
+    want.reshape(1 << n_key, 2, -1)[:, 1, :] *= -1.0
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+def test_oracle_step_peak_memory():
+    # apply's copy of the state and at most a block's buffer of the strided
+    # half; one pass over every row buffered a quarter of an array
+    rng = np.random.default_rng(2)
+    amps = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
+    sv = StateVector(16, amps / np.linalg.norm(amps))
+    oracle = CircuitSpec(12, 4, (GateSpec("z", 12),))
+    apply(oracle, sv)  # compiles the plan
+    tracemalloc.start()
+    try:
+        apply(oracle, sv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 << 16) < 1.15, peak / (16 << 16)
+
+
 def test_draw_peak_memory_is_half_an_array():
     # one draw holds one float array of 2^N: |a|^2 and its cumulative sums
     # are written in place
@@ -567,7 +646,7 @@ def test_draw_peak_memory_is_half_an_array():
     sv = StateVector(16, amps / np.linalg.norm(amps))
     tracemalloc.start()
     try:
-        sample(sv, rng)
+        sample(key_cdf(sv), rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
