@@ -12,9 +12,10 @@ Accounting: classical queries = objective evaluations = iterations + 1 (the
 initial uniform sample); quantum queries = the L_i Grover operators each
 draw asks for.  The charge is per draw, as on hardware, where every draw
 prepares its state afresh.  The backend is the sampler that draws each
-key: ``IdealSampler``, or ``StateVectorSampler``, which simulates A_y|0> once
-per threshold and keeps the key distribution of each (y_i, L_i) it draws
-from, so it applies at most the operators it charges.
+key: ``IdealSampler``, or ``StateVectorSampler``, which draws an L_i = 0 key
+from the uniform distribution A_y|0> gives, writes A_y|0> only at thresholds
+with an amplified draw and keeps the key distribution of each (y_i, L_i >= 1)
+it draws from, so it applies at most the operators it charges.
 """
 
 from __future__ import annotations

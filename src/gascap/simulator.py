@@ -16,12 +16,14 @@ different fidelity/cost trade-offs:
   significant) and the value register the low bits (value qubit 0 = sign bit
   at position m-1).  Capped at 24 qubits, where one state is 256 MB.
   ``apply`` compiles a circuit once into numpy steps (see ``_compile``).
-  The sampler writes psi = A_y|0> straight from the value table, since A_y
-  puts E(x) - y into the value register, and runs each Grover operator as
-  its oracle and one O(2^N) reflection about that psi.  A draw reads only
-  the key distribution (``key_cdf``) of G^L psi, which depends on (y, L)
-  alone, so the sampler keeps a bounded memo of them and simulates each
-  (y, L) once while its entry lives.
+  A_y|0> puts 2^-n on every key, so an L = 0 draw reads that uniform
+  distribution and simulates nothing.  For L >= 1 the sampler writes
+  psi = A_y|0> straight from the value table, since A_y puts E(x) - y into
+  the value register, one row per distinct value, and runs each Grover
+  operator as its oracle and one O(2^N) reflection about that psi.  A draw
+  reads only the key distribution (``key_cdf``) of G^L psi, which depends
+  on (y, L) alone, so the sampler keeps a bounded memo of them and
+  simulates each (y, L) once while its entry lives.
 """
 
 from __future__ import annotations
@@ -281,53 +283,69 @@ class StateVectorSampler(IdealSampler):
 
     The value register is ``value_width`` qubits, by default
     ``coefficient_width(p)``, and wider where the constant folded with -y
-    needs it.  A draw needs only the key distribution of G^L A_y|0>, which
-    depends on (y, L) alone, so the sampler keeps it: ``cdfs`` maps (y, L)
-    to ``key_cdf`` of that state, 2^n floats, and the register width, and
-    drops the least recently drawn entry past ``2 << base_m`` of them, the
-    bytes of one state at the base width.  A repeated (y, L) costs one
-    search; only a new one is simulated.
+    needs it; the base width is checked against the simulation cap at
+    construction, before any draw.  A_y|0> puts exactly 2^-n of the key
+    distribution on every key, so an L = 0 draw is the key floor(u 2^n) of
+    one uniform u, the one ``sample`` of that distribution's cdf gives, and
+    simulates nothing.
 
-    For that the sampler keeps one threshold's A_y, psi = A_y|0>, once a draw
-    needs it G, and the frontier G^{L_f} psi, the state furthest advanced at
-    that threshold.  A_y writes E(x) - y into the value register, so psi
-    comes from the value table: key x's row is the orthonormal FFT of
-    exp(2 pi i (E(x) - y) k / 2^m) over k = 0..2^m-1, scaled by
-    1/sqrt(2^(n+m)).  A_y is still built, for its coefficient range check and
-    as G's source.  G = A_y D A_y^dagger O is given its plan here, its oracle
-    ``z`` and the reflection 2|psi><psi| - I about the psi already held, so
-    each Grover operator costs O(2^N) and G compiles nothing.  An L at or
-    past L_f advances the frontier; a smaller one starts again from psi.
+    Any other draw needs only the key distribution of G^L A_y|0>, which
+    depends on (y, L) alone, so the sampler keeps it: ``cdfs`` maps (y, L)
+    to ``key_cdf`` of that state, 2^n floats, and drops the least recently
+    drawn entry past ``2 << base_m`` of them, the bytes of one state at the
+    base width.  A repeated (y, L) costs one search; only a new one is
+    simulated.
+
+    For that the sampler keeps the last amplified threshold's A_y,
+    psi = A_y|0>, G and the frontier G^{L_f} psi, the state furthest
+    advanced at that threshold.  A_y writes E(x) - y into the value
+    register, so psi comes from the value table: key x's row is the
+    orthonormal FFT of exp(2 pi i (E(x) - y) k / 2^m) over k = 0..2^m-1,
+    scaled by 1/sqrt(2^(n+m)), and depends on E(x) alone, so each distinct
+    value's row is computed once and gathered into the state.  A_y is still
+    built, for its coefficient range check and as G's source.
+    G = A_y D A_y^dagger O is given its plan here, its oracle ``z`` and the
+    reflection 2|psi><psi| - I about the psi already held, so each Grover
+    operator costs O(2^N) and G compiles nothing.  An L at or past L_f
+    advances the frontier; a smaller one starts again from psi.
     """
 
     def __init__(self, p: BinaryPolynomial, value_width: int | None = None):
-        super().__init__(p)
         self.base_m = value_width if value_width is not None else coefficient_width(p)
-        self.cdfs: dict[tuple[float, int], tuple[np.ndarray, int]] = {}  # oldest draw first
+        _check_cap(p.n_vars + self.base_m)
+        super().__init__(p)
+        # the distinct values, and each key's row of psi as an index into
+        # them, from the sort the value table already has: np.unique's second
+        # sort faults in sort kernels the search never runs, +0.15 MB of
+        # solve-sv's peak RSS
+        first = np.r_[True, self.sorted_values[1:] != self.sorted_values[:-1]]
+        self.distinct = self.sorted_values[first]
+        self.row_of = np.empty_like(self.order)
+        self.row_of[self.order] = np.cumsum(first) - 1
+        self.cdfs: dict[tuple[float, int], np.ndarray] = {}  # oldest draw first
         self.at_y: float | None = None
         self.prep = self.grover = self.prepared = self.front = None
         self.front_l = 0
 
     def sample(self, y: float, l_ops: int, rng: np.random.Generator) -> int:
-        entry = self.cdfs.pop((y, l_ops), None)
-        if entry is None:
-            entry = self._simulate(y, l_ops)
+        if not l_ops:
+            return int(rng.random() * (1 << self.n_vars))
+        cdf = self.cdfs.pop((y, l_ops), None)
+        if cdf is None:
+            cdf = self._simulate(y, l_ops)
             if len(self.cdfs) >= 2 << self.base_m:
                 del self.cdfs[next(iter(self.cdfs))]
-        self.cdfs[y, l_ops] = entry
-        cdf, self.m = entry
+        self.cdfs[y, l_ops] = cdf
         return sample(cdf, rng)
 
-    def _simulate(self, y: float, l_ops: int) -> tuple[np.ndarray, int]:
-        """The key cdf of G^L psi at threshold ``y`` and its register width."""
+    def _simulate(self, y: float, l_ops: int) -> np.ndarray:
+        """The key cdf of G^L psi at threshold ``y``, for L >= 1."""
         if y != self.at_y:
             self.prepared = self.grover = self.front = None  # freed before the next psi is written
             m = max(self.base_m, coefficient_width(self.p, y))
             self.at_y, self.prep = y, build_state_prep(self.p, y, m)
             self.prepared = self._psi(y, m)
             self.front, self.front_l = self.prepared, 0
-        m = self.prep.m_val
-        if l_ops and self.grover is None:
             self.grover = build_grover(self.prep)
             plan = (("z", self.prep.n_key), ("reflect", self.prepared.amplitudes))
             object.__setattr__(self.grover, "plan", plan)
@@ -337,14 +355,19 @@ class StateVectorSampler(IdealSampler):
             for _ in range(l_ops - done):
                 state = apply(self.grover, state)
             self.front, self.front_l = state, l_ops
-        return key_cdf(state, m), m
+        return key_cdf(state, self.prep.m_val)
 
     def _psi(self, y: float, m: int) -> StateVector:
         n_total, size = self.n_vars + m, 1 << m
-        rows = StateVector.zero(n_total).amplitudes.reshape(-1, size)  # checks the cap first
-        rows[0, 0] = 0.0
-        np.multiply.outer(self.values - y, np.arange(size) * (2.0 * math.pi / size), out=rows.imag)
+        _check_cap(n_total)
+        rows = np.zeros((self.distinct.size, size), dtype=np.complex128)
+        np.multiply.outer(self.distinct - y, np.arange(size) * (2.0 * math.pi / size), out=rows.imag)
         np.exp(rows, out=rows)
         rows *= 1.0 / math.sqrt(1 << n_total)
-        # out of place: a transform onto its own input drifts the norm
-        return _checked(n_total, np.fft.fft(rows, axis=1, norm="ortho").reshape(-1))
+        rows = np.fft.fft(rows, axis=1, norm="ortho")
+        # the state only now, so with every value distinct psi peaks at two
+        # arrays, as when each key had its own row
+        amps = StateVector.zero(n_total).amplitudes
+        # "clip" takes straight into ``out``; "raise" would buffer a copy of it
+        np.take(rows, self.row_of, axis=0, out=amps.reshape(-1, size), mode="clip")
+        return _checked(n_total, amps)

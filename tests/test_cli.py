@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gascap import BinaryPolynomial, StateVector
+from gascap import BinaryPolynomial, StateVector, simulator
 from gascap.cap import instance_to_dict, reference_instance, synthetic_instance
 from gascap.cli import main
 from gascap.simulator import DEFAULT_QUBIT_CAP
@@ -205,29 +205,31 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
 
 
 def test_statevector_cap_exit_code_before_allocating(tmp_path, capsys, monkeypatch):
-    # 18 key + 13 value qubits: the state would take 32 GiB, so numpy may
-    # build nothing above the cap while the command runs
+    # 18 key + 12 value qubits at the base width: the state would take
+    # 16 GiB, so numpy may build nothing above the cap while the command runs
     zeros, widths = np.zeros, []
 
     def bounded_zeros(shape, *args, **kwargs):
         assert np.prod(shape) <= 1 << DEFAULT_QUBIT_CAP, f"allocating {shape} entries"
         return zeros(shape, *args, **kwargs)
 
-    zero = StateVector.zero.__func__
+    zero, check_cap = StateVector.zero.__func__, simulator._check_cap
 
     def spy(cls, n_qubits, *args, **kwargs):
-        widths.append(n_qubits)
         with monkeypatch.context() as patch:
             patch.setattr(np, "zeros", bounded_zeros)
             return zero(cls, n_qubits, *args, **kwargs)
 
     monkeypatch.setattr(StateVector, "zero", classmethod(spy))
+    # the sampler checks its base width when it is built, before any draw
+    monkeypatch.setattr(simulator, "_check_cap", lambda n: widths.append(n) or check_cap(n))
+    monkeypatch.setattr(simulator.StateVectorSampler, "sample", lambda *a: pytest.fail("drew"))
     out = tmp_path / "q"
     assert main(["solve", "--synthetic", "6,3", "--backend", "sv", "--formulation", "quadratized",
                  "--runs", "1", "--out", str(out)]) == 3
-    assert widths == [31]
+    assert widths == [30]
     assert not out.exists()
-    assert "31 qubits above the simulation cap of 24" in capsys.readouterr().err
+    assert "30 qubits above the simulation cap of 24" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cells", [[(0, 0)], [(0, 2), (0, 3)]])

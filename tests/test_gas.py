@@ -271,8 +271,10 @@ def test_statevector_builds_circuits_once_per_threshold(hubo_asc, monkeypatch):
     by_y = draws_by_threshold(trace)
     amplified = [y for y, l_seq in by_y.items() if any(l_seq)]
     assert len(by_y) > 1 and amplified
-    assert seen["prep"] == list(by_y)
-    assert seen["grover"] == amplified
+    # an L = 0 draw reads the uniform key distribution, so only a threshold
+    # with an amplified draw builds A_y and G
+    assert len(amplified) < len(by_y)
+    assert seen["prep"] == seen["grover"] == amplified
 
 
 def test_statevector_simulates_each_draw_once_while_kept(hubo_asc, monkeypatch):
@@ -419,8 +421,9 @@ def test_statevector_sampler_equals_per_draw_reference(p, seed, widen, l_ops, y1
     for y, l in zip((y1, y2, y1), l_ops):
         assert got_sampler.sample(y, l, got_rng) == want_sampler.sample(y, l, want_rng)
         # a key's total probability rarely depends on the register width, so
-        # check the width itself
-        assert got_sampler.m == want_sampler.m
+        # check the width itself; every simulated draw leaves its y's A_y held
+        if l and got_sampler.at_y == y:
+            assert got_sampler.prep.m_val == want_sampler.m
 
 
 @given(search_polynomials(max_vars=4, bound=8.0), st.integers(0, 2**32 - 1),
@@ -433,15 +436,20 @@ def test_statevector_sampler_equals_per_draw_reference(p, seed, widen, l_ops, y1
 def test_statevector_memo_equals_per_draw_reference(p, seed, width, thresholds, draws):
     # revisited thresholds, a smaller L after a larger one (the frontier
     # starts again from psi) and, with a 1- or 2-qubit base register, more
-    # distinct draws than the memo keeps (4 or 8 entries)
+    # distinct draws than the memo keeps (4 or 8 entries); an L = 0 draw
+    # reads the uniform distribution and leaves the memo alone
     got_sampler, want_sampler = StateVectorSampler(p, width), PerDrawStatevector(p, width)
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     kept = []  # the draws the memo should hold, least recently drawn first
     for at, l_ops in draws:
         y = thresholds[at % len(thresholds)]
         assert got_sampler.sample(y, l_ops, got_rng) == want_sampler.sample(y, l_ops, want_rng)
-        assert got_sampler.m == want_sampler.m
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        if not l_ops:
+            assert list(got_sampler.cdfs) == kept
+            continue
+        if got_sampler.at_y == y:  # true after every simulated draw
+            assert got_sampler.prep.m_val == want_sampler.m
         kept = [d for d in kept if d != (y, l_ops)] + [(y, l_ops)]
         kept = kept[-(2 << got_sampler.base_m):]
         assert list(got_sampler.cdfs) == kept

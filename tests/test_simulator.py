@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gascap import (
@@ -19,6 +19,7 @@ from gascap import (
     build_state_prep,
     key_cdf,
     marked_probability,
+    quadratize,
     sample,
     value_register_width,
 )
@@ -268,11 +269,57 @@ def test_sampler_psi_matches_gate_level_state_prep(p, y, widen):
     # Both round each phase 2 pi (E(x) - y) k / 2^m to its size, and a row of
     # psi has norm 1/sqrt(2^n), so past |E - y| ~ 1e2 the bound grows with it
     sampler = StateVectorSampler(p, None if widen is None else coefficient_width(p) + widen)
-    sampler.sample(y, 0, np.random.default_rng(0))
-    want = apply(build_state_prep(p, y, sampler.m), StateVector.zero(p.n_vars + sampler.m))
+    m = max(sampler.base_m, coefficient_width(p, y))
+    want = apply(build_state_prep(p, y, m), StateVector.zero(p.n_vars + m))
     rounding = 2 * math.pi * np.finfo(float).eps * np.max(np.abs(sampler.values - y))
     bound = max(1e-12, 8 * rounding / math.sqrt(1 << p.n_vars))
-    assert np.max(np.abs(sampler.prepared.amplitudes - want.amplitudes)) <= bound
+    assert np.max(np.abs(sampler._psi(y, m).amplitudes - want.amplitudes)) <= bound
+
+
+def psi_per_key(values, n, y, m):
+    """psi = A_y|0> from the value table, one row computed per key."""
+    n_total, size = n + m, 1 << m
+    rows = np.zeros((values.size, size), dtype=np.complex128)
+    np.multiply.outer(values - y, np.arange(size) * (2.0 * math.pi / size), out=rows.imag)
+    np.exp(rows, out=rows)
+    rows *= 1.0 / math.sqrt(1 << n_total)
+    return np.fft.fft(rows, axis=1, norm="ortho").reshape(-1)
+
+
+@given(search_polynomials(max_vars=7, bound=1e3), st.floats(-2e3, 2e3, allow_nan=False),
+       st.integers(0, 3))
+@example(BinaryPolynomial(4, {(0,): 1.0, (1,): 2.0, (2,): 4.0, (3,): 8.0}), 3.5, 0)  # distinct
+@example(BinaryPolynomial(4, {(0,): 1.0, (1,): 1.0, (2, 3): -2.0}), 0.5, 1)  # repeated
+@example(BinaryPolynomial.constant(1.5, 3), -2.0, 2)  # one value
+@settings(deadline=None, max_examples=100)
+def test_sampler_psi_per_distinct_value_is_the_per_key_psi(p, y, widen):
+    # each distinct value's row, gathered into psi, has the bits of the row
+    # computed for every key on its own
+    sampler = StateVectorSampler(p, coefficient_width(p) + widen)
+    m = max(sampler.base_m, coefficient_width(p, y))
+    assert np.array_equal(sampler.distinct, np.unique(sampler.values))
+    got = sampler._psi(y, m).amplitudes
+    assert np.array_equal(got.view(np.int64), psi_per_key(sampler.values, p.n_vars, y, m).view(np.int64))
+
+
+@given(search_polynomials(max_vars=4, bound=8.0), st.floats(-40.0, 40.0, allow_nan=False),
+       st.integers(0, 3), st.booleans())
+@example(BinaryPolynomial(3, {(0, 1, 2): 2.0, (0,): -1.0}), 0.5, 0, True)
+@example(BinaryPolynomial(3, {(0, 1): 1.0, (2,): -1.0}), 1e3, 2, False)  # y above the range
+@example(BinaryPolynomial(3, {(0, 1): 1.0, (2,): -1.0}), -1e3, 0, False)  # y below it
+@settings(deadline=None, max_examples=40)
+def test_prepared_key_distribution_is_the_uniform_one(p, y, widen, quadratized):
+    # A_y|0> simulated gate by gate puts 2^-n on every key, whatever the
+    # register width, the objective's degree or where y lies: the
+    # distribution an L = 0 draw reads
+    if quadratized:
+        p = quadratize(p, 1.0).poly
+        assume(p.n_vars <= 7)
+    sampler = StateVectorSampler(p, coefficient_width(p) + widen)
+    m = max(sampler.base_m, coefficient_width(p, y))
+    state = apply(build_state_prep(p, y, m), StateVector.zero(p.n_vars + m))
+    uniform = np.arange(1, (1 << p.n_vars) + 1) / (1 << p.n_vars)
+    assert np.max(np.abs(key_cdf(state, m) - uniform)) <= 1e-12
 
 
 @given(search_polynomials(max_vars=5, bound=8.0), st.floats(-40.0, 40.0, allow_nan=False),
@@ -548,6 +595,21 @@ def test_every_size_cap_raises_the_budget_error_type():
         assert isinstance(info.value, ValueError)
 
 
+def test_statevector_threshold_past_the_cap_fails_at_its_first_amplified_draw():
+    # 3 key + 21 value qubits at the base width fit the cap, but the top
+    # value as threshold needs 22: the sampler is built and an L = 0 draw
+    # there simulates nothing, so only a Grover draw at it exceeds the cap,
+    # before any state or row is allocated
+    p = BinaryPolynomial(3, {(i,): 2.0 ** 19 for i in range(3)})
+    sampler, top = StateVectorSampler(p), 3 * 2.0 ** 19
+    assert p.n_vars + sampler.base_m == 24 and coefficient_width(p, top) == 22
+    assert 0 <= sampler.sample(top, 0, np.random.default_rng(0)) < 8
+    with pytest.raises(CapExceededError, match="^25 qubits above the simulation cap of 24$"):
+        sampler.sample(top, 1, np.random.default_rng(0))
+    with pytest.raises(CapExceededError, match="^25 qubits"):
+        StateVectorSampler(p, 22)
+
+
 def _peak_sampler():
     """A sampler on 12 key and 4 value qubits, a threshold inside its range
     and a generator."""
@@ -560,29 +622,81 @@ def _peak_sampler():
 
 
 def test_statevector_draw_peak_memory():
-    # peaks in arrays of 2^N amplitudes, traced from a threshold's first
-    # draw on.  Writing psi = A_y|0> holds its phases and the FFT's output,
-    # and so does a threshold change, which drops the last psi and G first; a
-    # Grover draw holds psi and the state being advanced, and apply's copy
-    # while it runs or the draw's half-size probabilities after: the
-    # reflection takes a block at a time
+    # peaks in arrays of 2^N amplitudes.  Writing psi = A_y|0> holds the
+    # state and one row per distinct value (np.take's default mode would
+    # buffer a second state, 2.13); a Grover draw holds psi and the
+    # state being advanced, and apply's copy while it runs or the draw's
+    # half-size probabilities after: the reflection takes a block at a time.
+    # A threshold change drops the last psi, G and frontier before it writes
+    # the next psi (holding them would make that write 3.1)
     sampler, y, rng = _peak_sampler()
-    n = sampler.n_vars
-    peaks, widths = [], []
+    n, psi_of = sampler.n_vars, sampler._psi
+    peaks, widths, writes = [], [], []
+
+    def spy(at, m):
+        # the peak from here on counts every array still held, as all were
+        # allocated while tracing
+        tracemalloc.reset_peak()
+        psi = psi_of(at, m)
+        writes.append(tracemalloc.get_traced_memory()[1] / (16 << 16))
+        return psi
+
+    sampler._psi = spy
     tracemalloc.start()
     try:
-        # write psi; the first Grover draw; a later one; a new threshold
-        for at, l_ops in ((y, 0), (y, 2), (y, 2), (y - 1.0, 0)):
+        # the first Grover draw; a later one; a new threshold
+        for at, l_ops in ((y, 2), (y, 3), (y - 1.0, 2)):
             tracemalloc.reset_peak()
             sampler.sample(at, l_ops, rng)
             peaks.append(tracemalloc.get_traced_memory()[1])
-            widths.append(n + sampler.m)
+            widths.append(n + sampler.prep.m_val)
     finally:
         tracemalloc.stop()
-    assert widths == [16] * 4
-    prepared, first, later, moved = (peak / (16 << 16) for peak in peaks)
-    assert prepared < 2.25 and first < 3.5 and later < 3.5 and moved < 2.25, \
-        (prepared, first, later, moved)
+    assert widths == [16] * 3
+    first, later, moved = (peak / (16 << 16) for peak in peaks)
+    assert len(writes) == 2 and max(writes) < 1.25, writes
+    assert first < 3.5 and later < 3.5 and moved < 3.5, (first, later, moved)
+
+
+def test_psi_peak_memory_with_every_value_distinct():
+    # the rows then take a state's bytes: writing psi holds them and the FFT's
+    # output, then that output and the state, never all three
+    p = BinaryPolynomial(12, {(i,): 2.0 ** (i - 8) for i in range(12)})
+    sampler = StateVectorSampler(p)
+    m = max(sampler.base_m, coefficient_width(p, 1.0))
+    assert sampler.distinct.size == 1 << 12
+    tracemalloc.start()
+    try:
+        sampler._psi(1.0, m)
+        peak = tracemalloc.get_traced_memory()[1] / (16 << (12 + m))
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25, peak
+
+
+def test_uniform_draw_simulates_nothing(monkeypatch):
+    # an L = 0 draw, at a new threshold or the one the sampler holds, reads
+    # the uniform key distribution: no circuit, no state, no memo entry
+    sampler, y, rng = _peak_sampler()
+    sampler.sample(y, 2, rng)
+    prepared, front, cdfs = sampler.prepared, sampler.front, dict(sampler.cdfs)
+    for name in ("build_state_prep", "build_grover", "apply"):
+        monkeypatch.setattr(simulator, name, lambda *a, name=name: pytest.fail(name))
+    tracemalloc.start()
+    try:
+        for at in (y - 1.0, y, y + 1.0):
+            sampler.sample(at, 0, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 12, peak  # a state would take 1 MB
+    assert sampler.at_y == y and sampler.prepared is prepared and sampler.front is front
+    assert list(sampler.cdfs) == list(cdfs)
+    assert all(sampler.cdfs[d] is cdf for d, cdf in cdfs.items())
+    # the key is floor(u 2^n) of the generator's next uniform
+    copy = np.random.default_rng()
+    copy.bit_generator.state = rng.bit_generator.state
+    assert sampler.sample(y, 0, rng) == int(copy.random() * (1 << sampler.n_vars))
 
 
 def test_statevector_frontier_draw_peak_memory():
