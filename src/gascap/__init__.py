@@ -42,7 +42,6 @@ from .formulation import (
     build_formulation,
     build_quadratized,
     channel_codeword,
-    channel_indicator,
     decode,
     default_quadratization_scale,
     encode_assignment,

@@ -1,8 +1,9 @@
 """Binary objective formulations of the channel assignment problem.
 
-Three encodings of "AP i uses channel c" are supported:
+Each encoding of "AP i uses channel c" is one map from a channel to the slot
+bits of an AP, ``channel_codeword``:
 
-* one-hot: N_CH indicator bits per AP, channel c sets bit c only.  Objective
+* one-hot: N_CH slot bits per AP, channel c sets bit c only.  Objective
   is quadratic; a penalty w * (sum_c x_ic - 1)^2 per AP enforces validity.
 * ascending binary: each AP gets N_B = ceil(log2 N_CH) slot bits spelling
   the codeword [c - 1] in big-endian binary.
@@ -10,10 +11,14 @@ Three encodings of "AP i uses channel c" are supported:
   channel indices get codewords dense in ones, which shrinks the expanded
   objective (the product for an all-ones codeword is a single monomial).
 
+``encode_assignment`` concatenates the codewords of an assignment, and
+``decode`` inverts the map by looking each AP's slot row up among the N_CH
+codewords; a row that is no codeword is a violation.
+
 For both binary encodings the per-channel indicator is the degree-N_B product
 prod_r (1 - b_r + (2 b_r - 1) x_ir), so co-channel costs become terms of
-degree up to 2 N_B; codewords that decode outside 1..N_CH are penalized by
-w' times their indicator.
+degree up to 2 N_B; slot rows that are no codeword are penalized by w' times
+their indicator.
 
 When N_CH is a power of two the descending map [N_CH - c + 1] is taken
 mod 2^N_B (channel 1 wraps to the all-zero codeword); this keeps the map a
@@ -25,13 +30,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations
 from typing import Sequence
 
 from .cap import CapInstance, CoeffTable, coeff_table
-from .poly import BinaryPolynomial, BitVector, bits_to_int, int_to_bits
+from .poly import BinaryPolynomial, BitVector, int_to_bits
 
 
 class Encoding(Enum):
@@ -71,9 +76,6 @@ class Formulation:
     penalty: float
     n_ap: int
     n_ch: int
-    var_layout: dict[tuple[int, int], int] = field(compare=False)
-    # var_layout keys: (ap, channel) for one-hot, (ap, slot) for binary;
-    # ap is 0-based, channel/slot labels are 1-based, values are flat indices
 
     def __post_init__(self):
         # a finite penalty can still overflow once scaled and summed
@@ -86,12 +88,6 @@ class Formulation:
     def n_vars(self) -> int:
         return self.objective.n_vars
 
-    @property
-    def slots_per_ap(self) -> int:
-        if self.encoding is Encoding.ONE_HOT:
-            return self.n_ch
-        return bits_per_channel(self.n_ch)
-
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -103,31 +99,20 @@ class DecodeResult:
         return self.assignment is not None
 
 
-# -- binary codewords and indicators -----------------------------------
+# -- codewords and indicators ------------------------------------------
 
 
 def channel_codeword(c: int, n_ch: int, enc: Encoding) -> BitVector:
-    """Big-endian codeword of width N_B for channel c under a binary encoding."""
-    if not enc.is_binary:
-        raise ValueError("codewords are defined only for binary encodings")
+    """Slot bits of channel c: N_CH bits with bit c - 1 set for one-hot, the
+    big-endian N_B-bit codeword [c - 1] or [N_CH - c + 1] mod 2^N_B for the
+    ascending or descending binary encoding."""
     if not 1 <= c <= n_ch:
         raise ValueError(f"channel {c} out of range 1..{n_ch}")
+    if enc is Encoding.ONE_HOT:
+        return tuple(int(r == c - 1) for r in range(n_ch))
     n_b = bits_per_channel(n_ch)
-    if enc is Encoding.BINARY_ASCENDING:
-        value = c - 1
-    else:
-        value = (n_ch - c + 1) % (1 << n_b)
-    return tuple((value >> (n_b - 1 - r)) & 1 for r in range(n_b))
-
-
-def codeword_channel(value: int, n_ch: int, enc: Encoding) -> int:
-    """Channel label a codeword integer decodes to (may fall outside 1..n_ch)."""
-    n_b = bits_per_channel(n_ch)
-    if enc is Encoding.BINARY_ASCENDING:
-        return value + 1
-    if value == 0 and n_ch == (1 << n_b):
-        return 1
-    return n_ch - value + 1
+    value = c - 1 if enc is Encoding.BINARY_ASCENDING else (n_ch - c + 1) % (1 << n_b)
+    return int_to_bits(value, n_b)
 
 
 def codeword_indicator(ap: int, bits: Sequence[int], n_vars: int, slots: int) -> BinaryPolynomial:
@@ -140,17 +125,6 @@ def codeword_indicator(ap: int, bits: Sequence[int], n_vars: int, slots: int) ->
         factor = x if b else BinaryPolynomial.constant(1.0, n_vars) - x
         poly = poly.multiply(factor)
     return poly
-
-
-def channel_indicator(i: int, c: int, inst: CapInstance, enc: Encoding) -> BinaryPolynomial:
-    """Indicator that AP i's slots spell channel c's codeword."""
-    if not enc.is_binary:
-        raise ValueError("channel indicators are defined only for binary encodings")
-    if not 0 <= i < inst.n_ap:
-        raise IndexError(f"AP index {i} out of range 0..{inst.n_ap - 1}")
-    n_b = bits_per_channel(inst.n_ch)
-    bits = channel_codeword(c, inst.n_ch, enc)
-    return codeword_indicator(i, bits, inst.n_ap * n_b, n_b)
 
 
 # -- builders -----------------------------------------------------------
@@ -168,21 +142,21 @@ def _qubo_from_table(table: CoeffTable, n_ch: int, w: float) -> Formulation:
         raise ValueError("the one-hot encoding needs at least 1 channel")
     n_ap = table.n_ap
     n_vars = n_ap * n_ch
-    layout = {(i, c): i * n_ch + (c - 1) for i in range(n_ap) for c in range(1, n_ch + 1)}
-    # every support below is sorted and written once
+    # AP i on channel c + 1 is variable i * n_ch + c; every support below is
+    # sorted and written once
     terms: dict[tuple[int, ...], float] = {}
     for i in range(n_ap):
         for k in range(i + 1, n_ap):
-            for c in range(1, n_ch + 1):
-                terms[(layout[(i, c)], layout[(k, c)])] = float(table.d[i, k])
+            for c in range(n_ch):
+                terms[(i * n_ch + c, k * n_ch + c)] = float(table.d[i, k])
     # (sum_c x - 1)^2 = 1 - sum_c x + 2 sum_{c<l} x_c x_l  on binary variables
     terms[()] = w * n_ap
     for i in range(n_ap):
-        for c in range(1, n_ch + 1):
-            terms[(layout[(i, c)],)] = -w
-        for c in range(1, n_ch + 1):
-            for l in range(c + 1, n_ch + 1):
-                terms[(layout[(i, c)], layout[(i, l)])] = 2.0 * w
+        for c in range(n_ch):
+            terms[(i * n_ch + c,)] = -w
+        for c in range(n_ch):
+            for l in range(c + 1, n_ch):
+                terms[(i * n_ch + c, i * n_ch + l)] = 2.0 * w
 
     return Formulation(
         encoding=Encoding.ONE_HOT,
@@ -190,7 +164,6 @@ def _qubo_from_table(table: CoeffTable, n_ch: int, w: float) -> Formulation:
         penalty=w,
         n_ap=n_ap,
         n_ch=n_ch,
-        var_layout=layout,
     )
 
 
@@ -215,7 +188,6 @@ def _hubo_from_table(
     n_ap = table.n_ap
     n_b = bits_per_channel(n_ch)
     n_vars = n_ap * n_b
-    layout = {(i, r): i * n_b + (r - 1) for i in range(n_ap) for r in range(1, n_b + 1)}
     codewords = [channel_codeword(c, n_ch, enc) for c in range(1, n_ch + 1)]
 
     # The co-channel indicator of a pair, sum_c [AP i on c][AP k on c], is one
@@ -246,12 +218,13 @@ def _hubo_from_table(
             for lo, hi, v in zip(low[i], high[k], coeffs):
                 _add_exact(terms, lo + hi, v * d)
 
-    # penalize codewords whose decoded channel falls outside 1..n_ch
-    used = {bits_to_int(cw) for cw in codewords}
+    # penalize the slot rows that spell no channel
+    used = set(codewords)
     for value in range(1 << n_b):
-        if value in used:
+        bits = int_to_bits(value, n_b)
+        if bits in used:
             continue
-        penalty = codeword_indicator(0, int_to_bits(value, n_b), n_b, n_b).scale(w_prime)
+        penalty = codeword_indicator(0, bits, n_b, n_b).scale(w_prime)
         for i in range(n_ap):
             for s, c in penalty.terms.items():
                 _add_exact(terms, tuple(j + i * n_b for j in s), c)
@@ -262,7 +235,6 @@ def _hubo_from_table(
         penalty=w_prime,
         n_ap=n_ap,
         n_ch=n_ch,
-        var_layout=layout,
     )
 
 
@@ -436,45 +408,24 @@ def variable_counts(n_ap: int, n_ch: int) -> VariableCounts:
 
 
 def decode(form: Formulation, x: Sequence[int]) -> DecodeResult:
-    """Map a bit vector back to a channel assignment, or report violations."""
+    """Map a bit vector back to a channel assignment, or report each AP whose
+    slots, read as 0/1 by truthiness, spell no channel's codeword."""
     if len(x) != form.n_vars:
         raise ValueError(f"bit vector length {len(x)} != n_vars {form.n_vars}")
-    assignment: list[int] = []
-    violations: list[str] = []
-    slots = form.slots_per_ap
-    for i in range(form.n_ap):
-        row = tuple(x[i * slots: (i + 1) * slots])
-        if form.encoding is Encoding.ONE_HOT:
-            ones = [c + 1 for c, bit in enumerate(row) if bit]
-            if len(ones) != 1:
-                violations.append(f"AP {i}: one-hot row {row} has {len(ones)} bits set")
-                assignment.append(0)
-            else:
-                assignment.append(ones[0])
-        else:
-            ch = codeword_channel(bits_to_int(row), form.n_ch, form.encoding)
-            if not 1 <= ch <= form.n_ch:
-                violations.append(f"AP {i}: codeword {row} decodes to nonexistent channel {ch}")
-                assignment.append(0)
-            else:
-                assignment.append(ch)
+    codewords = [channel_codeword(c, form.n_ch, form.encoding) for c in range(1, form.n_ch + 1)]
+    channel = {cw: c for c, cw in enumerate(codewords, 1)}
+    width = len(codewords[0])
+    rows = [tuple(1 if b else 0 for b in x[i * width: (i + 1) * width]) for i in range(form.n_ap)]
+    violations = tuple(
+        f"AP {i}: slots {row} spell no channel" for i, row in enumerate(rows) if row not in channel
+    )
     if violations:
-        return DecodeResult(assignment=None, violations=tuple(violations))
-    return DecodeResult(assignment=tuple(assignment))
+        return DecodeResult(assignment=None, violations=violations)
+    return DecodeResult(assignment=tuple(channel[row] for row in rows))
 
 
 def encode_assignment(form: Formulation, assign: Sequence[int]) -> BitVector:
     """Bit vector representing a valid assignment under the formulation."""
     if len(assign) != form.n_ap:
         raise ValueError("assignment length mismatch")
-    bits: list[int] = []
-    for i, ch in enumerate(assign):
-        if not 1 <= ch <= form.n_ch:
-            raise ValueError(f"AP {i}: channel {ch} out of range 1..{form.n_ch}")
-        if form.encoding is Encoding.ONE_HOT:
-            row = [0] * form.n_ch
-            row[ch - 1] = 1
-            bits.extend(row)
-        else:
-            bits.extend(channel_codeword(ch, form.n_ch, form.encoding))
-    return tuple(bits)
+    return tuple(chain.from_iterable(channel_codeword(c, form.n_ch, form.encoding) for c in assign))

@@ -68,18 +68,11 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-def _apply_h(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    before = 1 << qubit
-    after = 1 << (n_qubits - 1 - qubit)
-    a = amps.reshape(before, 2, after)
+def _apply_h(amps: np.ndarray, qubit: int) -> np.ndarray:
+    a = amps.reshape(1 << qubit, 2, -1)
     top, bot = a[:, 0, :], a[:, 1, :]
-    old_top = top.copy()  # in place but for this half array
     inv = 1.0 / math.sqrt(2.0)
-    top += bot
-    top *= inv
-    np.subtract(old_top, bot, out=bot)
-    bot *= inv
-    return a.reshape(-1)
+    return np.stack(((top + bot) * inv, (top - bot) * inv), axis=1).reshape(-1)
 
 
 def _phase_diagonal(run: Iterable[Op], n_key: int, m_val: int) -> np.ndarray:
@@ -114,8 +107,7 @@ def _phase_diagonal(run: Iterable[Op], n_key: int, m_val: int) -> np.ndarray:
     cube = phase.reshape((2,) * n_qubits)
     for q in range(n_qubits):
         cube[(slice(None),) * q + (1,)] += cube[(slice(None),) * q + (0,)]
-    out = np.multiply(phase, 1j)  # the bits of exp(1j * phase), one complex array fewer
-    return np.exp(out, out=out)
+    return np.exp(1j * phase)
 
 
 def _is_phase(op: Op) -> bool:
@@ -175,7 +167,7 @@ def apply(c: CircuitSpec, s: StateVector) -> StateVector:
                 block = amps[lo:lo + _BLOCK]
                 np.subtract(arg[lo:lo + _BLOCK] * scale, block, out=block)
         elif op == "h":
-            amps = _apply_h(amps, arg, n_total)
+            amps = _apply_h(amps, arg)
         elif op == "z":
             # row blocks: numpy buffers the strided half it negates, so one
             # pass over every row would take a quarter of an array

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gascap import BinaryPolynomial, StateVector, simulator
+from gascap import BinaryPolynomial, StateVector, cli, simulator
 from gascap.cap import instance_to_dict, reference_instance, synthetic_instance
 from gascap.cli import main
 from gascap.simulator import DEFAULT_QUBIT_CAP
@@ -167,6 +167,21 @@ def test_verify_passes_on_bundled_instance(capsys):
     out = capsys.readouterr().out
     assert "28/28 checks passed" in out
     assert "[FAIL]" not in out
+
+
+def test_verify_builds_each_formulation_once(monkeypatch, capsys):
+    # the channel-1 coefficient checks read the one-hot objective of the loop
+    kinds = []
+    original = cli.build_formulation
+
+    def counted(inst, kind, *args):
+        kinds.append(kind)
+        return original(inst, kind, *args)
+
+    monkeypatch.setattr(cli, "build_formulation", counted)
+    assert main(["verify"]) == 0
+    assert kinds == ["qubo", "hubo-asc", "hubo-desc"]
+    assert "28/28 checks passed" in capsys.readouterr().out
 
 
 def test_verify_mismatch_exit_code(tmp_path, capsys):

@@ -16,7 +16,6 @@ from gascap import (
     build_formulation,
     build_quadratized,
     channel_codeword,
-    channel_indicator,
     coeff_table,
     decode,
     default_quadratization_scale,
@@ -26,6 +25,7 @@ from gascap import (
     variable_counts,
 )
 from gascap.formulation import (
+    DecodeResult,
     Quadratization,
     _hubo_from_table,
     codeword_indicator,
@@ -56,8 +56,7 @@ def test_channel_codewords(c, n_ch, enc, want):
 def test_codeword_errors():
     with pytest.raises(ValueError):
         channel_codeword(4, 3, ASC)
-    with pytest.raises(ValueError):
-        channel_codeword(1, 3, Encoding.ONE_HOT)
+    assert channel_codeword(1, 3, Encoding.ONE_HOT) == (1, 0, 0)
 
 
 def test_codewords_are_bijective_for_power_of_two():
@@ -71,6 +70,12 @@ def test_bits_per_channel():
 
 
 # -- indicators -----------------------------------------------------------
+
+
+def channel_indicator(i, c, inst, enc):
+    """Indicator that AP i's slots spell channel c's binary codeword."""
+    n_b = bits_per_channel(inst.n_ch)
+    return codeword_indicator(i, channel_codeword(c, inst.n_ch, enc), inst.n_ap * n_b, n_b)
 
 
 def test_indicator_ascending_channel_two(instance):
@@ -112,12 +117,14 @@ def test_indicators_partition_the_cube():
 
 
 def test_qubo_reference_coefficients(qubo):
-    lay = qubo.var_layout
-    assert qubo.objective.coefficient([lay[(0, 1)], lay[(1, 1)]]) == pytest.approx(1.835, abs=1e-3)
-    assert qubo.objective.coefficient([lay[(0, 2)], lay[(1, 2)]]) == pytest.approx(1.835, abs=1e-3)
+    def var(ap, c):  # AP ap on channel c
+        return ap * qubo.n_ch + c - 1
+
+    assert qubo.objective.coefficient([var(0, 1), var(1, 1)]) == pytest.approx(1.835, abs=1e-3)
+    assert qubo.objective.coefficient([var(0, 2), var(1, 2)]) == pytest.approx(1.835, abs=1e-3)
     assert qubo.objective.constant_term == pytest.approx(4.0)
-    assert qubo.objective.coefficient([lay[(0, 1)]]) == pytest.approx(-1.0)
-    assert qubo.objective.coefficient([lay[(0, 1)], lay[(0, 2)]]) == pytest.approx(2.0)
+    assert qubo.objective.coefficient([var(0, 1)]) == pytest.approx(-1.0)
+    assert qubo.objective.coefficient([var(0, 1), var(0, 2)]) == pytest.approx(2.0)
 
 
 def test_qubo_quadratic_term_count(instance, qubo):
@@ -319,20 +326,46 @@ def test_decode_one_hot(qubo):
     bad[0] = 1  # first AP row becomes (1, 1, 0)
     res = decode(qubo, tuple(bad))
     assert not res.valid
-    assert any("one-hot" in v for v in res.violations)
+    assert res.violations == ("AP 0: slots (1, 1, 0) spell no channel",)
 
 
 def test_decode_binary(hubo_asc, hubo_desc):
     assert decode(hubo_desc, (1, 1) + (1, 0) * 3).assignment == (1, 2, 2, 2)
     res = decode(hubo_asc, (1, 1) + (0, 0) * 3)
     assert not res.valid
-    assert "nonexistent channel 4" in res.violations[0]
+    assert res.violations == ("AP 0: slots (1, 1) spell no channel",)
 
 
 def test_decode_round_trip(hubo_asc, hubo_desc, qubo):
     for form in (hubo_asc, hubo_desc, qubo):
         for assign in itertools.product((1, 2, 3), repeat=4):
             assert decode(form, encode_assignment(form, assign)).assignment == assign
+
+
+@pytest.mark.parametrize("n_ap", [2, 3])
+@pytest.mark.parametrize("n_ch", range(2, 10))
+@pytest.mark.parametrize("enc", list(Encoding))
+def test_codeword_map_is_inverted_by_decode(enc, n_ch, n_ap):
+    form = formulation_from_table(CoeffTable.uniform(n_ap, 1.0), n_ch, enc.value)
+    codewords = [channel_codeword(c, n_ch, enc) for c in range(1, n_ch + 1)]
+    width = len(codewords[0])
+    assert len(set(codewords)) == n_ch
+    assert all(len(cw) == width for cw in codewords)
+    assert form.n_vars == n_ap * width
+    if enc is Encoding.ONE_HOT:
+        assert codewords == [tuple(int(r == c) for r in range(n_ch)) for c in range(n_ch)]
+    for assign in itertools.product(range(1, n_ch + 1), repeat=n_ap):
+        x = encode_assignment(form, assign)
+        assert decode(form, x) == DecodeResult(assign)
+        assert decode(form, 3 * np.array(x)) == DecodeResult(assign)  # read by truthiness
+    # every other slot row, at each AP in turn, is one violation naming that AP
+    valid = codewords[-1]
+    for row in itertools.product((0, 1), repeat=width):
+        if row in codewords:
+            continue
+        for i in range(n_ap):
+            x = valid * i + row + valid * (n_ap - 1 - i)
+            assert decode(form, x) == DecodeResult(None, (f"AP {i}: slots {row} spell no channel",))
 
 
 # -- input validation -----------------------------------------------------
