@@ -49,6 +49,7 @@ from .formulation import (
     variable_counts,
 )
 from .gas import (
+    OPTIMUM_TOL,
     BruteForceResult,
     BudgetExceededError,
     GasConfig,
@@ -63,7 +64,6 @@ from .poly import (
     BinaryPolynomial,
     BitVector,
     CapExceededError,
-    PolyStats,
     bits_to_int,
     int_to_bits,
     loads_poly,

@@ -27,7 +27,10 @@ polynomial's value bounds.  Reference circuits for the binary-encoded
 objective are sized by the coefficients alone (real-valued objectives
 tolerate rare wraparound because every sample is re-evaluated classically),
 which ``coefficient_width`` reproduces; one-hot circuits use the closed-form
-bound on max(E), floored at the sign qubit as well.
+bound on max(E), floored at the sign qubit as well.  The closed forms share
+one width rule, ceil(log2 max(E)) + 1 (``_closed_form_width``), and one
+register dispatch per formulation family (``_closed_form_registers``), which
+both ``closed_form_qubits`` and ``closed_form_resources`` read.
 """
 
 from __future__ import annotations
@@ -194,9 +197,13 @@ def _width(lo: float, hi: float) -> int:
 
 def value_register_width(p: BinaryPolynomial) -> int:
     """Width m such that every coefficient and the interval-arithmetic
-    value range fit the two's complement."""
-    st = p.stats()
-    values = np.fromiter((st.min_value_bound, st.max_value_bound, *p.terms.values()), np.float64)
+    value range fit the two's complement.  Each non-constant term adds 0 or
+    its coefficient, so every value lies between the constant plus the
+    negative coefficients and the constant plus the positive ones."""
+    const = p.constant_term
+    lo = const + sum(min(0.0, c) for s, c in p.terms.items() if s)
+    hi = const + sum(max(0.0, c) for s, c in p.terms.items() if s)
+    values = np.fromiter((lo, hi, *p.terms.values()), np.float64)
     return _width(values.min(), values.max())  # numpy's extremes keep a NaN
 
 
@@ -212,33 +219,41 @@ def coefficient_width(p: BinaryPolynomial, y: float = 0.0) -> int:
     return _width(values.min(), values.max())  # numpy's extremes keep a NaN
 
 
-def qubo_width(n_ap: int, n_ch: int, d_sum: float, w: float) -> int:
-    """The paper's closed-form width for the one-hot objective: ceil(log2
-    max(E)) plus the sign bit, with max(E) = N_CH * D_sum + w * N_AP *
-    (N_CH - 1)^2, and the sign bit alone when max(E) <= 1/2.  When max(E) is
-    a power of two the register stops one short of it: at 4 x 2 under the
-    uniform table max(E) = 16 and m = 5, where ``value_register_width`` gives
-    6.  The formula is kept as the paper states it."""
-    max_e = n_ch * d_sum + w * n_ap * (n_ch - 1) ** 2
+def _closed_form_width(max_e: float) -> int:
+    """The paper's closed-form width: ceil(log2 max(E)) plus the sign bit,
+    and the sign bit alone when max(E) <= 1/2.  When max(E) is a power of
+    two the register stops one short of it: at 4 x 2 under the uniform
+    table max(E) = 16 and m = 5, where ``value_register_width`` gives 6.
+    The formula is kept as the paper states it."""
     return max(1, math.ceil(math.log2(max_e)) + 1)
 
 
+def qubo_width(n_ap: int, n_ch: int, d_sum: float, w: float) -> int:
+    """Closed-form width for the one-hot objective, with max(E) = N_CH *
+    D_sum + w * N_AP * (N_CH - 1)^2."""
+    return _closed_form_width(n_ch * d_sum + w * n_ap * (n_ch - 1) ** 2)
+
+
 def hubo_width_closed_form(d_sum: float) -> int:
-    """The paper's closed-form width for the binary-encoded objective:
-    ceil(log2 max(E')) plus the sign bit, with max(E') = D_sum, and the sign
-    bit alone when D_sum <= 1/2.  As in ``qubo_width`` the register stops
-    one short of max(E') when D_sum is a power of two; the formula is kept
-    as the paper states it."""
-    return max(1, math.ceil(math.log2(d_sum)) + 1)
+    """Closed-form width for the binary-encoded objective, with max(E') =
+    D_sum."""
+    return _closed_form_width(d_sum)
 
 
-def formulation_width(form: Formulation, d_sum: float | None = None) -> int:
+def formulation_width(form: Formulation, d_sum: float) -> int:
     """Value-register width used when compiling a formulation."""
     if form.encoding is Encoding.ONE_HOT:
-        if d_sum is None:
-            raise ValueError("one-hot sizing needs d_sum")
         return qubo_width(form.n_ap, form.n_ch, d_sum, form.penalty)
     return coefficient_width(form.objective)
+
+
+def _closed_form_registers(
+    n_ap: int, n_ch: int, d_sum: float, w: float, kind: str
+) -> tuple[int, int]:
+    """Key and value widths (n, m) of a formulation family's closed form."""
+    if Encoding(kind).is_binary:
+        return n_ap * bits_per_channel(n_ch), hubo_width_closed_form(d_sum)
+    return n_ap * n_ch, qubo_width(n_ap, n_ch, d_sum, w)
 
 
 def closed_form_qubits(
@@ -247,9 +262,7 @@ def closed_form_qubits(
     """Total n + m from the closed forms, per formulation family."""
     if d_sum <= 0:
         raise ValueError("d_sum must be positive")
-    if Encoding(kind).is_binary:
-        return n_ap * bits_per_channel(n_ch) + hubo_width_closed_form(d_sum)
-    return n_ap * n_ch + qubo_width(n_ap, n_ch, d_sum, w)
+    return sum(_closed_form_registers(n_ap, n_ch, d_sum, w, kind))
 
 
 # -- circuit construction -------------------------------------------------
@@ -373,10 +386,9 @@ def closed_form_resources(n_ap: int, n_ch: int, kind: str) -> ResourceReport:
     smaller), so both binary kinds share this closed form.
     """
     pairs = math.comb(n_ap, 2)
+    n, beta = _closed_form_registers(n_ap, n_ch, pairs, 1, kind)
     if Encoding(kind).is_binary:
         n_b = bits_per_channel(n_ch)
-        n = n_ap * n_b
-        beta = hubo_width_closed_form(pairs)
         cr = {1: n * beta}
         if n >= 2:
             cr[2] = math.comb(n, 2) * beta
@@ -388,15 +400,13 @@ def closed_form_resources(n_ap: int, n_ch: int, kind: str) -> ResourceReport:
             if count:
                 cr[k] = count * beta
     else:
-        n = n_ap * n_ch
-        beta = qubo_width(n_ap, n_ch, pairs, 1)
         cr = {1: n * beta, 2: (n_ch * pairs + n_ap * math.comb(n_ch, 2)) * beta}
     return ResourceReport(
         n_key=n, m_val=beta, h_count=n + beta, r_count=beta, cr_counts=cr, iqft_count=1,
     )
 
 
-def formulation_resources(form: Formulation, d_sum: float | None = None) -> ResourceReport:
+def formulation_resources(form: Formulation, d_sum: float) -> ResourceReport:
     """Enumerated report for a formulation's state-preparation circuit."""
-    m = formulation_width(form, d_sum=d_sum)
+    m = formulation_width(form, d_sum)
     return enumerate_resources(build_state_prep(form.objective, 0.0, m))

@@ -32,6 +32,7 @@ from .simulator import IdealSampler
 
 
 LAMBDA = 8.0 / 7.0  # growth of the reach k after each non-improving draw
+OPTIMUM_TOL = 1e-12  # a run within this of the known optimum has reached it
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def run_gas(sampler: IdealSampler, cfg: GasConfig, rng: np.random.Generator) -> 
         i = len(trace.iterations)
         if cfg.max_classical_iters is not None and i >= cfg.max_classical_iters:
             break
-        if cfg.stop_at_known_optimum is not None and trace.best_y <= cfg.stop_at_known_optimum + 1e-12:
+        if cfg.stop_at_known_optimum is not None and trace.best_y <= cfg.stop_at_known_optimum + OPTIMUM_TOL:
             break
         if cfg.max_quantum_queries is not None and trace.quantum_queries >= cfg.max_quantum_queries:
             break

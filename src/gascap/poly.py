@@ -15,7 +15,6 @@ on (x_0, x_1, ..., x_{n-1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -216,19 +215,6 @@ class BinaryPolynomial:
 
     # -- analysis -----------------------------------------------------
 
-    def stats(self) -> "PolyStats":
-        # interval arithmetic: each monomial contributes 0 or its coefficient,
-        # except the constant term which always contributes
-        const = self.constant_term
-        lo = const + sum(min(0.0, c) for s, c in self.terms.items() if s)
-        hi = const + sum(max(0.0, c) for s, c in self.terms.items() if s)
-        return PolyStats(
-            degree=self.degree,
-            term_count=len(self.terms),
-            min_value_bound=lo,
-            max_value_bound=hi,
-        )
-
     def exhaustive_min(self) -> tuple[BitVector, float]:
         """Global minimizer and value by full enumeration.
 
@@ -247,14 +233,6 @@ class BinaryPolynomial:
             idxs = " ".join(str(i) for i in support)
             lines.append(f"{coeff!r} : {idxs}".rstrip())
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class PolyStats:
-    degree: int
-    term_count: int
-    min_value_bound: float
-    max_value_bound: float
 
 
 def loads_poly(text: str, n_vars: int) -> BinaryPolynomial:

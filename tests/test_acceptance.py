@@ -87,8 +87,8 @@ def test_acceptance_02_golden_optimum(instance, table, qubo, hubo_asc, hubo_desc
 
 def test_acceptance_03_term_counts(hubo_asc, hubo_desc):
     # counting convention: all stored terms including the nonzero constant
-    assert hubo_asc.objective.stats().term_count == 67
-    assert hubo_desc.objective.stats().term_count == 55
+    assert len(hubo_asc.objective.terms) == 67
+    assert len(hubo_desc.objective.terms) == 55
     report(3, "binary objectives expand to exactly 67 (ascending) and 55 "
               "(descending) terms, constant included")
 

@@ -212,6 +212,17 @@ def test_budget_exit_code(tmp_path):
                  "--out", str(tmp_path / "y")]) == 3
 
 
+def test_verify_over_budget_exits_3(tmp_path, capsys):
+    # 3^15 assignments exceed the enumeration budget before any check prints
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(instance_to_dict(synthetic_instance(15, 3, seed=0))))
+    assert main(["verify", "--instance", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("budget exceeded: search space 14348907 exceeds the "
+                            "enumeration budget 10000000\n")
+    assert captured.out == ""
+
+
 def test_cap_exceeded_exit_code(tmp_path, capsys):
     # the one-hot objective has 9 * 4 = 36 variables, above the table cap of 24
     assert main(["solve", "--synthetic", "9,4", "--formulation", "qubo",

@@ -45,9 +45,12 @@ def loop_width(v: float) -> int:
 
 
 def loop_value_register_width(p):
-    st_ = p.stats()
+    # interval arithmetic: each non-constant term adds 0 or its coefficient
+    const = p.constant_term
+    lo = const + sum(min(0.0, c) for s, c in p.terms.items() if s)
+    hi = const + sum(max(0.0, c) for s, c in p.terms.items() if s)
     m = 1
-    for v in [st_.min_value_bound, st_.max_value_bound] + list(p.terms.values()):
+    for v in [lo, hi] + list(p.terms.values()):
         m = max(m, loop_width(v))
     return m
 
@@ -245,6 +248,9 @@ def test_closed_form_report_totals_equal_the_stored_formulas():
                 stored = 1 if kind == "qubo" else max(0, 2 * bits_per_channel(n_ch) - 1)
                 assert rep.ancillae == stored == stored_ancillae(rep.cr_counts)
                 assert rep.cnot_count == stored_cnot_count(rep.cr_counts) > 0
+                # the two closed forms agree on n + m under D_ik = w = 1
+                pairs = math.comb(n_ap, 2)
+                assert rep.n_key + rep.m_val == closed_form_qubits(n_ap, n_ch, pairs, 1.0, kind)
 
 
 @settings(deadline=None, max_examples=20)

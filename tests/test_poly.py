@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gascap import BinaryPolynomial, bits_to_int, int_to_bits, loads_poly
+from gascap import BinaryPolynomial, bits_to_int, int_to_bits, loads_poly, value_register_width
+from gascap.circuits import _width
 
 
 def fig_poly():
@@ -147,30 +148,28 @@ def test_private_constructor_equals_public_on_canonical_dicts(case):
     assert got.dumps() == want.dumps()
 
 
-def test_stats_reference_polynomial():
-    st = fig_poly().stats()
-    assert st.degree == 3
-    assert st.term_count == 3
+def test_value_register_width_reference_polynomial():
+    p = fig_poly()
+    assert p.degree == 3
+    assert len(p.terms) == 3
     # exhaustive extrema of this polynomial are exactly -0.8 and 2
-    assert st.min_value_bound <= -0.8
-    assert st.max_value_bound >= 2.0
+    assert _width(-0.8, 2.0) <= value_register_width(p) == 3
 
 
-def test_stats_constant():
-    st = BinaryPolynomial.constant(5.0).stats()
-    assert st.degree == 0
-    assert (st.min_value_bound, st.max_value_bound) == (5.0, 5.0)
+def test_value_register_width_constant():
+    p = BinaryPolynomial.constant(5.0)
+    assert p.degree == 0
+    # both value bounds are the constant itself
+    assert value_register_width(p) == _width(5.0, 5.0) == 4
 
 
-def test_stats_bounds_enclose_exhaustive_range():
+def test_value_register_width_admits_exhaustive_range():
     rng = np.random.default_rng(3)
     for _ in range(25):
         n = int(rng.integers(1, 9))
         p = random_poly(rng, n, int_coeffs=False)
-        st = p.stats()
         values = p.evaluate_all()
-        assert st.min_value_bound <= values.min() + 1e-12
-        assert st.max_value_bound >= values.max() - 1e-12
+        assert _width(values.min(), values.max()) <= value_register_width(p)
 
 
 def test_exhaustive_min_simple():
