@@ -14,6 +14,7 @@ from gascap import (
     apply,
     build_grover,
     build_state_prep,
+    marked_probability,
     value_register_width,
 )
 
@@ -39,7 +40,7 @@ state = apply(prep, StateVector.zero(prep.n_qubits))
 print(f"\n{'L':>3} {'statevector':>12} {'sin^2 formula':>14}")
 best_l, best_p = 0, 0.0
 for l_ops in range(8):
-    got = float(state.probabilities().reshape(n_states, -1).sum(axis=1)[marked].sum())
+    got = marked_probability(state, marked, m)
     want = amplified_probability(t, n_states, l_ops)
     print(f"{l_ops:>3} {got:>12.6f} {want:>14.6f}")
     if got > best_p:

@@ -9,6 +9,7 @@ optimum; ascending and descending are statistically interchangeable here.
 import numpy as np
 
 from gascap import (
+    OPTIMUM_TOL,
     GasConfig,
     IdealSampler,
     brute_force_cap,
@@ -38,7 +39,7 @@ print(f"\n{'objective':>11} {'bits':>5} {'hits':>8} {'classical':>10} "
       f"{'quantum':>8} {'sqrt(2^n)':>10}")
 for name, form in forms.items():
     traces = list(run_batch(IdealSampler(form.objective), cfg, 100))
-    hits = sum(t.best_y <= oracle.best_value + 1e-9 for t in traces)
+    hits = sum(t.best_y <= oracle.best_value + OPTIMUM_TOL for t in traces)
     mean_c = np.mean([t.classical_queries for t in traces])
     mean_q = np.mean([t.quantum_queries for t in traces])
     ref = 2.0 ** (form.objective.n_vars / 2.0)

@@ -204,7 +204,7 @@ def cmd_estimate(args) -> int:
                 })
                 for k, v in report.cr_counts.items():
                     row[f"cr_{k}"] = v
-                    max_arity = max(max_arity, k)
+                max_arity = max(max_arity, report.max_arity)
             rows_raw.append(row)
     header += [f"cr_{k}" for k in range(1, max_arity + 1)]
     header += ["cnot_enumerated", "cnot_closed_form",

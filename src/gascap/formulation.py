@@ -3,22 +3,28 @@
 Each encoding of "AP i uses channel c" is one map from a channel to the slot
 bits of an AP, ``channel_codeword``:
 
-* one-hot: N_CH slot bits per AP, channel c sets bit c only.  Objective
-  is quadratic; a penalty w * (sum_c x_ic - 1)^2 per AP enforces validity.
+* one-hot: N_CH slot bits per AP, channel c sets bit c only.
 * ascending binary: each AP gets N_B = ceil(log2 N_CH) slot bits spelling
   the codeword [c - 1] in big-endian binary.
 * descending binary: codewords are assigned in reverse, [N_CH - c + 1]; low
   channel indices get codewords dense in ones, which shrinks the expanded
   objective (the product for an all-ones codeword is a single monomial).
 
+AP i's slots are variables i * width .. (i + 1) * width - 1, with width N_CH
+or N_B.  Every objective is sum_{i<k} d_ik P(i, k) + sum_i Q(i), where
+P(i, k) is 1 exactly when APs i and k spell the same channel and the
+validity penalty Q(i) is 0 exactly when AP i spells a channel:
+
+* one-hot: P = sum_c x_ic x_kc and Q = w (sum_c x_ic - 1)^2, so the
+  objective is quadratic.
+* binary: P = sum_c ind_c(i) ind_c(k), with the degree-N_B codeword
+  indicator ind_c(i) = prod_r (1 - b_r + (2 b_r - 1) x_ir), so co-channel
+  costs become terms of degree up to 2 N_B; Q is w' times the indicator of
+  each slot row that is no codeword.
+
 ``encode_assignment`` concatenates the codewords of an assignment, and
 ``decode`` inverts the map by looking each AP's slot row up among the N_CH
 codewords; a row that is no codeword is a violation.
-
-For both binary encodings the per-channel indicator is the degree-N_B product
-prod_r (1 - b_r + (2 b_r - 1) x_ir), so co-channel costs become terms of
-degree up to 2 N_B; slot rows that are no codeword are penalized by w' times
-their indicator.
 
 When N_CH is a power of two the descending map [N_CH - c + 1] is taken
 mod 2^N_B (channel 1 wraps to the all-zero codeword); this keeps the map a
@@ -130,41 +136,40 @@ def codeword_indicator(ap: int, bits: Sequence[int], n_vars: int, slots: int) ->
 # -- builders -----------------------------------------------------------
 
 
-def _check_penalty(w: float) -> None:
-    if not (math.isfinite(w) and w > 0):
-        raise ValueError(f"penalty weight must be finite and positive, got {w}")
-
-
-def _qubo_from_table(table: CoeffTable, n_ch: int, w: float) -> Formulation:
-    """One-hot objective: co-channel costs plus w per-AP one-hot penalties."""
-    _check_penalty(w)
-    if n_ch < 1:
-        raise ValueError("the one-hot encoding needs at least 1 channel")
-    n_ap = table.n_ap
-    n_vars = n_ap * n_ch
-    # AP i on channel c + 1 is variable i * n_ch + c; every support below is
-    # sorted and written once
-    terms: dict[tuple[int, ...], float] = {}
-    for i in range(n_ap):
-        for k in range(i + 1, n_ap):
-            for c in range(n_ch):
-                terms[(i * n_ch + c, k * n_ch + c)] = float(table.d[i, k])
-    # (sum_c x - 1)^2 = 1 - sum_c x + 2 sum_{c<l} x_c x_l  on binary variables
-    terms[()] = w * n_ap
-    for i in range(n_ap):
-        for c in range(n_ch):
-            terms[(i * n_ch + c,)] = -w
-        for c in range(n_ch):
-            for l in range(c + 1, n_ch):
-                terms[(i * n_ch + c, i * n_ch + l)] = 2.0 * w
-
-    return Formulation(
-        encoding=Encoding.ONE_HOT,
-        objective=BinaryPolynomial._from_canonical(n_vars, terms),
-        penalty=w,
-        n_ap=n_ap,
-        n_ch=n_ch,
-    )
+def _templates(n_ch: int, enc: Encoding, w: float):
+    """The encoding's blocks ``(width, pair, pieces)``: AP slot width, the
+    co-channel indicator P of AP "0" (variables 0..width-1) and AP "1"
+    (width..2 width-1), and the validity penalty Q as pieces on AP "0"."""
+    if enc is Encoding.ONE_HOT:
+        if n_ch < 1:
+            raise ValueError("the one-hot encoding needs at least 1 channel")
+        pair = {(c, n_ch + c): 1.0 for c in range(n_ch)}
+        # (sum_c x - 1)^2 = 1 - sum_c x + 2 sum_{c<l} x_c x_l  on binary variables
+        piece = {(): w}
+        piece.update(((c,), -w) for c in range(n_ch))
+        piece.update((s, 2.0 * w) for s in combinations(range(n_ch), 2))
+        return n_ch, pair, [piece]
+    if n_ch < 2:
+        raise ValueError("binary encodings need at least 2 channels")
+    n_b = bits_per_channel(n_ch)
+    codewords = [channel_codeword(c, n_ch, enc) for c in range(1, n_ch + 1)]
+    # P's coefficients are integers, so expanding it once gives the same bits
+    # as expanding it per pair
+    pair = BinaryPolynomial.zero(2 * n_b)
+    for bits in codewords:
+        pair = pair.add(
+            codeword_indicator(0, bits, 2 * n_b, n_b).multiply(
+                codeword_indicator(1, bits, 2 * n_b, n_b)
+            )
+        )
+    # one piece per slot row that spells no channel
+    rows = (int_to_bits(value, n_b) for value in range(1 << n_b))
+    pieces = [
+        codeword_indicator(0, bits, n_b, n_b).scale(w).terms
+        for bits in rows
+        if bits not in codewords
+    ]
+    return n_b, pair.terms, pieces
 
 
 def _add_exact(terms: dict[tuple[int, ...], float], support: tuple[int, ...], coeff: float):
@@ -178,38 +183,22 @@ def _add_exact(terms: dict[tuple[int, ...], float], support: tuple[int, ...], co
         terms[support] = total
 
 
-def _hubo_from_table(
-    table: CoeffTable, n_ch: int, enc: Encoding, w_prime: float
-) -> Formulation:
-    """Binary-encoded objective of degree at most 2 N_B."""
-    _check_penalty(w_prime)
-    if n_ch < 2:
-        raise ValueError("binary encodings need at least 2 channels")
+def _from_table(table: CoeffTable, n_ch: int, kind: str, w: float) -> Formulation:
+    """sum_{i<k} d_ik P(i, k) + sum_i Q(i) from the blocks of ``_templates``."""
+    enc = Encoding(kind)
+    if not (math.isfinite(w) and w > 0):
+        raise ValueError(f"penalty weight must be finite and positive, got {w}")
+    width, pair, pieces = _templates(n_ch, enc, w)
     n_ap = table.n_ap
-    n_b = bits_per_channel(n_ch)
-    n_vars = n_ap * n_b
-    codewords = [channel_codeword(c, n_ch, enc) for c in range(1, n_ch + 1)]
-
-    # The co-channel indicator of a pair, sum_c [AP i on c][AP k on c], is one
-    # polynomial on 2 N_B variables up to relabeling: AP "0" holds variables
-    # 0..N_B-1 and AP "1" holds N_B..2N_B-1.  Its coefficients are integers,
-    # so expanding it once gives the same bits as expanding it per pair.
-    template = BinaryPolynomial.zero(2 * n_b)
-    for bits in codewords:
-        template = template.add(
-            codeword_indicator(0, bits, 2 * n_b, n_b).multiply(
-                codeword_indicator(1, bits, 2 * n_b, n_b)
-            )
-        )
     # relabeling keeps each support sorted, since AP i's variables precede
     # AP k's for i < k; split each support into its AP "0" and AP "1" halves
     halves = [
-        (tuple(j for j in s if j < n_b), tuple(j - n_b for j in s if j >= n_b))
-        for s in template.terms
+        (tuple(j for j in s if j < width), tuple(j - width for j in s if j >= width))
+        for s in pair
     ]
-    coeffs = list(template.terms.values())
-    low = [[tuple(j + i * n_b for j in lo) for lo, _ in halves] for i in range(n_ap)]
-    high = [[tuple(j + k * n_b for j in hi) for _, hi in halves] for k in range(n_ap)]
+    coeffs = list(pair.values())
+    low = [[tuple(j + i * width for j in lo) for lo, _ in halves] for i in range(n_ap)]
+    high = [[tuple(j + k * width for j in hi) for _, hi in halves] for k in range(n_ap)]
 
     terms: dict[tuple[int, ...], float] = {}
     for i in range(n_ap):
@@ -217,32 +206,19 @@ def _hubo_from_table(
             d = float(table.d[i, k])
             for lo, hi, v in zip(low[i], high[k], coeffs):
                 _add_exact(terms, lo + hi, v * d)
-
-    # penalize the slot rows that spell no channel
-    used = set(codewords)
-    for value in range(1 << n_b):
-        bits = int_to_bits(value, n_b)
-        if bits in used:
-            continue
-        penalty = codeword_indicator(0, bits, n_b, n_b).scale(w_prime)
+    # piece by piece, each to every AP in turn: the term order depends on it
+    for piece in pieces:
         for i in range(n_ap):
-            for s, c in penalty.terms.items():
-                _add_exact(terms, tuple(j + i * n_b for j in s), c)
+            for s, c in piece.items():
+                _add_exact(terms, tuple(j + i * width for j in s), c)
 
     return Formulation(
         encoding=enc,
-        objective=BinaryPolynomial._from_canonical(n_vars, terms),
-        penalty=w_prime,
+        objective=BinaryPolynomial._from_canonical(n_ap * width, terms),
+        penalty=w,
         n_ap=n_ap,
         n_ch=n_ch,
     )
-
-
-def _from_table(table: CoeffTable, n_ch: int, kind: str, penalty: float) -> Formulation:
-    enc = Encoding(kind)
-    if enc is Encoding.ONE_HOT:
-        return _qubo_from_table(table, n_ch, penalty)
-    return _hubo_from_table(table, n_ch, enc, penalty)
 
 
 def build_formulation(

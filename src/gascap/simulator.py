@@ -359,7 +359,7 @@ class StateVectorSampler(IdealSampler):
         rows = np.fft.fft(rows, axis=1, norm="ortho")
         # the state only now, so with every value distinct psi peaks at two
         # arrays, as when each key had its own row
-        amps = StateVector.zero(n_total).amplitudes
+        amps = np.empty(1 << n_total, dtype=np.complex128)
         # "clip" takes straight into ``out``; "raise" would buffer a copy of it
         np.take(rows, self.row_of, axis=0, out=amps.reshape(-1, size), mode="clip")
         return _checked(n_total, amps)

@@ -27,7 +27,6 @@ from gascap import (
 from gascap.formulation import (
     DecodeResult,
     Quadratization,
-    _hubo_from_table,
     codeword_indicator,
     formulation_from_table,
 )
@@ -423,9 +422,33 @@ def test_build_quadratized_is_quadratized_hubo_asc(instance, table, hubo_asc):
 # -- fast paths against their per-pair and per-substitution references ----
 
 
+def qubo_from_table_reference(table, n_ch, w):
+    """Direct one-hot construction, AP i on channel c + 1 as variable
+    i * n_ch + c, kept as the reference for the template-based builder; the
+    constant is w summed once per AP, as the builder adds it."""
+    n_ap = table.n_ap
+    terms = {}
+    for i in range(n_ap):
+        for k in range(i + 1, n_ap):
+            for c in range(n_ch):
+                terms[(i * n_ch + c, k * n_ch + c)] = float(table.d[i, k])
+    # (sum_c x - 1)^2 = 1 - sum_c x + 2 sum_{c<l} x_c x_l  on binary variables;
+    # one rounded addition per AP, which builtin sum need not do
+    terms[()] = 0.0
+    for _ in range(n_ap):
+        terms[()] += w
+    for i in range(n_ap):
+        for c in range(n_ch):
+            terms[(i * n_ch + c,)] = -w
+        for c in range(n_ch):
+            for l in range(c + 1, n_ch):
+                terms[(i * n_ch + c, i * n_ch + l)] = 2.0 * w
+    return BinaryPolynomial._from_canonical(n_ap * n_ch, terms)
+
+
 def hubo_from_table_reference(table, n_ch, enc, w_prime):
     """Expansion with one immutable ``add`` per AP pair, kept as the slow
-    reference for the template-based ``_hubo_from_table``."""
+    reference for the template-based builder."""
     n_ap = table.n_ap
     n_b = bits_per_channel(n_ch)
     n_vars = n_ap * n_b
@@ -518,12 +541,37 @@ def pair_tables(draw):
 )
 @example(SimpleNamespace(n_ap=4, d=np.array([[0, 1, -1, 1], [1, 0, 0, 0], [-1, 0, 0, 2], [1, 0, 2, 0.0]])),
          3, ASC, 1.0)
+# seven non-codeword rows, whose pieces cancel and re-add supports: the term
+# order shows whether they are added piece by piece or AP by AP
+@example(SimpleNamespace(n_ap=2, d=np.array([[0, 1.0], [1.0, 0]])), 9, DESC, 1.0)
 @settings(deadline=None, max_examples=40)
 def test_hubo_template_matches_per_pair_expansion(table, n_ch, enc, w_prime):
-    got = _hubo_from_table(table, n_ch, enc, w_prime).objective
+    got = formulation_from_table(table, n_ch, enc.value, w_prime).objective
     want = hubo_from_table_reference(table, n_ch, enc, w_prime)
     assert got.n_vars == want.n_vars
     assert list(got.terms.items()) == list(want.terms.items())
+
+
+@given(
+    pair_tables(),
+    st.integers(1, 9),
+    st.one_of(st.sampled_from([1.0, 2.5]), st.floats(1e-3, 1e3)),
+)
+@example(SimpleNamespace(n_ap=4, d=np.array([[0, 1, -1, 1], [1, 0, 0, 0], [-1, 0, 0, 2], [1, 0, 2, 0.0]])),
+         3, 1.835)
+@settings(deadline=None, max_examples=40)
+def test_qubo_template_matches_direct_construction(table, n_ch, w):
+    got = formulation_from_table(table, n_ch, "qubo", w).objective
+    want = qubo_from_table_reference(table, n_ch, w)
+    assert got.n_vars == want.n_vars
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("w", [1.0, 2.5])
+@pytest.mark.parametrize("n_ap", range(2, 12))
+def test_qubo_constant_is_w_times_n_ap_at_pinned_penalties(n_ap, w):
+    form = formulation_from_table(CoeffTable.uniform(n_ap, 1.0), 3, "qubo", w)
+    assert form.objective.constant_term == w * n_ap
 
 
 @pytest.mark.parametrize("kind", ["hubo-asc", "hubo-desc"])
