@@ -9,13 +9,13 @@ import numpy as np
 
 from gascap import (
     BinaryPolynomial,
-    StateVector,
     amplified_probability,
     apply,
     build_grover,
     build_state_prep,
     marked_probability,
     value_register_width,
+    zero_state,
 )
 
 # six binary variables, a handful of integer terms
@@ -36,7 +36,7 @@ print(f"compiled with a {m}-qubit value register "
       f"({prep.n_qubits} qubits, {len(prep.gates)} gates in A_y)")
 
 marked = np.where(values < y)[0]
-state = apply(prep, StateVector.zero(prep.n_qubits))
+state = apply(prep, zero_state(prep.n_qubits))
 print(f"\n{'L':>3} {'statevector':>12} {'sin^2 formula':>14}")
 best_l, best_p = 0, 0.0
 for l_ops in range(8):

@@ -70,11 +70,11 @@ from .poly import (
 )
 from .simulator import (
     IdealSampler,
-    StateVector,
     StateVectorSampler,
     amplified_probability,
     apply,
     key_cdf,
     marked_probability,
     sample,
+    zero_state,
 )

@@ -345,25 +345,22 @@ class ResourceReport:
 
 def enumerate_resources(c: CircuitSpec) -> ResourceReport:
     """Gate histogram of a state-preparation circuit (the dominant block of
-    each search iteration), counted per op: a phase layer is m gates per
-    term, so its count is m times the histogram of its terms' degrees."""
-    h = r = iqft = 0
-    cr: dict[int, int] = {}
+    each search iteration), counted per op.  Every phase rotation goes into
+    one histogram by its number of controls: a phase layer adds m times the
+    histogram of its terms' degrees, its non-zero constant at arity 0, and
+    an ``r``/``cr`` gate adds one.  Arity 0 is ``r_count``."""
+    h = iqft = 0
+    arity: Counter[int] = Counter()
     for g in c.ops:
         if isinstance(g, PhaseLayer):
-            if g.p.constant_term - g.y != 0.0:
-                r += c.m_val
             degrees = Counter(map(len, g.p.terms))
-            for k in sorted(degrees):  # ascending arity, the order of the gates
-                if k and c.m_val:
-                    cr[k] = cr.get(k, 0) + degrees[k] * c.m_val
+            degrees[0] = int(g.p.constant_term - g.y != 0.0)  # the constant folded with -y
+            for k, count in degrees.items():
+                arity[k] += count * c.m_val
+        elif g.kind in ("r", "cr"):
+            arity[len(g.controls)] += 1
         elif g.kind == "h":
             h += 1
-        elif g.kind == "r":
-            r += 1
-        elif g.kind == "cr":
-            k = len(g.controls)
-            cr[k] = cr.get(k, 0) + 1
         elif g.kind in ("iqft", "qft"):
             iqft += 1
         # z/diffusion appear only in full Grover operators, outside this scope
@@ -371,8 +368,8 @@ def enumerate_resources(c: CircuitSpec) -> ResourceReport:
         n_key=c.n_key,
         m_val=c.m_val,
         h_count=h,
-        r_count=r,
-        cr_counts=cr,
+        r_count=arity.pop(0, 0),
+        cr_counts={k: arity[k] for k in sorted(arity) if arity[k]},
         iqft_count=iqft,
     )
 
@@ -388,17 +385,11 @@ def closed_form_resources(n_ap: int, n_ch: int, kind: str) -> ResourceReport:
     pairs = math.comb(n_ap, 2)
     n, beta = _closed_form_registers(n_ap, n_ch, pairs, 1, kind)
     if Encoding(kind).is_binary:
+        # C(N_B, k) is 0 past N_B; k = 1 and 2 give N and C(N, 2)
         n_b = bits_per_channel(n_ch)
-        cr = {1: n * beta}
-        if n >= 2:
-            cr[2] = math.comb(n, 2) * beta
-        for k in range(3, 2 * n_b + 1):
-            if k <= n_b:
-                count = pairs * math.comb(2 * n_b, k) - n_ap * (n_ap - 2) * math.comb(n_b, k)
-            else:
-                count = pairs * math.comb(2 * n_b, k)
-            if count:
-                cr[k] = count * beta
+        counts = ((k, pairs * math.comb(2 * n_b, k) - n_ap * (n_ap - 2) * math.comb(n_b, k))
+                  for k in range(1, 2 * n_b + 1))
+        cr = {k: count * beta for k, count in counts if count}
     else:
         cr = {1: n * beta, 2: (n_ch * pairs + n_ap * math.comb(n_ch, 2)) * beta}
     return ResourceReport(

@@ -10,8 +10,9 @@ different fidelity/cost trade-offs:
   sin^2((2L+1) asin(sqrt(t/N))), uniform within the marked set.  This needs
   only the classical value table, never a 2^(n+m) state.
 
-* ``StateVectorSampler``: the draw simulated exactly with ``StateVector`` +
-  ``apply``, a unitary simulation of a CircuitSpec.  The basis index is
+* ``StateVectorSampler``: the draw simulated exactly with ``apply``, a
+  unitary simulation of a CircuitSpec.  A state is the complex128 array of
+  its 2^N amplitudes (``zero_state`` allocates |0...0>).  The basis index is
   key * 2^m + value, i.e. key qubits occupy the high bits (key qubit 0 most
   significant) and the value register the low bits (value qubit 0 = sign bit
   at position m-1).  Capped at 24 qubits, where one state is 256 MB.
@@ -31,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,25 +47,13 @@ def _check_cap(n_qubits: int) -> None:
         raise CapExceededError(f"{n_qubits} qubits above the simulation cap of {DEFAULT_QUBIT_CAP}")
 
 
-@dataclass
-class StateVector:
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "StateVector":
-        """|0...0> on ``n_qubits``; raises ``CapExceededError`` above the
-        simulation cap before allocating the 2^n amplitudes."""
-        _check_cap(n_qubits)
-        amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(n_qubits=n_qubits, amplitudes=amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+def zero_state(n_qubits: int) -> np.ndarray:
+    """The 2^n amplitudes of |0...0> on ``n_qubits``; raises
+    ``CapExceededError`` above the simulation cap before allocating them."""
+    _check_cap(n_qubits)
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps[0] = 1.0
+    return amps
 
 
 def _apply_h(amps: np.ndarray, qubit: int) -> np.ndarray:
@@ -134,28 +122,29 @@ def _compile(c: CircuitSpec) -> tuple[tuple[str, object], ...]:
     return tuple(steps)
 
 
-def _checked(n_qubits: int, amps: np.ndarray) -> StateVector:
-    out = StateVector(n_qubits=n_qubits, amplitudes=amps)
-    if not math.isclose(out.norm(), 1.0, rel_tol=0, abs_tol=1e-9):
-        raise ValueError(f"norm drifted to {out.norm()}")
-    return out
+def _checked(amps: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(amps))
+    if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
+        raise ValueError(f"norm drifted to {norm}")
+    return amps
 
 
-def apply(c: CircuitSpec, s: StateVector) -> StateVector:
-    """Apply a circuit to a state; returns a new state, ``s`` is not changed.
+def apply(c: CircuitSpec, amps: np.ndarray) -> np.ndarray:
+    """Apply a circuit to the 2^N amplitudes of a state; returns a new array,
+    ``amps`` is not changed.
 
     The first call compiles the circuit into steps (see ``_compile``) and
     keeps them on it as ``c.plan``; every later call reuses them.  Raises
     ``ValueError`` when the state does not fit the circuit or its norm drifts
     from 1, and ``CapExceededError`` above the simulation cap.
     """
-    if s.n_qubits != c.n_qubits:
-        raise ValueError(f"state has {s.n_qubits} qubits, circuit needs {c.n_qubits}")
     _check_cap(c.n_qubits)
+    if amps.size != 1 << c.n_qubits:
+        raise ValueError(f"state has {amps.size} amplitudes, circuit needs {1 << c.n_qubits}")
     if c.plan is None:
         object.__setattr__(c, "plan", _compile(c))
-    n_total, m = c.n_qubits, c.m_val
-    amps = s.amplitudes.copy()
+    m = c.m_val
+    amps = amps.copy()
     for op, arg in c.plan:
         if op == "phase":
             amps *= arg
@@ -184,23 +173,24 @@ def apply(c: CircuitSpec, s: StateVector) -> StateVector:
             first = amps[0]
             amps = -amps
             amps[0] = first
-    return _checked(n_total, amps)
+    return _checked(amps)
 
 
-def key_cdf(s: StateVector, m: int = 0) -> np.ndarray:
-    """The cumulative distribution of the keys measured on ``s``, a key being
-    the index over the low ``m`` qubits: entry k is the chance that the index
-    lies in rows 0..k of 2^m amplitudes.  With ``m`` = 0 a key is the index.
+def key_cdf(amps: np.ndarray, m: int = 0) -> np.ndarray:
+    """The cumulative distribution of the keys measured on the state ``amps``,
+    a key being the index over the low ``m`` qubits: entry k is the chance
+    that the index lies in rows 0..k of 2^m amplitudes.  With ``m`` = 0 a
+    key is the index.
 
     The cumulative sums are monotone, so the first index above a uniform u
     lies in row k exactly when row k's end is the first row end above u:
-    ``sample(key_cdf(s, m), rng) == sample(key_cdf(s), rng) >> m``, from the
-    same draw.
+    ``sample(key_cdf(amps, m), rng) == sample(key_cdf(amps), rng) >> m``,
+    from the same draw.
     """
     # the bits ``rng.choice(p.size, p=p)`` searches, in one half-size array:
     # |a|^2 squares |a| and the cumulative sum (``cumsum``'s own kernel) runs
     # in place, with the bits of the out-of-place forms
-    p = np.abs(s.amplitudes)
+    p = np.abs(amps)
     np.multiply(p, p, out=p)
     p /= p.sum()
     np.add.accumulate(p, out=p)
@@ -215,9 +205,10 @@ def sample(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def marked_probability(s: StateVector, marked_keys: np.ndarray, m_val: int) -> float:
-    """Total probability that the measured key falls in ``marked_keys``."""
-    probs = s.probabilities().reshape(-1, 1 << m_val).sum(axis=1)
+def marked_probability(amps: np.ndarray, marked_keys: np.ndarray, m_val: int) -> float:
+    """Total probability that the key measured on the state ``amps`` falls in
+    ``marked_keys``."""
+    probs = (np.abs(amps) ** 2).reshape(-1, 1 << m_val).sum(axis=1)
     return float(probs[marked_keys].sum())
 
 
@@ -295,9 +286,11 @@ class StateVectorSampler(IdealSampler):
     orthonormal FFT of exp(2 pi i (E(x) - y) k / 2^m) over k = 0..2^m-1,
     scaled by 1/sqrt(2^(n+m)), and depends on E(x) alone, so each distinct
     value's row is computed once and gathered into the state.  A_y is still
-    built, for its coefficient range check and as G's source.
+    built, as G's source; its coefficient range check cannot fail there,
+    since m is at least ``coefficient_width(p, y)``.
     G = A_y D A_y^dagger O is given its plan here, its oracle ``z`` and the
-    reflection 2|psi><psi| - I about the psi already held, so each Grover
+    reflection 2|psi><psi| - I about the psi array already held
+    (``prepared``, as is the frontier, ``front``), so each Grover
     operator costs O(2^N) and G compiles nothing.  An L at or past L_f
     advances the frontier; a smaller one starts again from psi.
     """
@@ -339,7 +332,7 @@ class StateVectorSampler(IdealSampler):
             self.prepared = self._psi(y, m)
             self.front, self.front_l = self.prepared, 0
             self.grover = build_grover(self.prep)
-            plan = (("z", self.prep.n_key), ("reflect", self.prepared.amplitudes))
+            plan = (("z", self.prep.n_key), ("reflect", self.prepared))
             object.__setattr__(self.grover, "plan", plan)
         state, done = (self.front, self.front_l) if l_ops >= self.front_l else (self.prepared, 0)
         if l_ops > done:
@@ -349,7 +342,7 @@ class StateVectorSampler(IdealSampler):
             self.front, self.front_l = state, l_ops
         return key_cdf(state, self.prep.m_val)
 
-    def _psi(self, y: float, m: int) -> StateVector:
+    def _psi(self, y: float, m: int) -> np.ndarray:
         n_total, size = self.n_vars + m, 1 << m
         _check_cap(n_total)
         rows = np.zeros((self.distinct.size, size), dtype=np.complex128)
@@ -362,4 +355,4 @@ class StateVectorSampler(IdealSampler):
         amps = np.empty(1 << n_total, dtype=np.complex128)
         # "clip" takes straight into ``out``; "raise" would buffer a copy of it
         np.take(rows, self.row_of, axis=0, out=amps.reshape(-1, size), mode="clip")
-        return _checked(n_total, amps)
+        return _checked(amps)

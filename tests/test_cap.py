@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 from gascap import (
+    BinaryPolynomial,
     CapInstance,
     CoeffTable,
+    amplified_probability,
     assignment_interference,
+    bits_per_channel,
+    closed_form_qubits,
     coeff_table,
+    decode,
+    encode_assignment,
     interference_coeff,
     load_instance,
     synthetic_instance,
@@ -190,6 +196,17 @@ MALFORMED = {
     "string-epsilon": {**SMALL, "epsilon": "0.5"},
     "bool-distance": {**SMALL, "distances": [[True, 2.0, 3.0], [2.0, 1.0, 3.0], [3.0, 2.0, 1.0]]},
     "string-distance": {**SMALL, "distances": [[1.0, 2.0, 3.0], [2.0, "0.5", 3.0], [3.0, 2.0, 1.0]]},
+    "zero-n-ap": {**SMALL, "n_ap": 0},
+    "zero-n-ch": {**SMALL, "n_ch": 0},
+    "short-distances": {**SMALL, "distances": [[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]]},
+    "two-groups-for-three-aps": {**SMALL, "assoc": [[0], [1, 2]]},
+}
+# the CapInstance check each well-typed entry reaches
+MALFORMED_MESSAGE = {
+    "zero-n-ap": "^n_ap and n_ch must be positive$",
+    "zero-n-ch": "^n_ap and n_ch must be positive$",
+    "short-distances": r"^distances must be a \(n_ap, n_ut\) matrix, got \(2, 3\)$",
+    "two-groups-for-three-aps": "^assoc must have one user group per AP$",
 }
 
 
@@ -206,10 +223,31 @@ def test_small_instance_is_well_formed():
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_instance_from_dict_rejects_malformed_json(name):
-    # each of these once raised TypeError or was silently truncated by int()
-    # or converted by float()
-    with pytest.raises(ValueError):
+    # the ill-typed entries once raised TypeError or were silently truncated
+    # by int() or converted by float()
+    with pytest.raises(ValueError, match=MALFORMED_MESSAGE.get(name)):
         instance_from_dict(MALFORMED[name])
+
+
+@pytest.mark.parametrize("call, error, want", [
+    (lambda inst, table, form: assignment_interference(inst, table, [1, 2]),
+     ValueError, "^assignment length 2 != n_ap 4$"),
+    (lambda inst, table, form: decode(form, (0, 1)), ValueError,
+     "^bit vector length 2 != n_vars 8$"),
+    (lambda inst, table, form: encode_assignment(form, [1]), ValueError,
+     "^assignment length mismatch$"),
+    (lambda *_: bits_per_channel(0), ValueError, "^n_ch must be positive$"),
+    (lambda *_: BinaryPolynomial(-1), ValueError, "^n_vars must be nonnegative$"),
+    (lambda *_: setattr(BinaryPolynomial(1), "n_vars", 2), AttributeError,
+     "^BinaryPolynomial is immutable$"),
+    (lambda *_: amplified_probability(5, 4, 1), ValueError, "^marked count out of range$"),
+    (lambda *_: closed_form_qubits(4, 3, 0.0, 1.0, "qubo"), ValueError,
+     "^d_sum must be positive$"),
+], ids=["assignment_interference", "decode", "encode_assignment", "bits_per_channel",
+        "BinaryPolynomial", "polynomial-setattr", "amplified_probability", "closed_form_qubits"])
+def test_validation_raises(instance, table, hubo_asc, call, error, want):
+    with pytest.raises(error, match=want):
+        call(instance, table, hubo_asc)
 
 
 def test_round_trip_through_dict(instance):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gascap import BinaryPolynomial, StateVector, cli, simulator
+from gascap import BinaryPolynomial, cli, simulator
 from gascap.cap import instance_to_dict, reference_instance, synthetic_instance
 from gascap.cli import main
 from gascap.simulator import DEFAULT_QUBIT_CAP
@@ -233,20 +233,16 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
 def test_statevector_cap_exit_code_before_allocating(tmp_path, capsys, monkeypatch):
     # 18 key + 12 value qubits at the base width: the state would take
     # 16 GiB, so numpy may build nothing above the cap while the command runs
-    zeros, widths = np.zeros, []
+    widths, check_cap = [], simulator._check_cap
 
-    def bounded_zeros(shape, *args, **kwargs):
-        assert np.prod(shape) <= 1 << DEFAULT_QUBIT_CAP, f"allocating {shape} entries"
-        return zeros(shape, *args, **kwargs)
+    def bounded(alloc):
+        def guarded(shape, *args, **kwargs):
+            assert np.prod(shape) <= 1 << DEFAULT_QUBIT_CAP, f"allocating {shape} entries"
+            return alloc(shape, *args, **kwargs)
+        return guarded
 
-    zero, check_cap = StateVector.zero.__func__, simulator._check_cap
-
-    def spy(cls, n_qubits, *args, **kwargs):
-        with monkeypatch.context() as patch:
-            patch.setattr(np, "zeros", bounded_zeros)
-            return zero(cls, n_qubits, *args, **kwargs)
-
-    monkeypatch.setattr(StateVector, "zero", classmethod(spy))
+    monkeypatch.setattr(np, "zeros", bounded(np.zeros))
+    monkeypatch.setattr(np, "empty", bounded(np.empty))
     # the sampler checks its base width when it is built, before any draw
     monkeypatch.setattr(simulator, "_check_cap", lambda n: widths.append(n) or check_cap(n))
     monkeypatch.setattr(simulator.StateVectorSampler, "sample", lambda *a: pytest.fail("drew"))

@@ -253,6 +253,33 @@ def test_closed_form_report_totals_equal_the_stored_formulas():
                 assert rep.n_key + rep.m_val == closed_form_qubits(n_ap, n_ch, pairs, 1.0, kind)
 
 
+def binary_closed_form_cr_reference(n_ap: int, n_ch: int, beta: int) -> dict[int, int]:
+    """The binary closed form's control histogram, case by case: k = 1 and 2
+    from N and C(N, 2), then the k <= N_B and k > N_B formulas."""
+    n_b = bits_per_channel(n_ch)
+    n, pairs = n_ap * n_b, math.comb(n_ap, 2)
+    cr = {1: n * beta}
+    if n >= 2:
+        cr[2] = math.comb(n, 2) * beta
+    for k in range(3, 2 * n_b + 1):
+        if k <= n_b:
+            count = pairs * math.comb(2 * n_b, k) - n_ap * (n_ap - 2) * math.comb(n_b, k)
+        else:
+            count = pairs * math.comb(2 * n_b, k)
+        if count:
+            cr[k] = count * beta
+    return cr
+
+
+def test_binary_closed_form_histogram_equals_the_case_by_case_formulas():
+    for n_ap in range(2, 41):
+        for n_ch in range(2, 65):
+            for kind in ("hubo-asc", "hubo-desc"):
+                rep = closed_form_resources(n_ap, n_ch, kind)
+                want = binary_closed_form_cr_reference(n_ap, n_ch, rep.m_val)
+                assert list(rep.cr_counts.items()) == list(want.items())
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.integers(2, 16), st.integers(2, 6), st.sampled_from(["qubo", "hubo-asc", "hubo-desc"]))
 @example(16, 6, "hubo-asc")

@@ -11,7 +11,6 @@ from gascap import (
     GasConfig,
     GasTrace,
     IdealSampler,
-    StateVector,
     StateVectorSampler,
     apply,
     brute_force_cap,
@@ -25,6 +24,7 @@ from gascap import (
     sample,
     synthetic_instance,
     coeff_table,
+    zero_state,
 )
 from gascap import gas
 from gascap.gas import ORACLE_BUDGET, GasIteration, co_channel_partition
@@ -383,7 +383,7 @@ class PerDrawStatevector:
         if y != self.at_y:
             self.at_y, self.m = y, max(self.base_m, coefficient_width(self.p, y))
             prep = build_state_prep(self.p, y, self.m)
-            self.prepared = apply(prep, StateVector.zero(prep.n_qubits))
+            self.prepared = apply(prep, zero_state(prep.n_qubits))
             self.grover = build_grover(prep)
         state = self.prepared
         for _ in range(l_ops):

@@ -17,7 +17,6 @@ from gascap import (
     CircuitSpec,
     GateSpec,
     PhaseLayer,
-    StateVector,
     apply,
     build_grover,
     build_state_prep,
@@ -123,6 +122,8 @@ def test_resources_equal_a_histogram_over_the_gates(case):
     assert (report.h_count, report.r_count, report.iqft_count) == (kinds["h"], kinds["r"], 1)
     assert report.cr_counts == dict(arity)
     assert list(report.cr_counts) == list(arity)  # first-seen order, as the gate walk gives it
+    # the layer's histogram and the r/cr gates it expands into count alike
+    assert enumerate_resources(CircuitSpec(c.n_key, c.m_val, c.gates)) == report
 
 
 @given(state_preps(max_vars=6, bound=50.0, widen=3))
@@ -183,8 +184,8 @@ def test_grover_matches_the_gate_level_reference(case, seed):
     g = build_grover(a)
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << a.n_qubits) + 1j * rng.normal(size=1 << a.n_qubits)
-    state = StateVector(a.n_qubits, amps / np.linalg.norm(amps))
-    got = apply(g, state).amplitudes
+    state = amps / np.linalg.norm(amps)
+    got = apply(g, state)
     assert np.max(np.abs(got - apply_gate_by_gate(g, state))) <= 1e-12
 
 

@@ -11,7 +11,6 @@ from gascap import (
     BudgetExceededError,
     CapExceededError,
     IdealSampler,
-    StateVector,
     StateVectorSampler,
     amplified_probability,
     apply,
@@ -22,6 +21,7 @@ from gascap import (
     quadratize,
     sample,
     value_register_width,
+    zero_state,
 )
 from gascap import simulator
 from gascap.circuits import CircuitSpec, GateSpec, coefficient_width, formulation_width
@@ -31,37 +31,37 @@ from test_gas import search_polynomials
 
 def test_hadamard_on_zero():
     c = CircuitSpec(1, 0, (GateSpec("h", target=0),))
-    sv = apply(c, StateVector.zero(1))
-    assert np.allclose(sv.amplitudes, [1 / math.sqrt(2)] * 2)
+    sv = apply(c, zero_state(1))
+    assert np.allclose(sv, [1 / math.sqrt(2)] * 2)
 
 
 def test_z_flips_phase_of_one():
     c = CircuitSpec(1, 0, (GateSpec("h", target=0), GateSpec("z", target=0)))
-    sv = apply(c, StateVector.zero(1))
-    assert np.allclose(sv.amplitudes, [1 / math.sqrt(2), -1 / math.sqrt(2)])
+    sv = apply(c, zero_state(1))
+    assert np.allclose(sv, [1 / math.sqrt(2), -1 / math.sqrt(2)])
 
 
 def test_apply_rejects_mismatch_and_cap():
     c = CircuitSpec(1, 0, (GateSpec("h", target=0),))
     with pytest.raises(ValueError):
-        apply(c, StateVector.zero(2))
+        apply(c, zero_state(2))
     big = CircuitSpec(25, 0, ())
     with pytest.raises(ValueError):
         # the cap is checked before the amplitudes are read
-        apply(big, StateVector(25, np.zeros(1)))
+        apply(big, np.zeros(1))
 
 
 def test_zero_state_checks_the_cap_before_allocating():
     # 2^80 amplitudes are past addressable memory, so no width here allocates
     with pytest.raises(CapExceededError, match="^80 qubits above the simulation cap of 24$"):
-        StateVector.zero(80)
-    assert StateVector.zero(2).amplitudes.tolist() == [1, 0, 0, 0]
+        zero_state(80)
+    assert zero_state(2).tolist() == [1, 0, 0, 0]
 
 
 def test_norm_drift_is_a_value_error():
     c = CircuitSpec(1, 0, (GateSpec("h", target=0),))
     with pytest.raises(ValueError, match="norm drifted"):
-        apply(c, StateVector(1, np.array([1, 1], complex)))
+        apply(c, np.array([1, 1], complex))
 
 
 # -- gate-by-gate reference ---------------------------------------------------
@@ -76,9 +76,9 @@ def _iqft_matrix(m: int, inverse: bool) -> np.ndarray:
     return np.exp(sign * 2j * np.pi * grid / size) / math.sqrt(size)
 
 
-def apply_gate_by_gate(c: CircuitSpec, s: StateVector) -> np.ndarray:
+def apply_gate_by_gate(c: CircuitSpec, s: np.ndarray) -> np.ndarray:
     n_total, m = c.n_qubits, c.m_val
-    amps = s.amplitudes.astype(np.complex128)
+    amps = s.astype(np.complex128)
     idx = np.arange(amps.size, dtype=np.uint64)
 
     def weight(q):
@@ -209,7 +209,7 @@ def circuits(draw):
             gates.append(GateSpec(kind))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amps = rng.normal(size=1 << n_total) + 1j * rng.normal(size=1 << n_total)
-    state = StateVector(n_total, amps / np.linalg.norm(amps))
+    state = amps / np.linalg.norm(amps)
     return CircuitSpec(n_total - m, m, tuple(gates)), state
 
 
@@ -217,16 +217,16 @@ def circuits(draw):
 @settings(deadline=None)
 def test_apply_matches_gate_by_gate_reference(case):
     c, state = case
-    got = apply(c, state).amplitudes
+    got = apply(c, state)
     assert np.max(np.abs(got - apply_gate_by_gate(c, state))) <= 1e-12
 
 
 def test_apply_leaves_its_input_unchanged():
     c = CircuitSpec(1, 1, (GateSpec("h", target=0), GateSpec("r", target=1, theta=0.7),
                            GateSpec("z", target=0), GateSpec("iqft")))
-    state = StateVector(2, np.full(4, 0.5, dtype=complex))
+    state = np.full(4, 0.5, dtype=complex)
     apply(c, state)
-    assert np.array_equal(state.amplitudes, np.full(4, 0.5))
+    assert np.array_equal(state, np.full(4, 0.5))
 
 
 # -- the compiled plan ----------------------------------------------------------
@@ -256,7 +256,7 @@ def test_grover_computes_one_diagonal_however_often_applied(hubo_asc, table, mon
     # its oracle and the reflection about that same psi, and compiles nothing
     assert diagonals == []
     assert [op for op, _ in sampler.grover.plan] == ["z", "reflect"]
-    assert sampler.grover.plan[1][1] is sampler.prepared.amplitudes
+    assert sampler.grover.plan[1][1] is sampler.prepared
 
 
 @given(search_polynomials(max_vars=6, bound=1e3), st.floats(-2e3, 2e3, allow_nan=False),
@@ -270,10 +270,10 @@ def test_sampler_psi_matches_gate_level_state_prep(p, y, widen):
     # psi has norm 1/sqrt(2^n), so past |E - y| ~ 1e2 the bound grows with it
     sampler = StateVectorSampler(p, None if widen is None else coefficient_width(p) + widen)
     m = max(sampler.base_m, coefficient_width(p, y))
-    want = apply(build_state_prep(p, y, m), StateVector.zero(p.n_vars + m))
+    want = apply(build_state_prep(p, y, m), zero_state(p.n_vars + m))
     rounding = 2 * math.pi * np.finfo(float).eps * np.max(np.abs(sampler.values - y))
     bound = max(1e-12, 8 * rounding / math.sqrt(1 << p.n_vars))
-    assert np.max(np.abs(sampler._psi(y, m).amplitudes - want.amplitudes)) <= bound
+    assert np.max(np.abs(sampler._psi(y, m) - want)) <= bound
 
 
 def psi_per_key(values, n, y, m):
@@ -298,7 +298,7 @@ def test_sampler_psi_per_distinct_value_is_the_per_key_psi(p, y, widen):
     sampler = StateVectorSampler(p, coefficient_width(p) + widen)
     m = max(sampler.base_m, coefficient_width(p, y))
     assert np.array_equal(sampler.distinct, np.unique(sampler.values))
-    got = sampler._psi(y, m).amplitudes
+    got = sampler._psi(y, m)
     assert np.array_equal(got.view(np.int64), psi_per_key(sampler.values, p.n_vars, y, m).view(np.int64))
 
 
@@ -317,7 +317,7 @@ def test_prepared_key_distribution_is_the_uniform_one(p, y, widen, quadratized):
         assume(p.n_vars <= 7)
     sampler = StateVectorSampler(p, coefficient_width(p) + widen)
     m = max(sampler.base_m, coefficient_width(p, y))
-    state = apply(build_state_prep(p, y, m), StateVector.zero(p.n_vars + m))
+    state = apply(build_state_prep(p, y, m), zero_state(p.n_vars + m))
     uniform = np.arange(1, (1 << p.n_vars) + 1) / (1 << p.n_vars)
     assert np.max(np.abs(key_cdf(state, m) - uniform)) <= 1e-12
 
@@ -333,24 +333,24 @@ def test_sampler_grover_plan_matches_gate_by_gate_reference(p, y, widen, l_ops):
     got = want = sampler.prepared
     for _ in range(l_ops):
         got = apply(sampler.grover, got)
-        want = StateVector(want.n_qubits, apply_gate_by_gate(grover, want))
-        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-12
+        want = apply_gate_by_gate(grover, want)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_applying_a_circuit_twice_is_bit_identical(hubo_asc, table):
     prep, grover = _bundled_grover(hubo_asc, table)
-    state = apply(prep, StateVector.zero(prep.n_qubits))
-    before = state.amplitudes.copy()
-    first = apply(grover, state).amplitudes
-    second = apply(grover, state).amplitudes
+    state = apply(prep, zero_state(prep.n_qubits))
+    before = state.copy()
+    first = apply(grover, state)
+    second = apply(grover, state)
     assert np.array_equal(first, second)
-    assert np.array_equal(state.amplitudes, before)
+    assert np.array_equal(state, before)
 
 
 def test_the_plan_leaves_equality_hash_and_repr_alone():
     gates = (GateSpec("h", target=0), GateSpec("r", target=1, theta=0.7), GateSpec("iqft"))
     applied, fresh = CircuitSpec(1, 1, gates), CircuitSpec(1, 1, gates)
-    apply(applied, StateVector.zero(2))
+    apply(applied, zero_state(2))
     assert applied.plan is not None and fresh.plan is None
     assert applied == fresh and hash(applied) == hash(fresh)
     assert repr(applied) == repr(fresh) == f"CircuitSpec(n_key=1, m_val=1, ops={gates!r})"
@@ -363,23 +363,23 @@ def test_grover_operator_matches_reference_on_bundled_objective(hubo_asc, table,
     m = formulation_width(hubo_asc, d_sum=table.d_sum)
     prep = build_state_prep(p, y, m)
     grover = build_grover(prep)
-    state = apply(prep, StateVector.zero(prep.n_qubits))
-    want = StateVector(prep.n_qubits, apply_gate_by_gate(prep, StateVector.zero(prep.n_qubits)))
+    state = apply(prep, zero_state(prep.n_qubits))
+    want = apply_gate_by_gate(prep, zero_state(prep.n_qubits))
     for _ in range(3):
-        assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-12
+        assert np.max(np.abs(state - want)) <= 1e-12
         state = apply(grover, state)
-        want = StateVector(want.n_qubits, apply_gate_by_gate(grover, want))
-    assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-12
+        want = apply_gate_by_gate(grover, want)
+    assert np.max(np.abs(state - want)) <= 1e-12
 
 
 def test_norm_preserved_gate_by_gate():
     rng = np.random.default_rng(0)
     p = BinaryPolynomial(3, {(): 1.0, (0, 2): -2.5, (1,): 0.3})
     c = build_state_prep(p, 0.1, m=4)
-    sv = StateVector.zero(c.n_qubits)
+    sv = zero_state(c.n_qubits)
     for g in c.gates:
         sv = apply(CircuitSpec(c.n_key, c.m_val, (g,)), sv)
-        assert sv.norm() == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(sv) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_state_prep_keys_stay_uniform_with_exact_values():
@@ -387,8 +387,8 @@ def test_state_prep_keys_stay_uniform_with_exact_values():
     y = 1
     m = value_register_width(p + (-y))
     c = build_state_prep(p, y, m)
-    sv = apply(c, StateVector.zero(c.n_qubits))
-    probs = sv.probabilities().reshape(1 << 4, 1 << m)
+    sv = apply(c, zero_state(c.n_qubits))
+    probs = (np.abs(sv) ** 2).reshape(1 << 4, 1 << m)
     for key in range(1 << 4):
         value = int(round(p.evaluate(int_to_bits(key, 4)) - y)) % (1 << m)
         assert probs[key, value] == pytest.approx(1 / 16, abs=1e-12)
@@ -397,17 +397,17 @@ def test_state_prep_keys_stay_uniform_with_exact_values():
 def test_sampling_is_seed_deterministic():
     p = BinaryPolynomial(3, {(0,): 1.0, (1, 2): -2.0})
     c = build_state_prep(p, 0.0, m=3)
-    sv = apply(c, StateVector.zero(c.n_qubits))
+    sv = apply(c, zero_state(c.n_qubits))
     a = [sample(key_cdf(sv), np.random.default_rng(9)) for _ in range(5)]
     b = [sample(key_cdf(sv), np.random.default_rng(9)) for _ in range(5)]
     assert a == b
 
 
 def test_sample_of_deterministic_state():
-    assert sample(key_cdf(StateVector.zero(4)), np.random.default_rng(0)) == 0
+    assert sample(key_cdf(zero_state(4)), np.random.default_rng(0)) == 0
     amps = np.zeros(16, dtype=np.complex128)
     amps[0b1011] = 1j
-    assert sample(key_cdf(StateVector(4, amps)), np.random.default_rng(0)) == 0b1011
+    assert sample(key_cdf(amps), np.random.default_rng(0)) == 0b1011
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
@@ -420,8 +420,8 @@ def test_sample_draws_what_rng_choice_draws(n, state_seed, seed, sparsity):
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps[rng.random(1 << n) < sparsity] = 0.0
     amps[rng.integers(1 << n)] += 1.0  # never the zero vector
-    sv = StateVector(n, amps / np.linalg.norm(amps))
-    probs = sv.probabilities()
+    sv = amps / np.linalg.norm(amps)
+    probs = np.abs(sv) ** 2
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert sample(key_cdf(sv), got_rng) == int(want_rng.choice(probs.size, p=probs / probs.sum()))
     assert got_rng.random() == want_rng.random()
@@ -438,7 +438,7 @@ def test_key_cdf_row_ends_draw_the_key(n, m, state_seed, seed, sparsity):
     amps = rng.normal(size=size) + 1j * rng.normal(size=size)
     amps[rng.random(size) < sparsity] = 0.0
     amps[rng.integers(size)] += 1.0
-    sv = StateVector(n + m, amps / np.linalg.norm(amps))
+    sv = amps / np.linalg.norm(amps)
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert sample(key_cdf(sv, m), got_rng) == sample(key_cdf(sv), want_rng) >> m
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -447,7 +447,7 @@ def test_key_cdf_row_ends_draw_the_key(n, m, state_seed, seed, sparsity):
 def test_sampled_key_frequencies_roughly_uniform():
     p = BinaryPolynomial(3, {(0, 1): 1.0})
     c = build_state_prep(p, 0.0, m=2)
-    sv = apply(c, StateVector.zero(c.n_qubits))
+    sv = apply(c, zero_state(c.n_qubits))
     rng = np.random.default_rng(123)
     cdf = key_cdf(sv, 2)  # keys above a 2-qubit value register
     counts = np.zeros(8)
@@ -492,7 +492,7 @@ def test_statevector_matches_amplification_formula():
         t = int((values < y).sum())
         marked = np.where(values < y)[0]
         prep = build_state_prep(p, y, m)
-        state = apply(prep, StateVector.zero(n + m))
+        state = apply(prep, zero_state(n + m))
         grover = build_grover(prep)
         for l_ops in range(4):
             got = marked_probability(state, marked, m)
@@ -510,7 +510,7 @@ def test_optimal_rotation_count_succeeds_whp():
         theta = math.asin(math.sqrt(1 / n_states))
         l_opt = round(math.pi / (4 * theta) - 0.5)
         prep = build_state_prep(p, y, m)
-        state = apply(prep, StateVector.zero(n + m))
+        state = apply(prep, zero_state(n + m))
         grover = build_grover(prep)
         for _ in range(l_opt):
             state = apply(grover, state)
@@ -523,8 +523,8 @@ def test_grover_with_no_marked_states_keeps_uniform_keys():
     p = BinaryPolynomial(3, {(): 1.0})  # constant 1, nothing below y = 0
     m = 2
     prep = build_state_prep(p, 0.0, m)
-    state = apply(build_grover(prep), apply(prep, StateVector.zero(3 + m)))
-    key_probs = state.probabilities().reshape(8, 1 << m).sum(axis=1)
+    state = apply(build_grover(prep), apply(prep, zero_state(3 + m)))
+    key_probs = (np.abs(state) ** 2).reshape(8, 1 << m).sum(axis=1)
     assert np.allclose(key_probs, 1 / 8)
 
 
@@ -587,7 +587,7 @@ def test_every_size_cap_raises_the_budget_error_type():
     calls = (big.evaluate_all, big.exhaustive_min,
              lambda: IdealSampler(big),
              # the cap is checked before the amplitudes are touched
-             lambda: apply(CircuitSpec(25, 0, ()), StateVector(25, np.zeros(1))))
+             lambda: apply(CircuitSpec(25, 0, ()), np.zeros(1)))
     for call in calls:
         with pytest.raises(CapExceededError) as info:
             call()
@@ -726,9 +726,9 @@ def test_oracle_negates_the_sign_half_with_the_same_bits(n_key, m_val):
     amps = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
     amps[rng.random(amps.size) < 0.1] = 0.0
     amps.real[rng.random(amps.size) < 0.1] = -0.0
-    sv = StateVector(16, amps / np.linalg.norm(amps))
-    got = apply(CircuitSpec(n_key, m_val, (GateSpec("z", n_key),)), sv).amplitudes
-    want = sv.amplitudes.copy()
+    sv = amps / np.linalg.norm(amps)
+    got = apply(CircuitSpec(n_key, m_val, (GateSpec("z", n_key),)), sv)
+    want = sv.copy()
     want.reshape(1 << n_key, 2, -1)[:, 1, :] *= -1.0
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
@@ -740,7 +740,7 @@ def test_oracle_step_peak_memory():
     # half; one pass over every row buffered a quarter of an array
     rng = np.random.default_rng(2)
     amps = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
-    sv = StateVector(16, amps / np.linalg.norm(amps))
+    sv = amps / np.linalg.norm(amps)
     oracle = CircuitSpec(12, 4, (GateSpec("z", 12),))
     apply(oracle, sv)  # compiles the plan
     tracemalloc.start()
@@ -757,7 +757,7 @@ def test_draw_peak_memory_is_half_an_array():
     # are written in place
     rng = np.random.default_rng(3)
     amps = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
-    sv = StateVector(16, amps / np.linalg.norm(amps))
+    sv = amps / np.linalg.norm(amps)
     tracemalloc.start()
     try:
         sample(key_cdf(sv), rng)
