@@ -36,9 +36,10 @@ from .circuits import closed_form_resources, formulation_resources, formulation_
 from .formulation import (
     Encoding,
     build_formulation,
-    build_quadratized,
     decode,
+    default_quadratization_scale,
     formulation_from_table,
+    quadratize,
     variable_counts,
 )
 from .gas import (
@@ -119,13 +120,24 @@ def _fmt(x) -> str:
 
 def _objectives(args, inst: CapInstance, table: CoeffTable):
     """Yield (kind, objective, encoding label, Formulation or None) for each
-    --formulation; the quadratized objective has no Formulation."""
-    for kind in args.formulation:
-        if kind == "quadratized":
-            poly = build_quadratized(inst, args.penalty, table).poly
-            yield kind, poly, "quadratized(binary_ascending)", None
+    --formulation; the quadratized objective has no Formulation.
+
+    hubo-asc and quadratized share one ascending build, kept only while a
+    later kind still needs it."""
+    kinds = args.formulation
+    shared = ("hubo-asc", "quadratized")
+    asc = None
+    for j, kind in enumerate(kinds):
+        if kind in shared:
+            form = asc or build_formulation(inst, "hubo-asc", args.penalty, table)
+            asc = form if any(k in shared for k in kinds[j + 1:]) else None
         else:
             form = build_formulation(inst, kind, args.penalty, table)
+        if kind == "quadratized":
+            poly = quadratize(form.objective, default_quadratization_scale(form.objective)).poly
+            form = None  # frees the ascending build unless asc still holds it
+            yield kind, poly, "quadratized(binary_ascending)", None
+        else:
             yield kind, form.objective, form.encoding.label, form
 
 

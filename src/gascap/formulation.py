@@ -172,19 +172,12 @@ def _templates(n_ch: int, enc: Encoding, w: float):
     return n_b, pair.terms, pieces
 
 
-def _add_exact(terms: dict[tuple[int, ...], float], support: tuple[int, ...], coeff: float):
-    """Add ``coeff`` at ``support``, dropping a sum that is exactly zero, as
-    ``BinaryPolynomial.add`` does: a later term at that support goes to the
-    end of the dict."""
-    total = terms.get(support, 0.0) + coeff
-    if total == 0.0:
-        terms.pop(support, None)
-    else:
-        terms[support] = total
-
-
 def _from_table(table: CoeffTable, n_ch: int, kind: str, w: float) -> Formulation:
-    """sum_{i<k} d_ik P(i, k) + sum_i Q(i) from the blocks of ``_templates``."""
+    """sum_{i<k} d_ik P(i, k) + sum_i Q(i) from the blocks of ``_templates``.
+
+    Terms are added one at a time, as ``BinaryPolynomial.add`` adds them: a
+    sum that is exactly zero is dropped, and a later term at that support
+    goes to the end of the dict."""
     enc = Encoding(kind)
     if not (math.isfinite(w) and w > 0):
         raise ValueError(f"penalty weight must be finite and positive, got {w}")
@@ -201,16 +194,28 @@ def _from_table(table: CoeffTable, n_ch: int, kind: str, w: float) -> Formulatio
     high = [[tuple(j + k * width for j in hi) for _, hi in halves] for k in range(n_ap)]
 
     terms: dict[tuple[int, ...], float] = {}
-    for i in range(n_ap):
+    get, pop = terms.get, terms.pop
+    # tolist gives the same floats as float(table.d[i, k])
+    for i, row in enumerate(table.d.tolist()):
         for k in range(i + 1, n_ap):
-            d = float(table.d[i, k])
+            d = row[k]
             for lo, hi, v in zip(low[i], high[k], coeffs):
-                _add_exact(terms, lo + hi, v * d)
+                s = lo + hi
+                total = get(s, 0.0) + v * d
+                if total == 0.0:
+                    pop(s, None)
+                else:
+                    terms[s] = total
     # piece by piece, each to every AP in turn: the term order depends on it
     for piece in pieces:
         for i in range(n_ap):
-            for s, c in piece.items():
-                _add_exact(terms, tuple(j + i * width for j in s), c)
+            for p, c in piece.items():
+                s = tuple(j + i * width for j in p)
+                total = get(s, 0.0) + c
+                if total == 0.0:
+                    pop(s, None)
+                else:
+                    terms[s] = total
 
     return Formulation(
         encoding=enc,
@@ -290,8 +295,10 @@ def quadratize(p: BinaryPolynomial, scale: float) -> Quadratization:
         for j in hit:
             slot = slots[j]
             s = slot[0]
-            # y is fresh, so the rewritten support is new and y sorts last
-            new = tuple(v for v in s if v != a and v != b) + (y,)
+            # y is fresh, so the rewritten support is new and y sorts last;
+            # a < b, so a sits before b in the sorted support
+            ia, ib = s.index(a), s.index(b)
+            new = s[:ia] + s[ia + 1:ib] + s[ib + 1:] + (y,)
             old.append(s)
             if len(new) >= 3:
                 new_high.append(new)
@@ -321,6 +328,8 @@ def quadratize(p: BinaryPolynomial, scale: float) -> Quadratization:
             index[support] = len(slots)
             slots.append([support, coeff])
 
+    # freed before the result's dicts are built, where the peak would sit
+    del index, occ, freq
     return Quadratization(
         poly=BinaryPolynomial._from_canonical(n_vars, dict(slots)), aux_map=tuple(aux_map)
     )

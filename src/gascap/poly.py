@@ -111,8 +111,12 @@ class BinaryPolynomial:
         return self.terms.get((), 0.0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], float]]:
-        """Terms in graded lexicographic order: by degree, then by support."""
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        """Terms in graded lexicographic order: by degree, then by support.
+
+        Sorting the supports, then stably by length, gives that order, since
+        tuples of one length compare as their supports."""
+        terms = self.terms
+        return [(s, terms[s]) for s in sorted(sorted(terms), key=len)]
 
     def coefficient(self, support: Iterable[int]) -> float:
         return self.terms.get(tuple(sorted(set(support))), 0.0)
@@ -227,12 +231,19 @@ class BinaryPolynomial:
     # -- text format ---------------------------------------------------
 
     def dumps(self) -> str:
-        """One term per line, ``coeff : i1 i2 ...``, canonical order."""
-        lines = []
-        for support, coeff in self.sorted_terms():
-            idxs = " ".join(str(i) for i in support)
-            lines.append(f"{coeff!r} : {idxs}".rstrip())
-        return "\n".join(lines)
+        """One term per line, ``coeff : i1 i2 ...``, canonical order.
+
+        Each distinct coefficient is formatted once: equal floats have equal
+        reprs apart from 0.0 and -0.0, and a canonical polynomial holds no
+        zero coefficient.  A NaN is equal to no other float, so each NaN is
+        its own key and still formats as ``nan``.
+        """
+        reprs = {c: repr(c) for c in set(self.terms.values())}
+        names = [str(i) for i in range(self.n_vars)]
+        return "\n".join([
+            f"{reprs[c]} : {' '.join([names[i] for i in s])}" if s else f"{reprs[c]} :"
+            for s, c in self.sorted_terms()
+        ])
 
 
 def loads_poly(text: str, n_vars: int) -> BinaryPolynomial:

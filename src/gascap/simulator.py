@@ -130,8 +130,8 @@ def _checked(amps: np.ndarray) -> np.ndarray:
 
 
 def apply(c: CircuitSpec, amps: np.ndarray) -> np.ndarray:
-    """Apply a circuit to the 2^N amplitudes of a state; returns a new array,
-    ``amps`` is not changed.
+    """Apply a circuit to the 2^N amplitudes of a state; returns a new
+    complex128 array, real or complex ``amps`` is not changed.
 
     The first call compiles the circuit into steps (see ``_compile``) and
     keeps them on it as ``c.plan``; every later call reuses them.  Raises
@@ -144,7 +144,7 @@ def apply(c: CircuitSpec, amps: np.ndarray) -> np.ndarray:
     if c.plan is None:
         object.__setattr__(c, "plan", _compile(c))
     m = c.m_val
-    amps = amps.copy()
+    amps = amps.astype(np.complex128)  # a copy, complex even for real input
     for op, arg in c.plan:
         if op == "phase":
             amps *= arg

@@ -184,6 +184,35 @@ def test_verify_builds_each_formulation_once(monkeypatch, capsys):
     assert "28/28 checks passed" in capsys.readouterr().out
 
 
+def test_formulate_builds_each_objective_once(tmp_path, monkeypatch):
+    # quadratized reduces the hubo-asc objective of the same command, in
+    # either order, and writes the same file as when it is requested alone
+    built = []
+    original = cli.build_formulation
+
+    def counted(inst, kind, *args):
+        built.append(kind)
+        return original(inst, kind, *args)
+
+    monkeypatch.setattr(cli, "build_formulation", counted)
+    texts = set()
+    for kinds, want in [
+        (["quadratized"], ["hubo-asc"]),
+        (["quadratized", "hubo-asc"], ["hubo-asc"]),
+        (["hubo-asc", "quadratized"], ["hubo-asc"]),
+        (["qubo", "hubo-asc", "hubo-desc", "quadratized"], ["qubo", "hubo-asc", "hubo-desc"]),
+    ]:
+        built.clear()
+        out = tmp_path / "-".join(kinds)
+        argv = ["formulate", "--synthetic", "6,5", "--seed", "3", "--out", str(out)]
+        for kind in kinds:
+            argv += ["--formulation", kind]
+        assert main(argv) == 0
+        assert built == want
+        texts.add((out / "quadratized.poly").read_bytes())
+    assert len(texts) == 1
+
+
 def test_verify_mismatch_exit_code(tmp_path, capsys):
     # a perturbed instance must trip the golden checks with exit code 2
     inst = reference_instance()

@@ -232,6 +232,58 @@ def test_dump_format_and_round_trip():
     assert loads_poly(text, 4) == p
 
 
+def sorted_terms_reference(p):
+    """Graded order as one sort keyed on (degree, support)."""
+    return sorted(p.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+
+def dumps_reference(p):
+    """The dump format with each coefficient formatted on its own line."""
+    lines = []
+    for support, coeff in sorted_terms_reference(p):
+        idxs = " ".join(str(i) for i in support)
+        lines.append(f"{coeff!r} : {idxs}".rstrip())
+    return "\n".join(lines)
+
+
+# a few values drawn often, so most polynomials repeat coefficients, with
+# subnormals, both infinities and NaN among them
+DUMP_COEFFS = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.1, 5e-324, -2.5e-310, float("inf"), float("-inf"), float("nan")]),
+    st.floats(),
+)
+
+
+@st.composite
+def dump_polynomials(draw, finite=False):
+    # up to 40 variables, so indices have one and two digits
+    n = draw(st.integers(0, 40))
+    support = st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 8)).map(tuple) \
+        if n else st.just(())
+    coeff = st.floats(allow_nan=False, allow_infinity=False) if finite else DUMP_COEFFS
+    return BinaryPolynomial(n, draw(st.dictionaries(support, coeff, max_size=40)))
+
+
+@given(dump_polynomials())
+@example(BinaryPolynomial.zero(0))
+@example(BinaryPolynomial.zero(40))
+@example(BinaryPolynomial.constant(-2.5, 0))
+@example(BinaryPolynomial.constant(float("nan"), 12))
+@example(BinaryPolynomial(12, {(): 0.5, (11,): 0.5, (3, 10): float("inf"), (2, 4, 9): 0.5}))
+@settings(deadline=None)
+def test_dumps_and_sorted_terms_equal_their_references(p):
+    assert p.sorted_terms() == sorted_terms_reference(p)
+    assert p.dumps() == dumps_reference(p)
+
+
+@given(dump_polynomials(finite=True))
+@example(BinaryPolynomial.zero(7))
+@example(BinaryPolynomial.constant(5e-324, 3))
+@settings(deadline=None)
+def test_dumps_round_trips_finite_coefficients(p):
+    assert loads_poly(p.dumps(), p.n_vars) == p
+
+
 def test_bit_conversions():
     assert int_to_bits(5, 4) == (0, 1, 0, 1)
     assert bits_to_int((0, 1, 0, 1)) == 5

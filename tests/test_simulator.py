@@ -229,6 +229,22 @@ def test_apply_leaves_its_input_unchanged():
     assert np.array_equal(state, np.full(4, 0.5))
 
 
+@pytest.mark.parametrize("c", [
+    CircuitSpec(1, 0, (GateSpec("r", 0, (), 0.5),)),
+    CircuitSpec(2, 0, (GateSpec("h", target=0), GateSpec("h", target=1))),
+    CircuitSpec(1, 2, (GateSpec("iqft"),)),
+], ids=["r", "h", "iqft"])
+def test_real_amplitudes_give_the_state_of_their_complex_twin(c):
+    # a phase step writes complex values and an h-only plan writes none; a
+    # real input must come back complex128 either way
+    real = np.random.default_rng(7).normal(size=1 << c.n_qubits)
+    real /= np.linalg.norm(real)
+    got = apply(c, real)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, apply(c, real.astype(np.complex128)))
+    assert real.dtype == np.float64
+
+
 # -- the compiled plan ----------------------------------------------------------
 
 
