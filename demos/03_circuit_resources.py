@@ -11,7 +11,6 @@ rotation, 6(k-1) per k-controlled one.
 from gascap import (
     CoeffTable,
     build_formulation,
-    closed_form_qubits,
     closed_form_resources,
     coeff_table,
     reference_instance,
@@ -27,7 +26,7 @@ print("reference instance, descending binary encoding:")
 print(f"  key register  n' = {desc.n_vars}")
 print(f"  value register m' = {m}   (total {desc.n_vars + m} qubits)")
 print(f"  one-hot closed-form total: "
-      f"{closed_form_qubits(4, 3, table.d_sum, 1.0, 'qubo')} qubits")
+      f"{closed_form_resources(4, 3, table.d_sum, 1.0, 'qubo').n_qubits} qubits")
 
 print("\nsweep with unit costs, N_CH = N_AP / 2:")
 header = (f"{'N_AP':>5} {'kind':>10} {'qubits':>7} {'H':>5} {'1-CR':>7} "
@@ -39,8 +38,8 @@ for n_ap in (4, 6, 8, 10, 12):
     for kind in ("qubo", "hubo-asc", "hubo-desc"):
         form = formulation_from_table(t, n_ch, kind, 1.0)
         rep = formulation_resources(form, d_sum=t.d_sum)
-        closed = closed_form_resources(n_ap, n_ch, kind)
-        print(f"{n_ap:>5} {kind:>10} {rep.n_key + rep.m_val:>7} {rep.h_count:>5} "
+        closed = closed_form_resources(n_ap, n_ch, t.d_sum, 1.0, kind)
+        print(f"{n_ap:>5} {kind:>10} {rep.n_qubits:>7} {rep.h_count:>5} "
               f"{rep.cr(1):>7} {rep.cr(2):>8} {rep.cr(3):>7} {rep.cr(4):>7} "
               f"{rep.cnot_count:>9} {closed.cnot_count:>13}")
 

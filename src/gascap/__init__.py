@@ -25,7 +25,6 @@ from .circuits import (
     ResourceReport,
     build_grover,
     build_state_prep,
-    closed_form_qubits,
     closed_form_resources,
     coefficient_width,
     enumerate_resources,
@@ -40,7 +39,6 @@ from .formulation import (
     Quadratization,
     bits_per_channel,
     build_formulation,
-    build_quadratized,
     channel_codeword,
     decode,
     default_quadratization_scale,

@@ -26,11 +26,11 @@ the sign qubit alone, and a non-finite value or one outside m <= 128 raises.
 polynomial's value bounds.  Reference circuits for the binary-encoded
 objective are sized by the coefficients alone (real-valued objectives
 tolerate rare wraparound because every sample is re-evaluated classically),
-which ``coefficient_width`` reproduces; one-hot circuits use the closed-form
-bound on max(E), floored at the sign qubit as well.  The closed forms share
-one width rule, ceil(log2 max(E)) + 1 (``_closed_form_width``), and one
-register dispatch per formulation family (``_closed_form_registers``), which
-both ``closed_form_qubits`` and ``closed_form_resources`` read.
+which ``coefficient_width`` reproduces; one-hot circuits use the paper's
+bound on max(E).  That bound's width, ceil(log2 max(E)) + 1 floored at the
+sign qubit, is one rule (``_closed_form_width``), which ``formulation_width``
+and ``closed_form_resources`` both read; the closed form takes its key width
+from ``variable_counts``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .formulation import Encoding, Formulation, bits_per_channel
+from .formulation import Encoding, Formulation, bits_per_channel, variable_counts
 from .poly import BinaryPolynomial
 
 GateKind = str  # "h", "r", "cr", "z", "iqft", "qft", "diffusion"
@@ -219,50 +219,23 @@ def coefficient_width(p: BinaryPolynomial, y: float = 0.0) -> int:
     return _width(values.min(), values.max())  # numpy's extremes keep a NaN
 
 
-def _closed_form_width(max_e: float) -> int:
-    """The paper's closed-form width: ceil(log2 max(E)) plus the sign bit,
-    and the sign bit alone when max(E) <= 1/2.  When max(E) is a power of
-    two the register stops one short of it: at 4 x 2 under the uniform
-    table max(E) = 16 and m = 5, where ``value_register_width`` gives 6.
-    The formula is kept as the paper states it."""
+def _closed_form_width(n_ap: int, n_ch: int, d_sum: float, w: float, binary: bool) -> int:
+    """The paper's width, ceil(log2 max(E)) plus the sign bit, and the sign
+    bit alone when max(E) <= 1/2, with max(E) = D_sum for the binary
+    encodings and N_CH * D_sum + w * N_AP * (N_CH - 1)^2 for one-hot.  When
+    max(E) is a power of two the register stops one short of it: at 4 x 2
+    under the uniform table max(E) = 16 and m = 5, where
+    ``value_register_width`` gives 6.  The formula is kept as the paper
+    states it."""
+    max_e = d_sum if binary else n_ch * d_sum + w * n_ap * (n_ch - 1) ** 2
     return max(1, math.ceil(math.log2(max_e)) + 1)
-
-
-def qubo_width(n_ap: int, n_ch: int, d_sum: float, w: float) -> int:
-    """Closed-form width for the one-hot objective, with max(E) = N_CH *
-    D_sum + w * N_AP * (N_CH - 1)^2."""
-    return _closed_form_width(n_ch * d_sum + w * n_ap * (n_ch - 1) ** 2)
-
-
-def hubo_width_closed_form(d_sum: float) -> int:
-    """Closed-form width for the binary-encoded objective, with max(E') =
-    D_sum."""
-    return _closed_form_width(d_sum)
 
 
 def formulation_width(form: Formulation, d_sum: float) -> int:
     """Value-register width used when compiling a formulation."""
     if form.encoding is Encoding.ONE_HOT:
-        return qubo_width(form.n_ap, form.n_ch, d_sum, form.penalty)
+        return _closed_form_width(form.n_ap, form.n_ch, d_sum, form.penalty, binary=False)
     return coefficient_width(form.objective)
-
-
-def _closed_form_registers(
-    n_ap: int, n_ch: int, d_sum: float, w: float, kind: str
-) -> tuple[int, int]:
-    """Key and value widths (n, m) of a formulation family's closed form."""
-    if Encoding(kind).is_binary:
-        return n_ap * bits_per_channel(n_ch), hubo_width_closed_form(d_sum)
-    return n_ap * n_ch, qubo_width(n_ap, n_ch, d_sum, w)
-
-
-def closed_form_qubits(
-    n_ap: int, n_ch: int, d_sum: float, w: float, kind: str
-) -> int:
-    """Total n + m from the closed forms, per formulation family."""
-    if d_sum <= 0:
-        raise ValueError("d_sum must be positive")
-    return sum(_closed_form_registers(n_ap, n_ch, d_sum, w, kind))
 
 
 # -- circuit construction -------------------------------------------------
@@ -324,6 +297,10 @@ class ResourceReport:
     cr_counts: dict[int, int]         # control arity k >= 1 -> gate count
     iqft_count: int
 
+    @property
+    def n_qubits(self) -> int:
+        return self.n_key + self.m_val
+
     def cr(self, k: int) -> int:
         return self.cr_counts.get(k, 0)
 
@@ -374,17 +351,29 @@ def enumerate_resources(c: CircuitSpec) -> ResourceReport:
     )
 
 
-def closed_form_resources(n_ap: int, n_ch: int, kind: str) -> ResourceReport:
-    """Exact gate-count formulas under the normalization D_ik = w = 1, so
-    D_sum = C(N_AP, 2).
+def closed_form_resources(
+    n_ap: int, n_ch: int, d_sum: float, w: float, kind: str
+) -> ResourceReport:
+    """The paper's closed-form register and gate counts for a formulation
+    family.  The key register is ``variable_counts``' n (one-hot) or n'
+    (binary); the value register is the paper's width at the given D_sum and
+    penalty w (``_closed_form_width``).  Gate counts are the term counts under
+    the normalization D_ik = w = 1, times that width.
 
     For the descending encoding the ascending formulas are upper bounds (the
     whole point of the descending assignment is that its expansion is
     smaller), so both binary kinds share this closed form.
     """
+    binary = Encoding(kind).is_binary
+    if n_ap < 2:
+        raise ValueError(f"a closed form needs at least 2 access points, got {n_ap}")
+    if d_sum <= 0:
+        raise ValueError("d_sum must be positive")
+    vc = variable_counts(n_ap, n_ch)
+    n = vc.n_prime if binary else vc.n
+    beta = _closed_form_width(n_ap, n_ch, d_sum, w, binary)
     pairs = math.comb(n_ap, 2)
-    n, beta = _closed_form_registers(n_ap, n_ch, pairs, 1, kind)
-    if Encoding(kind).is_binary:
+    if binary:
         # C(N_B, k) is 0 past N_B; k = 1 and 2 give N and C(N, 2)
         n_b = bits_per_channel(n_ch)
         counts = ((k, pairs * math.comb(2 * n_b, k) - n_ap * (n_ap - 2) * math.comb(n_b, k))

@@ -191,14 +191,14 @@ def cmd_estimate(args) -> int:
         table = CoeffTable.uniform(n_ap, 1.0)
         d_sum = table.d_sum
         for kind in ENCODING_KINDS:
-            closed = closed_form_resources(n_ap, n_ch, kind)
+            closed = closed_form_resources(n_ap, n_ch, d_sum, 1.0, kind)
             row = {
                 "formulation": kind,
                 "encoding": kind if kind == "qubo" else kind.replace("hubo-", "binary_"),
                 "n_ap": n_ap, "n_ch": n_ch,
                 "n": counts.n, "n_prime": counts.n_prime,
                 "n_double_prime": counts.n_double_prime,
-                "qubits_closed_form": closed.n_key + closed.m_val,
+                "qubits_closed_form": closed.n_qubits,
                 "cnot_closed_form": closed.cnot_count,
                 # sqrt(2^n) amplified against 2^n exhaustive queries over n key bits, in log2
                 "log2_grover_queries": closed.n_key / 2.0,
@@ -209,7 +209,7 @@ def cmd_estimate(args) -> int:
                 report = formulation_resources(form, d_sum=d_sum)
                 row.update({
                     "m": report.m_val,
-                    "qubits_total": report.n_key + report.m_val,
+                    "qubits_total": report.n_qubits,
                     "h": report.h_count,
                     "r": report.r_count,
                     "cnot_enumerated": report.cnot_count,

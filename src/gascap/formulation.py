@@ -347,15 +347,6 @@ def default_quadratization_scale(p: BinaryPolynomial) -> float:
     return 1.0 + 2.0 * high
 
 
-def build_quadratized(
-    inst: CapInstance, penalty: float = 1.0, table: CoeffTable | None = None
-) -> Quadratization:
-    """The ascending binary objective reduced to degree 2 with
-    ``default_quadratization_scale``, as ``formulate`` and ``solve`` use it."""
-    base = build_formulation(inst, "hubo-asc", penalty, table)
-    return quadratize(base.objective, default_quadratization_scale(base.objective))
-
-
 # -- counting and decoding ----------------------------------------------
 
 

@@ -22,7 +22,6 @@ from gascap import (
     brute_force_cap,
     build_grover,
     build_state_prep,
-    closed_form_qubits,
     closed_form_resources,
     co_channel_partition,
     decode,
@@ -142,12 +141,12 @@ def test_acceptance_05_qubit_sizing(instance, table, hubo_desc):
     assert hubo_desc.n_vars == 8
     assert width == 4
     assert hubo_desc.n_vars + width == 12
-    assert closed_form_qubits(4, 3, table.d_sum, 1.0, "qubo") == 19
+    assert closed_form_resources(4, 3, table.d_sum, 1.0, "qubo").n_qubits == 19
     for n_ap in DOUBLING_SWEEP:
         n_ch = n_ap // 2
         d_sum = float(math.comb(n_ap, 2))  # unit pairwise costs
-        hubo = closed_form_qubits(n_ap, n_ch, d_sum, 1.0, "hubo-asc")
-        onehot = closed_form_qubits(n_ap, n_ch, d_sum, 1.0, "qubo")
+        hubo = closed_form_resources(n_ap, n_ch, d_sum, 1.0, "hubo-asc").n_qubits
+        onehot = closed_form_resources(n_ap, n_ch, d_sum, 1.0, "qubo").n_qubits
         assert hubo < onehot
     report(5, "reference circuit totals 8 + 4 = 12 qubits, one-hot closed form "
               "19, binary strictly below one-hot through N_AP = 128")
@@ -160,13 +159,13 @@ def test_acceptance_06_gate_count_closed_forms():
         t = CoeffTable.uniform(n_ap, 1.0)
         onehot = formulation_resources(
             formulation_from_table(t, n_ch, "qubo", 1.0), d_sum=t.d_sum)
-        closed = closed_form_resources(n_ap, n_ch, "qubo")
+        closed = closed_form_resources(n_ap, n_ch, t.d_sum, 1.0, "qubo")
         assert onehot.cr(1) == closed.cr(1)
         assert onehot.cr(2) == closed.cr(2)
         assert all(onehot.cr(k) == 0 for k in range(3, 16))
         asc = formulation_resources(
             formulation_from_table(t, n_ch, "hubo-asc", 1.0), d_sum=t.d_sum)
-        aclosed = closed_form_resources(n_ap, n_ch, "hubo-asc")
+        aclosed = closed_form_resources(n_ap, n_ch, t.d_sum, 1.0, "hubo-asc")
         for k in range(1, max(asc.max_arity, aclosed.max_arity) + 1):
             assert asc.cr(k) <= aclosed.cr(k), (n_ap, k)
     elapsed = time.monotonic() - start

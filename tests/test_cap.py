@@ -12,7 +12,7 @@ from gascap import (
     amplified_probability,
     assignment_interference,
     bits_per_channel,
-    closed_form_qubits,
+    closed_form_resources,
     coeff_table,
     decode,
     encode_assignment,
@@ -241,10 +241,10 @@ def test_instance_from_dict_rejects_malformed_json(name):
     (lambda *_: setattr(BinaryPolynomial(1), "n_vars", 2), AttributeError,
      "^BinaryPolynomial is immutable$"),
     (lambda *_: amplified_probability(5, 4, 1), ValueError, "^marked count out of range$"),
-    (lambda *_: closed_form_qubits(4, 3, 0.0, 1.0, "qubo"), ValueError,
+    (lambda *_: closed_form_resources(4, 3, 0.0, 1.0, "qubo"), ValueError,
      "^d_sum must be positive$"),
 ], ids=["assignment_interference", "decode", "encode_assignment", "bits_per_channel",
-        "BinaryPolynomial", "polynomial-setattr", "amplified_probability", "closed_form_qubits"])
+        "BinaryPolynomial", "polynomial-setattr", "amplified_probability", "closed_form_resources"])
 def test_validation_raises(instance, table, hubo_asc, call, error, want):
     with pytest.raises(error, match=want):
         call(instance, table, hubo_asc)

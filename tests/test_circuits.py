@@ -9,7 +9,6 @@ from gascap import (
     apply,
     build_grover,
     build_state_prep,
-    closed_form_qubits,
     closed_form_resources,
     coefficient_width,
     enumerate_resources,
@@ -18,7 +17,7 @@ from gascap import (
     value_register_width,
     zero_state,
 )
-from gascap.circuits import GateSpec, cnot_cost, hubo_width_closed_form, qubo_width
+from gascap.circuits import GateSpec, cnot_cost
 from gascap.formulation import formulation_from_table
 
 
@@ -65,16 +64,16 @@ def test_sizing_rules_differ_on_reference_objective(hubo_desc):
 
 def test_closed_form_qubits_reference(table):
     # 12 + ceil(log2(3 * 8.527 + 4 * 4)) + 1 = 12 + 6 + 1
-    assert closed_form_qubits(4, 3, table.d_sum, 1.0, "qubo") == 19
+    assert closed_form_resources(4, 3, table.d_sum, 1.0, "qubo").n_qubits == 19
     # 8 + ceil(log2 8.527) + 1; the built circuit is one qubit slimmer
-    assert closed_form_qubits(4, 3, table.d_sum, 1.0, "hubo-asc") == 13
+    assert closed_form_resources(4, 3, table.d_sum, 1.0, "hubo-asc").n_qubits == 13
 
 
 def test_closed_form_hubo_below_qubo_everywhere():
     for n_ap in range(3, 65):
         for n_ch in range(2, n_ap):
-            hubo = closed_form_qubits(n_ap, n_ch, math.comb(n_ap, 2), 1.0, "hubo-asc")
-            qubo = closed_form_qubits(n_ap, n_ch, math.comb(n_ap, 2), 1.0, "qubo")
+            hubo = closed_form_resources(n_ap, n_ch, math.comb(n_ap, 2), 1.0, "hubo-asc").n_qubits
+            qubo = closed_form_resources(n_ap, n_ch, math.comb(n_ap, 2), 1.0, "qubo").n_qubits
             assert hubo < qubo
 
 
@@ -110,7 +109,8 @@ def test_reference_hubo_circuit_fingerprint(hubo_desc, table):
     # an uncontrolled 4.000 * pi/8 (the constant) and a four-fold controlled
     # 5.505 * pi/8 on the first AP pair's slot bits
     m = formulation_width(hubo_desc, d_sum=table.d_sum)
-    assert m == hubo_width_closed_form(math.comb(4, 2))  # coefficient sizing coincides with beta'
+    # coefficient sizing coincides with beta'
+    assert m == closed_form_resources(4, 3, math.comb(4, 2), 1.0, "hubo-desc").m_val
     c = build_state_prep(hubo_desc.objective, 0.0, m)
     unit = math.pi / 8  # 2 pi / 2^m
     r_last = [g for g in c.gates if g.kind == "r"][-1]
@@ -179,10 +179,10 @@ def test_enumerate_qubo_counts_match_closed_forms():
         t = CoeffTable.uniform(n_ap, 1.0)
         form = formulation_from_table(t, n_ch, "qubo", 1.0)
         rep = formulation_resources(form, d_sum=t.d_sum)
-        closed = closed_form_resources(n_ap, n_ch, "qubo")
-        beta = qubo_width(n_ap, n_ch, math.comb(n_ap, 2), 1)
-        assert rep.m_val == qubo_width(n_ap, n_ch, t.d_sum, 1.0) == beta
-        assert rep.h_count == rep.n_key + rep.m_val == closed.h_count
+        closed = closed_form_resources(n_ap, n_ch, math.comb(n_ap, 2), 1, "qubo")
+        beta = closed.m_val
+        assert rep.m_val == closed_form_resources(n_ap, n_ch, t.d_sum, 1.0, "qubo").m_val == beta
+        assert rep.h_count == rep.n_qubits == closed.h_count
         assert rep.cr(1) == n_ap * n_ch * beta == closed.cr(1)
         assert rep.cr(2) == closed.cr(2)
         assert all(rep.cr(k) == 0 for k in range(3, 9))
@@ -191,20 +191,21 @@ def test_enumerate_qubo_counts_match_closed_forms():
 def test_qubo_two_cr_closed_form_identity():
     # the binomial form equals N_AP N_CH (N_AP + N_CH - 2) / 2
     for n_ap, n_ch in [(4, 2), (6, 3), (10, 5), (12, 6)]:
-        beta = qubo_width(n_ap, n_ch, math.comb(n_ap, 2), 1)
-        closed = closed_form_resources(n_ap, n_ch, "qubo")
+        closed = closed_form_resources(n_ap, n_ch, math.comb(n_ap, 2), 1, "qubo")
+        beta = closed.m_val
         assert closed.cr(2) == n_ap * n_ch * (n_ap + n_ch - 2) // 2 * beta
 
 
 def test_hubo_beta_reference():
-    assert hubo_width_closed_form(math.comb(4, 2)) == 4  # ceil(log2 6) + 1
+    # ceil(log2 6) + 1
+    assert closed_form_resources(4, 3, math.comb(4, 2), 1.0, "hubo-asc").m_val == 4
 
 
 def test_hubo_closed_form_two_cr():
     for n_ap, n_ch in [(6, 3), (10, 5)]:
         n_b = (n_ch - 1).bit_length()
-        closed = closed_form_resources(n_ap, n_ch, "hubo-asc")
-        assert closed.cr(2) == math.comb(n_ap * n_b, 2) * hubo_width_closed_form(math.comb(n_ap, 2))
+        closed = closed_form_resources(n_ap, n_ch, math.comb(n_ap, 2), 1.0, "hubo-asc")
+        assert closed.cr(2) == math.comb(n_ap * n_b, 2) * closed.m_val
 
 
 def test_enumerated_hubo_never_exceeds_closed_form():
@@ -213,7 +214,7 @@ def test_enumerated_hubo_never_exceeds_closed_form():
         t = CoeffTable.uniform(n_ap, 1.0)
         form = formulation_from_table(t, n_ch, "hubo-asc", 1.0)
         rep = formulation_resources(form, d_sum=t.d_sum)
-        closed = closed_form_resources(n_ap, n_ch, "hubo-asc")
+        closed = closed_form_resources(n_ap, n_ch, t.d_sum, 1.0, "hubo-asc")
         for k in range(1, max(rep.max_arity, closed.max_arity) + 1):
             assert rep.cr(k) <= closed.cr(k)
         assert rep.ancillae == form.objective.degree - 1
@@ -258,10 +259,9 @@ def test_gate_spec_is_slotted_value_type():
 
 def test_closed_forms_take_only_real_kinds():
     with pytest.raises(ValueError, match="unknown formulation kind"):
-        closed_form_resources(6, 3, "hubo")
-    with pytest.raises(ValueError, match="unknown formulation kind"):
-        closed_form_qubits(6, 3, 15.0, 1.0, "hubo")
-    assert closed_form_resources(6, 3, "hubo-desc") == closed_form_resources(6, 3, "hubo-asc")
+        closed_form_resources(6, 3, 15.0, 1.0, "hubo")
+    assert (closed_form_resources(6, 3, 15.0, 1.0, "hubo-desc")
+            == closed_form_resources(6, 3, 15.0, 1.0, "hubo-asc"))
 
 
 # -- gate validation --------------------------------------------------------

@@ -499,6 +499,18 @@ def test_compile_estimate_output_is_pinned(tmp_path):
     assert digest == "853c90110b6fce78ff99ed383431a0371a92dc163129a7c92003332735d631f2"
 
 
+def test_closed_form_estimate_output_is_pinned(tmp_path):
+    # sha256 of resources.csv past any enumeration, 16 sizes x 3 kinds of
+    # closed-form columns only, while the qubit total and the gate report
+    # came from two closed forms
+    out = tmp_path / "pin-e64"
+    assert main(["estimate", "--sweep", "4:64:4", "--enum-cap", "0", "--out", str(out)]) == 0
+    text = (out / "resources.csv").read_bytes()
+    assert text.count(b"\n") == 49
+    digest = hashlib.sha256(text).hexdigest()
+    assert digest == "42d4843a69cebd94c7272f30c4f4ea38386a5df5a850113f2da6f7689d71f88d"
+
+
 def test_solve_one_hot_and_quadratized_output_is_pinned(tmp_path):
     # sha256 of the outputs while Encoding's values were the output labels;
     # the traces carry the one_hot and quadratized(binary_ascending) labels

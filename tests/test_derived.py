@@ -18,7 +18,6 @@ from gascap import (
     CoeffTable,
     build_formulation,
     build_state_prep,
-    closed_form_qubits,
     closed_form_resources,
     coeff_table,
     coefficient_width,
@@ -28,8 +27,8 @@ from gascap import (
     value_register_width,
 )
 from gascap.cap import synthetic_instance
-from gascap.circuits import CircuitSpec, GateSpec, _width, cnot_cost, hubo_width_closed_form, qubo_width
-from gascap.formulation import bits_per_channel, formulation_from_table
+from gascap.circuits import CircuitSpec, GateSpec, _width, cnot_cost
+from gascap.formulation import Encoding, bits_per_channel, formulation_from_table
 
 # -- references -------------------------------------------------------------
 
@@ -76,6 +75,34 @@ def reference_table(c, epsilon):
     d[iu] = c[iu] - c_min + epsilon
     d += d.T
     return d, c_min, float(d[iu].sum())
+
+
+def closed_form_width_reference(max_e: float) -> int:
+    """The paper's closed-form width: ceil(log2 max(E)) plus the sign bit,
+    and the sign bit alone when max(E) <= 1/2."""
+    return max(1, math.ceil(math.log2(max_e)) + 1)
+
+
+def qubo_width(n_ap: int, n_ch: int, d_sum: float, w: float) -> int:
+    """Closed-form width for the one-hot objective, with max(E) = N_CH *
+    D_sum + w * N_AP * (N_CH - 1)^2."""
+    return closed_form_width_reference(n_ch * d_sum + w * n_ap * (n_ch - 1) ** 2)
+
+
+def hubo_width_closed_form(d_sum: float) -> int:
+    """Closed-form width for the binary-encoded objective, with max(E') =
+    D_sum."""
+    return closed_form_width_reference(d_sum)
+
+
+def closed_form_qubits(n_ap: int, n_ch: int, d_sum: float, w: float, kind: str) -> int:
+    """Total n + m from the closed forms, per formulation family, with the
+    key widths N_AP * N_B and N_AP * N_CH written out."""
+    if d_sum <= 0:
+        raise ValueError("d_sum must be positive")
+    if Encoding(kind).is_binary:
+        return n_ap * bits_per_channel(n_ch) + hubo_width_closed_form(d_sum)
+    return n_ap * n_ch + qubo_width(n_ap, n_ch, d_sum, w)
 
 
 def stored_ancillae(cr_counts):
@@ -244,13 +271,30 @@ def test_closed_form_report_totals_equal_the_stored_formulas():
     for n_ap in range(2, 40):
         for n_ch in range(2, 12):
             for kind in ("qubo", "hubo-asc", "hubo-desc"):
-                rep = closed_form_resources(n_ap, n_ch, kind)
+                rep = closed_form_resources(n_ap, n_ch, math.comb(n_ap, 2), 1.0, kind)
                 stored = 1 if kind == "qubo" else max(0, 2 * bits_per_channel(n_ch) - 1)
                 assert rep.ancillae == stored == stored_ancillae(rep.cr_counts)
                 assert rep.cnot_count == stored_cnot_count(rep.cr_counts) > 0
-                # the two closed forms agree on n + m under D_ik = w = 1
-                pairs = math.comb(n_ap, 2)
-                assert rep.n_key + rep.m_val == closed_form_qubits(n_ap, n_ch, pairs, 1.0, kind)
+
+
+def test_closed_form_widths_equal_the_reference_widths():
+    # max(E) = 2 * 6 + 4 * 1 = 16 at 4 x 2 under the uniform table and
+    # w = 1: the paper's width stops one short of the power of two
+    assert closed_form_resources(4, 2, 6.0, 1.0, "qubo").m_val == qubo_width(4, 2, 6.0, 1.0) == 5
+    form = formulation_from_table(CoeffTable.uniform(4, 1.0), 2, "qubo", 1.0)
+    assert value_register_width(form.objective) == 6
+    for n_ap in range(2, 41):
+        grid = [(math.comb(n_ap, 2), 1.0)]
+        grid += [(d_sum, w) for d_sum in (0.01, 1.0, 6.0, 8.527, 1024.0) for w in (0.1, 1.0, 2.5)]
+        for n_ch in range(2, 65):
+            for kind in ("qubo", "hubo-asc", "hubo-desc"):
+                binary = Encoding(kind).is_binary
+                for d_sum, w in grid:
+                    rep = closed_form_resources(n_ap, n_ch, d_sum, w, kind)
+                    want = hubo_width_closed_form(d_sum) if binary else qubo_width(
+                        n_ap, n_ch, d_sum, w)
+                    assert rep.m_val == want
+                    assert rep.n_qubits == closed_form_qubits(n_ap, n_ch, d_sum, w, kind)
 
 
 def binary_closed_form_cr_reference(n_ap: int, n_ch: int, beta: int) -> dict[int, int]:
@@ -275,7 +319,7 @@ def test_binary_closed_form_histogram_equals_the_case_by_case_formulas():
     for n_ap in range(2, 41):
         for n_ch in range(2, 65):
             for kind in ("hubo-asc", "hubo-desc"):
-                rep = closed_form_resources(n_ap, n_ch, kind)
+                rep = closed_form_resources(n_ap, n_ch, math.comb(n_ap, 2), 1.0, kind)
                 want = binary_closed_form_cr_reference(n_ap, n_ch, rep.m_val)
                 assert list(rep.cr_counts.items()) == list(want.items())
 
@@ -302,12 +346,27 @@ def test_report_totals_of_small_circuits(terms):
 
 
 def test_closed_form_widths_keep_the_sign_qubit():
-    assert hubo_width_closed_form(0.01) == 1
+    assert closed_form_resources(2, 2, 0.01, 1.0, "hubo-asc").m_val == 1
     for d_sum in (0.51, 0.75, 1.0, 1.5, 6.0, 120.0):  # the floor changes nothing above 1/2
-        assert hubo_width_closed_form(d_sum) == math.ceil(math.log2(d_sum)) + 1
-    assert qubo_width(2, 2, 0.01, 0.1) == 1
-    assert closed_form_qubits(2, 2, 0.01, 1.0, "hubo-asc") == 2 + 1
-    assert closed_form_qubits(2, 2, 0.01, 0.1, "qubo") == 4 + 1
+        rep = closed_form_resources(2, 2, d_sum, 1.0, "hubo-asc")
+        assert rep.m_val == math.ceil(math.log2(d_sum)) + 1
+    assert closed_form_resources(2, 2, 0.01, 0.1, "qubo").m_val == 1
+    assert closed_form_resources(2, 2, 0.01, 1.0, "hubo-asc").n_qubits == 2 + 1
+    assert closed_form_resources(2, 2, 0.01, 0.1, "qubo").n_qubits == 4 + 1
+
+
+@pytest.mark.parametrize("kind", ["qubo", "hubo-asc", "hubo-desc"])
+@pytest.mark.parametrize("n_ap, n_ch, want", [
+    (1, 2, "^a closed form needs at least 2 access points, got 1$"),
+    (0, 3, "^a closed form needs at least 2 access points, got 0$"),
+    (4, 1, "^n_ch must be at least 2$"),
+    (4, 0, "^n_ch must be at least 2$"),
+])
+def test_closed_forms_reject_what_the_builders_reject(n_ap, n_ch, want, kind):
+    # N_AP = 1 once died in math.log2(0); N_CH = 1 once gave a binary report
+    # for an encoding no builder makes
+    with pytest.raises(ValueError, match=want):
+        closed_form_resources(n_ap, n_ch, 1.0, 1.0, kind)
 
 
 def test_two_ap_one_hot_report_has_no_negative_count():

@@ -14,7 +14,6 @@ from gascap import (
     assignment_interference,
     bits_per_channel,
     build_formulation,
-    build_quadratized,
     channel_codeword,
     coeff_table,
     decode,
@@ -410,13 +409,6 @@ def test_encoding_output_labels():
     assert Encoding("hubo-desc") is Encoding.BINARY_DESCENDING
     with pytest.raises(ValueError, match="unknown formulation kind"):
         Encoding("one_hot")
-
-
-def test_build_quadratized_is_quadratized_hubo_asc(instance, table, hubo_asc):
-    q = build_quadratized(instance, 1.0, table)
-    want = quadratize(hubo_asc.objective, default_quadratization_scale(hubo_asc.objective))
-    assert q == want
-    assert list(q.poly.terms.items()) == list(want.poly.terms.items())
 
 
 # -- fast paths against their per-pair and per-substitution references ----
