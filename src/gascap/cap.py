@@ -209,6 +209,9 @@ def instance_from_dict(data: dict) -> CapInstance:
     """Instance from its JSON form; any malformed field raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
+    for name in ("n_ap", "n_ch", "distances", "assoc"):
+        if name not in data:
+            raise ValueError(f"an instance needs the field {name!r}")
     groups = data["assoc"]
     if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
         raise ValueError("assoc must be a list of user-index lists")

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .formulation import Encoding, Formulation, bits_per_channel, variable_counts
+from .formulation import Encoding, Formulation, bits_per_channel, check_penalty, variable_counts
 from .poly import BinaryPolynomial
 
 GateKind = str  # "h", "r", "cr", "z", "iqft", "qft", "diffusion"
@@ -231,10 +231,12 @@ def _closed_form_width(n_ap: int, n_ch: int, d_sum: float, w: float, binary: boo
     return max(1, math.ceil(math.log2(max_e)) + 1)
 
 
-def formulation_width(form: Formulation, d_sum: float) -> int:
-    """Value-register width used when compiling a formulation."""
+def formulation_width(form: Formulation) -> int:
+    """Value-register width used when compiling a formulation: the paper's
+    one-hot width at the formulation's own D_sum and penalty, and the
+    coefficient width for the binary encodings."""
     if form.encoding is Encoding.ONE_HOT:
-        return _closed_form_width(form.n_ap, form.n_ch, d_sum, form.penalty, binary=False)
+        return _closed_form_width(form.n_ap, form.n_ch, form.d_sum, form.penalty, binary=False)
     return coefficient_width(form.objective)
 
 
@@ -358,7 +360,9 @@ def closed_form_resources(
     family.  The key register is ``variable_counts``' n (one-hot) or n'
     (binary); the value register is the paper's width at the given D_sum and
     penalty w (``_closed_form_width``).  Gate counts are the term counts under
-    the normalization D_ik = w = 1, times that width.
+    the normalization D_ik = w = 1, times that width.  A D_sum or w that is
+    not finite and positive raises ``ValueError`` for every kind, as the
+    builders refuse such a penalty whether or not the width reads it.
 
     For the descending encoding the ascending formulas are upper bounds (the
     whole point of the descending assignment is that its expansion is
@@ -369,6 +373,9 @@ def closed_form_resources(
         raise ValueError(f"a closed form needs at least 2 access points, got {n_ap}")
     if d_sum <= 0:
         raise ValueError("d_sum must be positive")
+    if not math.isfinite(d_sum):
+        raise ValueError(f"d_sum must be finite, got {d_sum}")
+    check_penalty(w)
     vc = variable_counts(n_ap, n_ch)
     n = vc.n_prime if binary else vc.n
     beta = _closed_form_width(n_ap, n_ch, d_sum, w, binary)
@@ -386,7 +393,7 @@ def closed_form_resources(
     )
 
 
-def formulation_resources(form: Formulation, d_sum: float) -> ResourceReport:
+def formulation_resources(form: Formulation) -> ResourceReport:
     """Enumerated report for a formulation's state-preparation circuit."""
-    m = formulation_width(form, d_sum)
+    m = formulation_width(form)
     return enumerate_resources(build_state_prep(form.objective, 0.0, m))

@@ -206,7 +206,7 @@ def cmd_estimate(args) -> int:
             }
             if n_ap <= args.enum_cap:
                 form = formulation_from_table(table, n_ch, kind, 1.0)
-                report = formulation_resources(form, d_sum=d_sum)
+                report = formulation_resources(form)
                 row.update({
                     "m": report.m_val,
                     "qubits_total": report.n_qubits,
@@ -252,7 +252,7 @@ def cmd_solve(args) -> int:
         # one sampler per formulation: its value table gives the range, and
         # it makes the draws of every run
         if args.backend == "sv":
-            width = None if form is None else formulation_width(form, d_sum=table.d_sum)
+            width = None if form is None else formulation_width(form)
             sampler = StateVectorSampler(poly, width)
         else:
             sampler = IdealSampler(poly)
@@ -285,13 +285,16 @@ def cmd_solve(args) -> int:
                 hits += 1
         mean_c = float(np.mean(classical))
         ci = 1.96 * float(np.std(classical)) / math.sqrt(len(classical))
+        # every run reached the objective's minimum, and that minimum is the
+        # oracle's: at too low a penalty it spells no assignment
+        matched = hits == args.runs and abs(lo - oracle.best_value) <= OPTIMUM_TOL
         summary[kind] = {
             "runs": args.runs,
             "reached_optimum": hits,
             "mean_classical_queries": mean_c,
             "classical_queries_ci95": ci,
             "mean_quantum_queries": float(np.mean(quantum)),
-            "oracle_matched": hits == args.runs,
+            "oracle_matched": matched,
         }
         files[f"trace_{kind}.csv"] = _csv_text(header, rows)
         del sampler  # its value table, before the next formulation builds one
@@ -313,6 +316,8 @@ GOLDEN_PARTITION = frozenset({frozenset({0, 3}), frozenset({1}), frozenset({2})}
 
 def cmd_verify(args) -> int:
     inst = load_instance(args.instance) if args.instance else reference_instance()
+    if inst.n_ap < 4:
+        raise ValueError(f"verify needs the 4 golden access points, got {inst.n_ap}")
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -431,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, IndexError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -82,6 +82,7 @@ class Formulation:
     penalty: float
     n_ap: int
     n_ch: int
+    d_sum: float                      # the table's sum of d_ik over i < k
 
     def __post_init__(self):
         # a finite penalty can still overflow once scaled and summed
@@ -172,6 +173,13 @@ def _templates(n_ch: int, enc: Encoding, w: float):
     return n_b, pair.terms, pieces
 
 
+def check_penalty(w: float) -> None:
+    """Raise ``ValueError`` unless the penalty weight w is finite and
+    positive."""
+    if not (math.isfinite(w) and w > 0):
+        raise ValueError(f"penalty weight must be finite and positive, got {w}")
+
+
 def _from_table(table: CoeffTable, n_ch: int, kind: str, w: float) -> Formulation:
     """sum_{i<k} d_ik P(i, k) + sum_i Q(i) from the blocks of ``_templates``.
 
@@ -179,8 +187,7 @@ def _from_table(table: CoeffTable, n_ch: int, kind: str, w: float) -> Formulatio
     sum that is exactly zero is dropped, and a later term at that support
     goes to the end of the dict."""
     enc = Encoding(kind)
-    if not (math.isfinite(w) and w > 0):
-        raise ValueError(f"penalty weight must be finite and positive, got {w}")
+    check_penalty(w)
     width, pair, pieces = _templates(n_ch, enc, w)
     n_ap = table.n_ap
     # relabeling keeps each support sorted, since AP i's variables precede
@@ -223,6 +230,7 @@ def _from_table(table: CoeffTable, n_ch: int, kind: str, w: float) -> Formulatio
         penalty=w,
         n_ap=n_ap,
         n_ch=n_ch,
+        d_sum=table.d_sum,
     )
 
 

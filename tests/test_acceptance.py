@@ -137,7 +137,7 @@ def test_acceptance_04b_variable_count_sweep_ordering():
 
 
 def test_acceptance_05_qubit_sizing(instance, table, hubo_desc):
-    width = formulation_width(hubo_desc, d_sum=table.d_sum)
+    width = formulation_width(hubo_desc)
     assert hubo_desc.n_vars == 8
     assert width == 4
     assert hubo_desc.n_vars + width == 12
@@ -158,13 +158,13 @@ def test_acceptance_06_gate_count_closed_forms():
         n_ch = n_ap // 2
         t = CoeffTable.uniform(n_ap, 1.0)
         onehot = formulation_resources(
-            formulation_from_table(t, n_ch, "qubo", 1.0), d_sum=t.d_sum)
+            formulation_from_table(t, n_ch, "qubo", 1.0))
         closed = closed_form_resources(n_ap, n_ch, t.d_sum, 1.0, "qubo")
         assert onehot.cr(1) == closed.cr(1)
         assert onehot.cr(2) == closed.cr(2)
         assert all(onehot.cr(k) == 0 for k in range(3, 16))
         asc = formulation_resources(
-            formulation_from_table(t, n_ch, "hubo-asc", 1.0), d_sum=t.d_sum)
+            formulation_from_table(t, n_ch, "hubo-asc", 1.0))
         aclosed = closed_form_resources(n_ap, n_ch, t.d_sum, 1.0, "hubo-asc")
         for k in range(1, max(asc.max_arity, aclosed.max_arity) + 1):
             assert asc.cr(k) <= aclosed.cr(k), (n_ap, k)
@@ -179,11 +179,9 @@ def test_acceptance_07_cnot_ordering():
         n_ch = n_ap // 2
         t = CoeffTable.uniform(n_ap, 1.0)
         asc = formulation_resources(
-            formulation_from_table(t, n_ch, "hubo-asc", 1.0),
-            d_sum=t.d_sum)
+            formulation_from_table(t, n_ch, "hubo-asc", 1.0))
         desc = formulation_resources(
-            formulation_from_table(t, n_ch, "hubo-desc", 1.0),
-            d_sum=t.d_sum)
+            formulation_from_table(t, n_ch, "hubo-desc", 1.0))
         assert desc.cnot_count <= asc.cnot_count
         if n_ch & (n_ch - 1):
             assert desc.cnot_count < asc.cnot_count

@@ -43,12 +43,12 @@ def test_value_register_width_monotone_in_bounds():
     assert value_register_width(BinaryPolynomial(4, {(i,): 25.0 for i in range(4)})) == 8
 
 
-def test_coefficient_width_reference_circuit(hubo_desc, table):
+def test_coefficient_width_reference_circuit(hubo_desc):
     # the reference 8+4 circuit: largest magnitude coefficient 6.999 fits
     # four signed bits, and that is the sizing the circuit uses
     assert coefficient_width(hubo_desc.objective) == 4
-    assert formulation_width(hubo_desc, d_sum=table.d_sum) == 4
-    assert hubo_desc.n_vars + formulation_width(hubo_desc, d_sum=table.d_sum) == 12
+    assert formulation_width(hubo_desc) == 4
+    assert hubo_desc.n_vars + formulation_width(hubo_desc) == 12
 
 
 def test_sizing_rules_differ_on_reference_objective(hubo_desc):
@@ -97,18 +97,18 @@ def test_state_prep_reference_blocks():
     assert c.gates[-1].kind == "iqft"
 
 
-def test_state_prep_hadamard_layer_for_reference_hubo(hubo_desc, table):
-    m = formulation_width(hubo_desc, d_sum=table.d_sum)
+def test_state_prep_hadamard_layer_for_reference_hubo(hubo_desc):
+    m = formulation_width(hubo_desc)
     c = build_state_prep(hubo_desc.objective, 0.0, m)
     assert sum(1 for g in c.gates if g.kind == "h") == 12
     assert c.gates[0].kind == "h"
 
 
-def test_reference_hubo_circuit_fingerprint(hubo_desc, table):
+def test_reference_hubo_circuit_fingerprint(hubo_desc):
     # the compiled descending circuit carries the two hallmark phase blocks:
     # an uncontrolled 4.000 * pi/8 (the constant) and a four-fold controlled
     # 5.505 * pi/8 on the first AP pair's slot bits
-    m = formulation_width(hubo_desc, d_sum=table.d_sum)
+    m = formulation_width(hubo_desc)
     # coefficient sizing coincides with beta'
     assert m == closed_form_resources(4, 3, math.comb(4, 2), 1.0, "hubo-desc").m_val
     c = build_state_prep(hubo_desc.objective, 0.0, m)
@@ -178,7 +178,7 @@ def test_enumerate_qubo_counts_match_closed_forms():
         n_ch = n_ap // 2
         t = CoeffTable.uniform(n_ap, 1.0)
         form = formulation_from_table(t, n_ch, "qubo", 1.0)
-        rep = formulation_resources(form, d_sum=t.d_sum)
+        rep = formulation_resources(form)
         closed = closed_form_resources(n_ap, n_ch, math.comb(n_ap, 2), 1, "qubo")
         beta = closed.m_val
         assert rep.m_val == closed_form_resources(n_ap, n_ch, t.d_sum, 1.0, "qubo").m_val == beta
@@ -213,7 +213,7 @@ def test_enumerated_hubo_never_exceeds_closed_form():
         n_ch = n_ap // 2
         t = CoeffTable.uniform(n_ap, 1.0)
         form = formulation_from_table(t, n_ch, "hubo-asc", 1.0)
-        rep = formulation_resources(form, d_sum=t.d_sum)
+        rep = formulation_resources(form)
         closed = closed_form_resources(n_ap, n_ch, t.d_sum, 1.0, "hubo-asc")
         for k in range(1, max(rep.max_arity, closed.max_arity) + 1):
             assert rep.cr(k) <= closed.cr(k)
@@ -225,9 +225,9 @@ def test_descending_cnot_never_above_ascending():
         n_ch = n_ap // 2
         t = CoeffTable.uniform(n_ap, 1.0)
         asc = formulation_resources(
-            formulation_from_table(t, n_ch, "hubo-asc", 1.0), d_sum=t.d_sum)
+            formulation_from_table(t, n_ch, "hubo-asc", 1.0))
         desc = formulation_resources(
-            formulation_from_table(t, n_ch, "hubo-desc", 1.0), d_sum=t.d_sum)
+            formulation_from_table(t, n_ch, "hubo-desc", 1.0))
         assert desc.cnot_count <= asc.cnot_count
         if n_ch & (n_ch - 1):  # not a power of two
             assert desc.cnot_count < asc.cnot_count

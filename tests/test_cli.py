@@ -571,6 +571,51 @@ def test_malformed_instance_exit_code(tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["n_ap", "n_ch", "distances", "assoc"])
+def test_missing_instance_field_exit_code(tmp_path, capsys, field):
+    # a missing field once escaped as a KeyError, printed as its bare name
+    data = instance_to_dict(reference_instance())
+    del data[field]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(data))
+    assert main(["formulate", "--instance", str(path), "--out", str(tmp_path / "m")]) == 1
+    assert capsys.readouterr().err == f"invalid input: an instance needs the field {field!r}\n"
+
+
+def test_verify_needs_the_golden_access_points(tmp_path, capsys):
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(instance_to_dict(synthetic_instance(3, 2, seed=0))))
+    assert main(["verify", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "invalid input: verify needs the 4 golden access points, got 3\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("error", [IndexError, KeyError])
+def test_an_internal_lookup_error_is_not_invalid_input(tmp_path, monkeypatch, error):
+    def broken(inst):
+        raise error("internal")
+
+    monkeypatch.setattr(cli, "coeff_table", broken)
+    with pytest.raises(error, match="internal"):
+        main(["formulate", "--out", str(tmp_path / "b")])
+
+
+@pytest.mark.parametrize("source, matched", [
+    # at the default penalty this objective's minimum, 3.1187, spells no
+    # assignment; the oracle's optimum is 3.4656
+    (["--synthetic", "8,3", "--seed", "1"], False),
+    ([], True),  # the bundled network: every minimum is the oracle's 0.010
+])
+def test_oracle_matched_compares_against_the_oracle(tmp_path, source, matched):
+    out = tmp_path / "o"
+    assert main(["solve", *source, "--formulation", "hubo-asc", "--runs", "3",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["hubo-asc"]["reached_optimum"] == 3
+    assert summary["hubo-asc"]["oracle_matched"] is matched
+
+
 @pytest.mark.parametrize("argv, code", [
     (["solve", "--synthetic", "12,4"], 3),
     (["formulate", "--synthetic", "4,1", "--formulation", "hubo-asc"], 1),

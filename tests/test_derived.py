@@ -282,6 +282,7 @@ def test_closed_form_widths_equal_the_reference_widths():
     # w = 1: the paper's width stops one short of the power of two
     assert closed_form_resources(4, 2, 6.0, 1.0, "qubo").m_val == qubo_width(4, 2, 6.0, 1.0) == 5
     form = formulation_from_table(CoeffTable.uniform(4, 1.0), 2, "qubo", 1.0)
+    assert formulation_width(form) == 5
     assert value_register_width(form.objective) == 6
     for n_ap in range(2, 41):
         grid = [(math.comb(n_ap, 2), 1.0)]
@@ -295,6 +296,17 @@ def test_closed_form_widths_equal_the_reference_widths():
                         n_ap, n_ch, d_sum, w)
                     assert rep.m_val == want
                     assert rep.n_qubits == closed_form_qubits(n_ap, n_ch, d_sum, w, kind)
+
+
+@settings(deadline=None, max_examples=100)
+@given(symmetric_costs(), st.floats(1e-3, 10.0), st.integers(2, 5),
+       st.one_of(st.sampled_from([0.1, 1.0, 2.5]), st.floats(1e-3, 1e3)))
+@example(np.zeros((4, 4)), 1.0, 2, 1.0)  # uniform 4 x 2: max(E) = 16, width 5
+def test_one_hot_width_is_the_closed_form_at_the_tables_d_sum(c, epsilon, n_ch, w):
+    table = CoeffTable(c, epsilon)
+    form = formulation_from_table(table, n_ch, "qubo", w)
+    want = closed_form_resources(table.n_ap, n_ch, table.d_sum, w, "qubo").m_val
+    assert formulation_width(form) == want
 
 
 def binary_closed_form_cr_reference(n_ap: int, n_ch: int, beta: int) -> dict[int, int]:
@@ -330,7 +342,7 @@ def test_binary_closed_form_histogram_equals_the_case_by_case_formulas():
 def test_enumerated_report_totals_equal_the_stored_formulas(n_ap, n_ch, kind):
     t = CoeffTable.uniform(n_ap, 1.0)
     form = formulation_from_table(t, n_ch, kind, 1.0)
-    rep = formulation_resources(form, d_sum=t.d_sum)
+    rep = formulation_resources(form)
     assert rep.ancillae == stored_ancillae(rep.cr_counts) == max(0, form.objective.degree - 1)
     assert rep.cnot_count == stored_cnot_count(rep.cr_counts)
 
@@ -369,14 +381,33 @@ def test_closed_forms_reject_what_the_builders_reject(n_ap, n_ch, want, kind):
         closed_form_resources(n_ap, n_ch, 1.0, 1.0, kind)
 
 
+@pytest.mark.parametrize("kind", ["qubo", "hubo-asc", "hubo-desc"])
+@pytest.mark.parametrize("d_sum, w, want", [
+    (8.5, -1.0, r"^penalty weight must be finite and positive, got -1.0$"),
+    (8.5, -10.0, r"^penalty weight must be finite and positive, got -10.0$"),
+    (8.5, 0.0, r"^penalty weight must be finite and positive, got 0.0$"),
+    (8.5, math.nan, r"^penalty weight must be finite and positive, got nan$"),
+    (8.5, math.inf, r"^penalty weight must be finite and positive, got inf$"),
+    (math.nan, 1.0, r"^d_sum must be finite, got nan$"),
+    (math.inf, 1.0, r"^d_sum must be finite, got inf$"),
+    (0.0, 1.0, r"^d_sum must be positive$"),
+    (-math.inf, 1.0, r"^d_sum must be positive$"),
+])
+def test_closed_forms_reject_a_bad_d_sum_or_penalty(d_sum, w, want, kind):
+    # w = -1 once gave m = 5 and w = -10 died in math.log2; a NaN D_sum
+    # failed converting to int and an infinite one raised OverflowError
+    with pytest.raises(ValueError, match=want):
+        closed_form_resources(4, 3, d_sum, w, kind)
+
+
 def test_two_ap_one_hot_report_has_no_negative_count():
     with pytest.warns(UserWarning, match="trivial"):
         inst = synthetic_instance(2, 2, seed=1)
     table = coeff_table(inst)
     assert table.d_sum == inst.epsilon == 0.01
     form = build_formulation(inst, "qubo", 0.1, table)
-    assert formulation_width(form, d_sum=table.d_sum) == 1
-    rep = formulation_resources(form, d_sum=table.d_sum)
+    assert formulation_width(form) == 1
+    rep = formulation_resources(form)
     assert rep.m_val == rep.r_count == 1
     assert rep.cr_counts == {1: 4, 2: 4} and rep.cnot_count == 32 and rep.ancillae == 1
 

@@ -156,6 +156,21 @@ def test_builders_reject_coefficients_a_finite_penalty_overflows(instance):
             build_formulation(wide, kind, 1e308)
 
 
+@pytest.mark.parametrize("kind", ["qubo", "hubo-asc", "hubo-desc"])
+def test_a_formulation_carries_its_tables_d_sum(kind):
+    inst = synthetic_instance(6, 3, seed=2)
+    table = coeff_table(inst)
+    uniform = CoeffTable.uniform(5, 0.7)
+    for form, want in [
+        (build_formulation(inst, kind, 1.0, table), table),
+        (build_formulation(inst, kind, 2.5), table),  # builds its own table
+        (formulation_from_table(table, inst.n_ch, kind, 0.3), table),
+        (formulation_from_table(uniform, 4, kind, 1.0), uniform),
+    ]:
+        assert type(form.d_sum) is float
+        assert form.d_sum.hex() == want.d_sum.hex()
+
+
 def test_qubo_max_matches_closed_form():
     # max over the cube equals N_CH * D_sum + w * N_AP * (N_CH - 1)^2
     for n_ap, n_ch, seed in [(4, 3, 0), (4, 2, 1), (3, 2, 2)]:
@@ -514,6 +529,13 @@ D_VALUES = st.one_of(
 )
 
 
+def fake_table(d) -> SimpleNamespace:
+    """A stand-in for ``CoeffTable``: the builders read only n_ap, d and
+    d_sum, so d may hold zero or negative d_ik."""
+    n_ap = d.shape[0]
+    return SimpleNamespace(n_ap=n_ap, d=d, d_sum=float(d[np.triu_indices(n_ap, k=1)].sum()))
+
+
 @st.composite
 def pair_tables(draw):
     n_ap = draw(st.integers(2, 9))
@@ -521,8 +543,7 @@ def pair_tables(draw):
     for i in range(n_ap):
         for k in range(i + 1, n_ap):
             d[i, k] = d[k, i] = draw(D_VALUES)
-    # only n_ap and d are read, so the table may hold zero or negative d_ik
-    return SimpleNamespace(n_ap=n_ap, d=d)
+    return fake_table(d)
 
 
 @given(
@@ -531,11 +552,11 @@ def pair_tables(draw):
     st.sampled_from([ASC, DESC]),
     st.one_of(st.sampled_from([1.0, 2.5]), st.floats(1e-3, 1e3)),
 )
-@example(SimpleNamespace(n_ap=4, d=np.array([[0, 1, -1, 1], [1, 0, 0, 0], [-1, 0, 0, 2], [1, 0, 2, 0.0]])),
+@example(fake_table(np.array([[0, 1, -1, 1], [1, 0, 0, 0], [-1, 0, 0, 2], [1, 0, 2, 0.0]])),
          3, ASC, 1.0)
 # seven non-codeword rows, whose pieces cancel and re-add supports: the term
 # order shows whether they are added piece by piece or AP by AP
-@example(SimpleNamespace(n_ap=2, d=np.array([[0, 1.0], [1.0, 0]])), 9, DESC, 1.0)
+@example(fake_table(np.array([[0, 1.0], [1.0, 0]])), 9, DESC, 1.0)
 @settings(deadline=None, max_examples=40)
 def test_hubo_template_matches_per_pair_expansion(table, n_ch, enc, w_prime):
     got = formulation_from_table(table, n_ch, enc.value, w_prime).objective
@@ -549,7 +570,7 @@ def test_hubo_template_matches_per_pair_expansion(table, n_ch, enc, w_prime):
     st.integers(1, 9),
     st.one_of(st.sampled_from([1.0, 2.5]), st.floats(1e-3, 1e3)),
 )
-@example(SimpleNamespace(n_ap=4, d=np.array([[0, 1, -1, 1], [1, 0, 0, 0], [-1, 0, 0, 2], [1, 0, 2, 0.0]])),
+@example(fake_table(np.array([[0, 1, -1, 1], [1, 0, 0, 0], [-1, 0, 0, 2], [1, 0, 2, 0.0]])),
          3, 1.835)
 @settings(deadline=None, max_examples=40)
 def test_qubo_template_matches_direct_construction(table, n_ch, w):

@@ -151,10 +151,10 @@ def test_statevector_backend_survives_large_initial_threshold():
     assert trace.best_y == 0.0
 
 
-def test_statevector_backend_agrees_with_ideal(hubo_desc, table):
+def test_statevector_backend_agrees_with_ideal(hubo_desc):
     from gascap.circuits import formulation_width
     _, opt = hubo_desc.objective.exhaustive_min()
-    width = formulation_width(hubo_desc, d_sum=table.d_sum)
+    width = formulation_width(hubo_desc)
     for i in range(3):
         cfg = GasConfig(max_classical_iters=150, stop_at_known_optimum=opt, master_seed=9)
         sampler = StateVectorSampler(hubo_desc.objective, width)

@@ -225,7 +225,7 @@ def test_grover_inverts_the_layer_as_one_op():
     assert len(g.ops) == 2 * len(a.ops) + 2
 
 
-def test_counting_resources_builds_no_gate_list(hubo_asc, table, monkeypatch):
+def test_counting_resources_builds_no_gate_list(hubo_asc, monkeypatch):
     # the spy sees the circuit formulation_resources builds, after it is counted
     built = []
     count = circuits.enumerate_resources
@@ -235,7 +235,7 @@ def test_counting_resources_builds_no_gate_list(hubo_asc, table, monkeypatch):
         return count(circuit)
 
     monkeypatch.setattr(circuits, "enumerate_resources", spy)
-    formulation_resources(hubo_asc, d_sum=table.d_sum)
+    formulation_resources(hubo_asc)
     [circuit] = built
     assert "gates" not in circuit.__dict__
 

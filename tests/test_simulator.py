@@ -248,13 +248,13 @@ def test_real_amplitudes_give_the_state_of_their_complex_twin(c):
 # -- the compiled plan ----------------------------------------------------------
 
 
-def _bundled_grover(hubo_asc, table, y=1.3):
-    m = formulation_width(hubo_asc, d_sum=table.d_sum)
+def _bundled_grover(hubo_asc, y=1.3):
+    m = formulation_width(hubo_asc)
     prep = build_state_prep(hubo_asc.objective, y, m)
     return prep, build_grover(prep)
 
 
-def test_grover_computes_one_diagonal_however_often_applied(hubo_asc, table, monkeypatch):
+def test_grover_computes_one_diagonal_however_often_applied(hubo_asc, monkeypatch):
     diagonals = []
     kernel = simulator._phase_diagonal
 
@@ -263,7 +263,7 @@ def test_grover_computes_one_diagonal_however_often_applied(hubo_asc, table, mon
         return kernel(run, n_key, m_val)
 
     monkeypatch.setattr(simulator, "_phase_diagonal", spy)
-    m = formulation_width(hubo_asc, d_sum=table.d_sum)
+    m = formulation_width(hubo_asc)
     sampler = StateVectorSampler(hubo_asc.objective, m)
     rng = np.random.default_rng(3)
     for l_ops in (1, 3, 2, 5):
@@ -353,8 +353,8 @@ def test_sampler_grover_plan_matches_gate_by_gate_reference(p, y, widen, l_ops):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_applying_a_circuit_twice_is_bit_identical(hubo_asc, table):
-    prep, grover = _bundled_grover(hubo_asc, table)
+def test_applying_a_circuit_twice_is_bit_identical(hubo_asc):
+    prep, grover = _bundled_grover(hubo_asc)
     state = apply(prep, zero_state(prep.n_qubits))
     before = state.copy()
     first = apply(grover, state)
@@ -373,10 +373,10 @@ def test_the_plan_leaves_equality_hash_and_repr_alone():
 
 
 @pytest.mark.parametrize("y", [0.0, 1.3, 2.5, 5.0])
-def test_grover_operator_matches_reference_on_bundled_objective(hubo_asc, table, y):
+def test_grover_operator_matches_reference_on_bundled_objective(hubo_asc, y):
     # the register width solve uses: 8 key + 5 value qubits, 700 gates per G
     p = hubo_asc.objective
-    m = formulation_width(hubo_asc, d_sum=table.d_sum)
+    m = formulation_width(hubo_asc)
     prep = build_state_prep(p, y, m)
     grover = build_grover(prep)
     state = apply(prep, zero_state(prep.n_qubits))
