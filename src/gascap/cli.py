@@ -46,6 +46,7 @@ from .gas import (
     OPTIMUM_TOL,
     BudgetExceededError,
     GasConfig,
+    GasTrace,
     brute_force_cap,
     co_channel_partition,
     run_batch,
@@ -116,6 +117,24 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
+
+
+def _trace_lines(labels: str, trace: GasTrace, lo: float, span: float) -> list[str]:
+    """One line of solve's trace CSV per draw of ``trace``: ``labels`` (run,
+    formulation, encoding), then the draw's index, y_i, L_i, the classical and
+    quantum queries so far and the running best normalized to the
+    objective's range [lo, lo + span].  The text ``_csv_text`` writes for the
+    same ``_fmt`` fields, since none needs quoting: the labels hold no
+    ``,``, ``"`` or line break, and the numbers none either."""
+    lines = []
+    cum_q = 0
+    for i, y_i, _, l_i, _, y_new, improved in trace.iterations:
+        cum_q += l_i
+        # classical queries so far: the initial sample and draws 0..i; y_i
+        # is the running minimum, replaced only on a strict <
+        best = y_new if improved else y_i
+        lines.append(f"{labels},{i},{y_i:.12g},{l_i},{i + 2},{cum_q},{100.0 * (best - lo) / span:.12g}\n")
+    return lines
 
 
 def _objectives(args, inst: CapInstance, table: CoeffTable):
@@ -245,8 +264,7 @@ def cmd_solve(args) -> int:
         "best_assignment": list(oracle.best_assignment),
         "evaluations": oracle.evaluations,
     }}
-    header = ["run_seed", "formulation", "encoding", "iter", "y_i", "L_i",
-              "cum_classical", "cum_quantum", "best_y_normalized"]
+    header = "run_seed,formulation,encoding,iter,y_i,L_i,cum_classical,cum_quantum,best_y_normalized\n"
 
     for kind, poly, encoding, form in _objectives(args, inst, table):
         # one sampler per formulation: its value table gives the range, and
@@ -264,21 +282,12 @@ def cmd_solve(args) -> int:
             stop_at_known_optimum=lo,
             master_seed=_master_seed(args),
         )
-        rows = []
+        lines = [header]
         hits = 0
         classical = []
         quantum = []
         for run, trace in enumerate(run_batch(sampler, cfg, args.runs)):
-            cum_q = 0
-            for it in trace.iterations:
-                cum_q += it.l_i
-                # classical queries so far: the initial sample and draws 0..i;
-                # y_i is the running minimum, replaced only on a strict <
-                best = min(it.y_i, it.sampled_y)
-                rows.append([
-                    run, kind, encoding, it.i, _fmt(it.y_i), it.l_i,
-                    it.i + 2, cum_q, _fmt(100.0 * (best - lo) / span),
-                ])
+            lines += _trace_lines(f"{run},{kind},{encoding}", trace, lo, span)
             classical.append(trace.classical_queries)
             quantum.append(trace.quantum_queries)
             if trace.best_y <= lo + OPTIMUM_TOL:
@@ -296,7 +305,7 @@ def cmd_solve(args) -> int:
             "mean_quantum_queries": float(np.mean(quantum)),
             "oracle_matched": matched,
         }
-        files[f"trace_{kind}.csv"] = _csv_text(header, rows)
+        files[f"trace_{kind}.csv"] = "".join(lines)
         del sampler  # its value table, before the next formulation builds one
 
     files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"

@@ -85,11 +85,15 @@ class Formulation:
     d_sum: float                      # the table's sum of d_ik over i < k
 
     def __post_init__(self):
-        # a finite penalty can still overflow once scaled and summed
-        for support, coeff in self.objective.terms.items():
-            if not math.isfinite(coeff):
-                raise ValueError(f"coefficient {coeff} of term {support} is not finite "
-                                 f"at penalty weight {self.penalty}")
+        # a finite penalty can still overflow once scaled and summed.  The
+        # sum of the coefficients is finite unless one is not (or finite ones
+        # overflow it), so the terms are walked only then, to name the first
+        terms = self.objective.terms
+        if not math.isfinite(sum(terms.values())):
+            for support, coeff in terms.items():
+                if not math.isfinite(coeff):
+                    raise ValueError(f"coefficient {coeff} of term {support} is not finite "
+                                     f"at penalty weight {self.penalty}")
 
     @property
     def n_vars(self) -> int:

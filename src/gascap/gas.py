@@ -16,6 +16,13 @@ key: ``IdealSampler``, or ``StateVectorSampler``, which draws an L_i = 0 key
 from the uniform distribution A_y|0> gives, writes A_y|0> only at thresholds
 with an amplified draw and keeps the key distribution of each (y_i, L_i >= 1)
 it draws from, so it applies at most the operators it charges.
+
+Cost: a run scores its first uniform sample with ``evaluate`` and reads
+every drawn key's value from the sampler's table.  The loop keeps its state
+in locals, records each draw as a ``GasIteration`` tuple and writes the
+trace's counters once, at the end; ``IdealSampler`` keeps t and the angle of
+the last threshold.  So an ideal draw costs little more than its three
+random numbers.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +60,9 @@ class GasConfig:
             raise ValueError("at least one termination rule must be set")
 
 
-@dataclass(frozen=True)
-class GasIteration:
+class GasIteration(NamedTuple):
+    """One draw of a run; a tuple, since a run records one per draw."""
+
     i: int
     y_i: float
     k_i: float
@@ -78,42 +87,34 @@ def run_gas(sampler: IdealSampler, cfg: GasConfig, rng: np.random.Generator) -> 
     every drawn key."""
     p, n = sampler.p, sampler.n_vars
     sqrt_space = math.sqrt(2.0 ** n)
+    # an unset rule never stops the run: nothing is >= inf or <= NaN
+    max_iters = math.inf if cfg.max_classical_iters is None else cfg.max_classical_iters
+    max_quantum = math.inf if cfg.max_quantum_queries is None else cfg.max_quantum_queries
+    stop_y = math.nan if cfg.stop_at_known_optimum is None else cfg.stop_at_known_optimum + OPTIMUM_TOL
+    integers, draw, value_of = rng.integers, sampler.sample, sampler.values.item
 
-    trace = GasTrace()
-    x = rng.integers(0, 2, size=n).tolist()
-    trace.classical_queries = 1
-    trace.best_key, trace.best_y = bits_to_int(x), p.evaluate(x)
-
+    x = integers(0, 2, size=n).tolist()
+    best_key, best_y = bits_to_int(x), p.evaluate(x)
+    iterations: list[GasIteration] = []
+    record = iterations.append
+    i = quantum = 0
     k = 1.0
-    while True:
-        i = len(trace.iterations)
-        if cfg.max_classical_iters is not None and i >= cfg.max_classical_iters:
-            break
-        if cfg.stop_at_known_optimum is not None and trace.best_y <= cfg.stop_at_known_optimum + OPTIMUM_TOL:
-            break
-        if cfg.max_quantum_queries is not None and trace.quantum_queries >= cfg.max_quantum_queries:
-            break
-
-        l_i = int(rng.integers(0, math.ceil(k - 1.0) + 1))
-        key = sampler.sample(trace.best_y, l_i, rng)
+    while i < max_iters and not best_y <= stop_y and quantum < max_quantum:
+        l_i = int(integers(0, math.ceil(k - 1.0) + 1))
+        key = draw(best_y, l_i, rng)
         # evaluate_all equals evaluate bit for bit, so the table is exact
-        y_new = float(sampler.values[key])
-        improved = y_new < trace.best_y
-        trace.iterations.append(
-            GasIteration(
-                i=i, y_i=trace.best_y, k_i=k, l_i=l_i,
-                sampled_key=key, sampled_y=y_new, improved=improved,
-            )
-        )
-        trace.classical_queries += 1
-        trace.quantum_queries += l_i
+        y_new = value_of(key)
+        improved = y_new < best_y
+        record(GasIteration(i, best_y, k, l_i, key, y_new, improved))
+        i += 1
+        quantum += l_i
         if improved:
-            trace.best_key, trace.best_y = key, y_new
+            best_key, best_y = key, y_new
             k = 1.0
         else:
             k = min(LAMBDA * k, sqrt_space)
-
-    return trace
+    # classical queries: the initial sample and one per draw
+    return GasTrace(iterations, best_key, best_y, i + 1, quantum)
 
 
 def run_seed(run_index: int, master_seed: int) -> np.random.Generator:

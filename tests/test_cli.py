@@ -1,14 +1,16 @@
 import csv
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gascap import BinaryPolynomial, cli, simulator
+from gascap import BinaryPolynomial, Encoding, GasTrace, cli, simulator
 from gascap.cap import instance_to_dict, reference_instance, synthetic_instance
 from gascap.cli import main
+from gascap.gas import GasIteration
 from gascap.simulator import DEFAULT_QUBIT_CAP
 from test_cap import MALFORMED
 
@@ -328,6 +330,54 @@ def test_solve_output_is_pinned(tmp_path):
     }
     for name, digest in want.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("extra, want", [
+    ([], {
+        "summary.json": "76e67fc09feb6f811426678bf13d609b162f78bc7eb5cdba27c5b4e014513c60",
+        "trace_hubo-asc.csv": "fb3b4bd1c66ae40fb592f3214d12bc1a0aec688dc67ed2d99cf26d5bc5f072d7",
+        "trace_hubo-desc.csv": "94ca8705426ad124fed12267b478783ec7c186e08a6ec8b64f706bfe9e9ad8cb",
+    }),
+    (["--budget-quantum", "40"], {
+        "summary.json": "23da3fdd6ea1b1c3be39921d92d32c90b546cbefc04a2413988d18f5562b8e07",
+        "trace_hubo-asc.csv": "3f1057159c5bc9e3a8fb6ee34d12bbc770e6d5a06a746dce5607128c866fe470",
+        "trace_hubo-desc.csv": "f58de77225038cce3277a88f73e61a1b53097edd0a7cba1fd8b55145053f6ee0",
+    }),
+])
+def test_solve_benchmark_size_output_is_pinned(tmp_path, extra, want):
+    # sha256 of the outputs while the sampler sorted its table stably and
+    # worked out t and the marked probability on every draw; the 16-variable
+    # tables hold 25,652 and 11,615 distinct values, so tie order shows
+    out = tmp_path / "pin-ideal-25"
+    assert main(["solve", "--synthetic", "8,3", "--seed", "1", "--backend", "ideal",
+                 "--formulation", "hubo-asc", "--formulation", "hubo-desc", "--runs", "25",
+                 *extra, "--out", str(out)]) == 0
+    for name, digest in want.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_trace_lines_are_the_csv_writers_rows():
+    # the rows cmd_solve wrote with csv.writer before it wrote lines
+    its = [GasIteration(0, 2.0, 1.0, 0, 5, 2.0, False),
+           GasIteration(1, 2.0, 1.1, 3, 1, -3.25, True),
+           GasIteration(2, -3.25, 1.0, 1, 2, 1e-7, False),
+           GasIteration(3, 1e17, 1.3, 2, 7, 1e-7, True),
+           GasIteration(4, 1e-7, 1.0, 0, 4, -math.inf, True),
+           GasIteration(5, math.inf, 2.0, 1, 0, math.inf, False),
+           GasIteration(6, -1e-300, 1.0, 4, 3, math.nan, False),
+           GasIteration(7, 123456789012345.0, 1.0, 0, 6, 3.0, True)]
+    trace = GasTrace(its, 6, 3.0, len(its) + 1, 11)
+    for kind in cli.FORMULATION_KINDS:
+        encoding = "quadratized(binary_ascending)" if kind == "quadratized" else Encoding(kind).label
+        for lo, span in ((-3.25, 1.0), (0.0, 1e17), (2.0, 7.0)):
+            rows, cum_q = [], 0
+            for it in trace.iterations:
+                cum_q += it.l_i
+                best = min(it.y_i, it.sampled_y)
+                rows.append([4, kind, encoding, it.i, cli._fmt(it.y_i), it.l_i,
+                             it.i + 2, cum_q, cli._fmt(100.0 * (best - lo) / span)])
+            got = "".join(cli._trace_lines(f"4,{kind},{encoding}", trace, lo, span))
+            assert "h\n" + got == cli._csv_text(["h"], rows)
 
 
 def test_solve_statevector_output_is_pinned(tmp_path):

@@ -25,6 +25,7 @@ from gascap import (
 )
 from gascap.formulation import (
     DecodeResult,
+    Formulation,
     Quadratization,
     codeword_indicator,
     formulation_from_table,
@@ -154,6 +155,19 @@ def test_builders_reject_coefficients_a_finite_penalty_overflows(instance):
     for kind in ("hubo-asc", "hubo-desc"):
         with pytest.raises(ValueError, match="not finite at penalty weight 1e"):
             build_formulation(wide, kind, 1e308)
+
+
+def test_a_non_finite_coefficient_is_named_by_its_first_term():
+    objective = BinaryPolynomial(3, {(0,): 1.0, (1,): math.inf, (0, 2): math.nan, (2,): -math.inf})
+    with pytest.raises(ValueError) as info:
+        Formulation(Encoding.ONE_HOT, objective, 2.5, 3, 1, 1.0)
+    assert str(info.value) == "coefficient inf of term (1,) is not finite at penalty weight 2.5"
+    objective = BinaryPolynomial(2, {(0, 1): math.nan, (): 4.0})
+    with pytest.raises(ValueError, match=r"^coefficient nan of term \(0, 1\) is not finite"):
+        Formulation(Encoding.BINARY_ASCENDING, objective, 1.0, 2, 3, 1.0)
+    # finite coefficients whose sum overflows are finite
+    objective = BinaryPolynomial(2, {(0,): 1e308, (1,): 1e308, (0, 1): -1.0})
+    assert Formulation(Encoding.BINARY_ASCENDING, objective, 1.0, 2, 3, 1.0).objective is objective
 
 
 @pytest.mark.parametrize("kind", ["qubo", "hubo-asc", "hubo-desc"])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gascap import (
@@ -12,6 +12,7 @@ from gascap import (
     GasTrace,
     IdealSampler,
     StateVectorSampler,
+    amplified_probability,
     apply,
     brute_force_cap,
     build_grover,
@@ -365,6 +366,101 @@ def test_ideal_trace_equals_evaluate_per_draw_reference(p, seed, iters, stop):
     got = run_gas(sampler, cfg, run_seed(0, seed))
     want = reference_run_gas(p, cfg, run_seed(0, seed), sampler)
     # repr shows every float exactly, so equal reprs mean equal bits
+    assert repr(got) == repr(want)
+
+
+class ParentIdealSampler:
+    """``IdealSampler`` before the per-threshold memo and the one-sort stable
+    order: a stable argsort, and every draw finds t and the marked
+    probability afresh."""
+
+    def __init__(self, p):
+        self.p, self.n_vars = p, p.n_vars
+        self.values = p.evaluate_all()
+        self.order = np.argsort(self.values, kind="stable")
+        self.sorted_values = self.values[self.order]
+
+    def sample(self, y, l_ops, rng):
+        t = int(np.searchsorted(self.sorted_values, y, side="left"))
+        n = 1 << self.n_vars
+        p_marked = amplified_probability(t, n, l_ops)
+        if t == n or rng.random() < p_marked:
+            pick = self.order[int(rng.integers(t))]
+        else:
+            pick = self.order[t + int(rng.integers(n - t))]
+        return int(pick)
+
+
+def parent_run_gas(sampler, cfg, rng):
+    """``run_gas`` before its loop held its state in locals: the trace's
+    fields updated per draw and each record built by keyword."""
+    p, n = sampler.p, sampler.n_vars
+    sqrt_space = math.sqrt(2.0 ** n)
+    trace = GasTrace()
+    x = rng.integers(0, 2, size=n).tolist()
+    trace.classical_queries = 1
+    trace.best_key, trace.best_y = bits_to_int(x), p.evaluate(x)
+    k = 1.0
+    while True:
+        i = len(trace.iterations)
+        if cfg.max_classical_iters is not None and i >= cfg.max_classical_iters:
+            break
+        if cfg.stop_at_known_optimum is not None and trace.best_y <= cfg.stop_at_known_optimum + 1e-12:
+            break
+        if cfg.max_quantum_queries is not None and trace.quantum_queries >= cfg.max_quantum_queries:
+            break
+        l_i = int(rng.integers(0, math.ceil(k - 1.0) + 1))
+        key = sampler.sample(trace.best_y, l_i, rng)
+        y_new = float(sampler.values[key])
+        improved = y_new < trace.best_y
+        trace.iterations.append(GasIteration(
+            i=i, y_i=trace.best_y, k_i=k, l_i=l_i,
+            sampled_key=key, sampled_y=y_new, improved=improved,
+        ))
+        trace.classical_queries += 1
+        trace.quantum_queries += l_i
+        if improved:
+            trace.best_key, trace.best_y = key, y_new
+            k = 1.0
+        else:
+            k = min(8.0 / 7.0 * k, sqrt_space)
+    return trace
+
+
+def budget_config(rule, p, seed):
+    """A config with the one termination rule ``rule`` set."""
+    if rule == "classical":
+        return GasConfig(max_classical_iters=30, master_seed=seed)
+    if rule == "quantum":
+        # a 0-variable search draws L = 0 forever, so it needs another rule
+        assume(p.n_vars > 0)
+        return GasConfig(max_quantum_queries=25, master_seed=seed)
+    return GasConfig(stop_at_known_optimum=p.exhaustive_min()[1], master_seed=seed)
+
+
+@given(search_polynomials(max_vars=8), st.integers(0, 2**32 - 1),
+       st.sampled_from(["classical", "quantum", "optimum"]))
+@example(BinaryPolynomial.constant(0.1, 4), 0, "optimum")
+@example(BinaryPolynomial(0, {}), 3, "classical")
+@example(BinaryPolynomial(2, {(0,): -math.inf, (1,): 1.0}), 5, "classical")  # no stop at -inf
+@settings(deadline=None, max_examples=60)
+def test_ideal_batch_equals_parent_loop(p, seed, rule):
+    cfg = budget_config(rule, p, seed)
+    got = list(run_batch(IdealSampler(p), cfg, 4))
+    parent = ParentIdealSampler(p)
+    want = [parent_run_gas(parent, cfg, run_seed(i, seed)) for i in range(4)]
+    # repr shows every float exactly, so equal reprs mean equal bits
+    assert repr(got) == repr(want)
+
+
+@given(search_polynomials(max_vars=4, bound=8.0), st.integers(0, 2**32 - 1),
+       st.sampled_from(["classical", "quantum", "optimum"]))
+@settings(deadline=None, max_examples=15)
+def test_statevector_batch_equals_parent_loop(p, seed, rule):
+    cfg = budget_config(rule, p, seed)
+    got = list(run_batch(StateVectorSampler(p), cfg, 3))
+    parent = StateVectorSampler(p)
+    want = [parent_run_gas(parent, cfg, run_seed(i, seed)) for i in range(3)]
     assert repr(got) == repr(want)
 
 

@@ -26,7 +26,7 @@ from gascap import (
 from gascap import simulator
 from gascap.circuits import CircuitSpec, GateSpec, coefficient_width, formulation_width
 from gascap.poly import bits_to_int, int_to_bits
-from test_gas import search_polynomials
+from test_gas import ParentIdealSampler, search_polynomials
 
 
 def test_hadamard_on_zero():
@@ -591,6 +591,53 @@ def test_ideal_sampler_single_draw():
     p = BinaryPolynomial(2, {(0,): 1.0, (1,): 1.0})
     key = IdealSampler(p).sample(0.5, 0, np.random.default_rng(2))
     assert isinstance(key, int) and 0 <= key < 4
+
+
+@st.composite
+def tied_polynomials(draw):
+    """Small-integer coefficients, so many keys share a value, and now and
+    then +-1e308, whose sums overflow to +-inf, or a coefficient that has
+    overflowed already, +-inf, which against the other infinity gives NaN."""
+    n = draw(st.integers(0, 12))
+    coeff = st.one_of(st.integers(-3, 3).map(float),
+                      st.sampled_from([1e308, -1e308, math.inf, -math.inf]))
+    support = st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 3)).map(tuple) if n else st.just(())
+    return BinaryPolynomial(n, draw(st.dictionaries(support, coeff, max_size=12)))
+
+
+@given(tied_polynomials())
+@example(BinaryPolynomial(3, {(0,): 1e308, (1,): 1e308, (2,): -1e308}))
+@example(BinaryPolynomial(4, {(0,): math.inf, (1,): -1.0, (2,): -math.inf, (3,): 1.0}))
+@example(BinaryPolynomial(0, {}))
+@example(BinaryPolynomial(12, {(0,): math.inf, (5,): -math.inf, (7,): 1e308, (11,): 1e308, (3, 4): 1.0}))
+@settings(deadline=None, max_examples=150)
+def test_ideal_sampler_order_is_the_stable_argsort(p):
+    # the sampler sorts small tables stably itself, so the one-sort path is
+    # also checked on its own at every size
+    with np.errstate(over="ignore", invalid="ignore"):  # the 1e308 sums
+        sampler = IdealSampler(p)
+    want = np.argsort(sampler.values, kind="stable")
+    for order, sorted_values in ((sampler.order, sampler.sorted_values),
+                                 simulator._stable_order(sampler.values, p.n_vars)):
+        assert np.array_equal(order, want)
+        # bit for bit, so NaN, -0.0 and 0.0 each sit where the stable gather puts them
+        assert np.array_equal(sorted_values.view(np.int64), sampler.values[want].view(np.int64))
+
+
+def test_ideal_sampler_draws_as_the_parent_sampler_at_every_marked_count():
+    # superincreasing weights, so the 16 values are distinct and y can mark
+    # any count t from 0 to 16; each threshold is drawn at twice, with a
+    # return to an earlier one in between
+    p = BinaryPolynomial(4, {(0,): 1.0, (1,): -2.0, (2,): 4.5, (3,): -9.25})
+    got, want = IdealSampler(p), ParentIdealSampler(p)
+    thresholds = [*want.sorted_values.tolist(), math.inf]
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for t, y in enumerate(thresholds):
+        assert got.marked_count(y) == t
+        for y_at in (y, thresholds[t // 2], y):
+            for l_ops in range(21):
+                assert got.sample(y_at, l_ops, got_rng) == want.sample(y_at, l_ops, want_rng)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_ideal_sampler_cap():
