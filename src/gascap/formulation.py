@@ -35,11 +35,12 @@ N_CH < 2^N_B, and leaves no invalid codewords to penalize.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations
 from typing import Sequence
+
+import numpy as np
 
 from .cap import CapInstance, CoeffTable, coeff_table
 from .poly import BinaryPolynomial, BitVector, int_to_bits
@@ -261,6 +262,9 @@ def formulation_from_table(
 # -- quadratization -----------------------------------------------------
 
 
+_PAD = np.iinfo(np.int32).max  # pads a row of labels; above every label
+
+
 @dataclass(frozen=True)
 class Quadratization:
     poly: BinaryPolynomial
@@ -272,78 +276,111 @@ def quadratize(p: BinaryPolynomial, scale: float) -> Quadratization:
     with a fresh auxiliary y and adding scale * (ab - 2ay - 2by + 3y), which
     vanishes exactly when y = ab.
 
-    The pair occurring in the most degree->=3 terms is substituted first,
-    ties broken to the smallest (a, b).  The pair counts live in a
-    ``Counter`` fed by ``itertools.combinations`` of each support, and each
-    variable keeps the set of slots whose term has degree >= 3 and holds it.
-    A substitution visits only the slots in both a's and b's sets, and moves
-    their pairs out of and back into the counter.  Each rewritten term keeps
-    its place in the term order.
+    The pair in the most degree->=3 terms goes first, ties to the smallest
+    (a, b).  Those terms are rows of an int32 array of labels (their
+    variables in order, then the auxiliaries, so the table below follows
+    them and not ``p.n_vars``), padded above every label.  Each label has a
+    boolean mask of the rows holding it, and the pair counts fill the upper
+    triangle of one square int32 table, doubled as auxiliaries outgrow it,
+    whose row-major ``argmax`` is the next pair.  A substitution writes y
+    over a and the pad over b in the rows both masks hold, and moves the
+    ``bincount`` of their other variables off (u, a) and (u, b) and, for the
+    rows still of degree >= 3, onto (u, y).  A row that falls to degree 2 is
+    (r0, y): it takes its term's place in the term order, stays in r0's mask
+    alone, and joins the degree-2 supports that a later (a, b) can land on.
     """
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be finite and positive, got {scale}")
-    # [support, coeff] slots in term order, and each support's slot
-    slots = [[s, c] for s, c in p.terms.items()]
-    index = {s: j for j, (s, _) in enumerate(slots)}
-    high = [j for j, (s, _) in enumerate(slots) if len(s) >= 3]
-    freq = Counter(chain.from_iterable(combinations(slots[j][0], 2) for j in high))
-    occ: dict[int, set[int]] = defaultdict(set)
-    for j in high:
-        for v in slots[j][0]:
-            occ[v].add(j)
     n_vars = p.n_vars
+    supports = list(p.terms)
+    coeffs = list(p.terms.values())
+    lens = np.fromiter(map(len, supports), np.int64, len(supports))
+    high = np.flatnonzero(lens >= 3).tolist()       # the slot of each row
+    if not high:
+        return Quadratization(poly=BinaryPolynomial._from_canonical(n_vars, p.terms), aux_map=())
+    pairs = {supports[j]: j for j in np.flatnonzero(lens == 2).tolist()}
+
+    deg = lens[high]
+    flat = np.fromiter(chain.from_iterable(map(supports.__getitem__, high)), np.int64, int(deg.sum()))
+    labels = np.flatnonzero(np.bincount(flat))
+    real = labels.tolist()                  # the variable of each label
+    label_of = np.zeros(real[-1] + 1, dtype=np.int32)
+    label_of[labels] = np.arange(len(real))
+    flat = label_of[flat]
+    n_rows, width = len(high), int(deg.max())
+    rows = np.full((n_rows, width), _PAD, dtype=np.int32)
+    rows[np.arange(width) < deg[:, None]] = flat
+    held = np.zeros((len(real), n_rows), dtype=bool)
+    held[flat, np.repeat(np.arange(n_rows), deg)] = True
+    masks = list(held)
+    # room for as many auxiliaries as variables before the first doubling
+    size = 2 * len(real)
+    keys = []
+    for k in range(1, width):
+        filled = deg > k
+        keys += (rows[filled, i].astype(np.int64) * size + rows[filled, k] for i in range(k))
+    table = np.bincount(np.concatenate(keys), minlength=size * size)
+    table = table.astype(np.int32).reshape(size, size)
+    del flat, keys
     aux_map: list[tuple[tuple[int, int], int]] = []
 
-    # a pair's count may fall to 0 and stay in the counter; none is ever
-    # negative, so substitution stops once the highest count is 0
-    while top := max(freq.values(), default=0):
-        a, b = min(pair for pair, count in freq.items() if count == top)
-        y = n_vars
-        n_vars += 1
-        aux_map.append(((a, b), y))
+    # no count is ever negative, so substitution stops once the highest is 0
+    while table.flat[top := int(table.argmax())]:
+        a, b = divmod(top, size)
+        y = len(real)
+        if y == size:
+            grown = np.zeros((2 * size, 2 * size), dtype=np.int32)
+            grown[:size, :size] = table
+            table, size = grown, 2 * size
+        va, vb, vy = real[a], real[b], n_vars + len(aux_map)
+        real.append(vy)
+        aux_map.append(((va, vb), vy))
 
-        hit = occ[a] & occ[b]
-        old, new_high = [], []
-        for j in hit:
-            slot = slots[j]
-            s = slot[0]
-            # y is fresh, so the rewritten support is new and y sorts last;
-            # a < b, so a sits before b in the sorted support
-            ia, ib = s.index(a), s.index(b)
-            new = s[:ia] + s[ia + 1:ib] + s[ib + 1:] + (y,)
-            old.append(s)
-            if len(new) >= 3:
-                new_high.append(new)
-                occ[y].add(j)
-            else:
-                occ[new[0]].discard(j)
-            del index[s]
-            index[new] = j
-            slot[0] = new
-        occ[a] -= hit
-        occ[b] -= hit
-        # counted in C, then subtracted once per distinct pair
-        freq.subtract(Counter(chain.from_iterable(combinations(s, 2) for s in old)))
-        freq.update(chain.from_iterable(combinations(s, 2) for s in new_high))
+        hit = np.flatnonzero(masks[a] & masks[b])
+        sub = rows[hit]
+        sub[sub == a] = y
+        sub[sub == b] = _PAD
+        rows[hit] = sub
+        deg[hit] -= 1
+        fallen = deg[hit] < 3
+        # the other variables of every hit row, and the one of each that fell
+        gone = np.bincount(sub[sub < y], minlength=size)
+        r0s = sub[fallen].min(axis=1)
+        low = np.bincount(r0s, minlength=size)
+        table[:a, a] -= gone[:a]
+        table[a, a:] -= gone[a:]
+        table[:b, b] -= gone[:b]
+        table[b, b:] -= gone[b:]
+        table[a, b] = 0
+        table[:y, y] += (gone - low)[:y]
+        masks[a][hit] = False
+        masks[b][hit] = False
+        mask_y = np.zeros(n_rows, dtype=bool)
+        mask_y[hit[~fallen]] = True
+        masks.append(mask_y)
+        for r, r0 in zip(hit[fallen].tolist(), r0s.tolist()):
+            support = supports[high[r]] = (real[r0], vy)
+            pairs[support] = high[r]
 
         # Only (a, b) can already be present, since y is fresh.  A sum there
         # that cancels to exactly 0.0 stays in its slot until BinaryPolynomial
         # drops it: no degree->=3 term holds both a and b any more, so (a, b)
         # is never substituted again and no later term lands on it.
-        j = index.get((a, b))
+        j = pairs.get((va, vb))
         if j is not None:
-            slots[j][1] += scale
+            coeffs[j] += scale
         else:
-            index[(a, b)] = len(slots)
-            slots.append([(a, b), scale])
-        for support, coeff in (((a, y), -2.0 * scale), ((b, y), -2.0 * scale), ((y,), 3.0 * scale)):
-            index[support] = len(slots)
-            slots.append([support, coeff])
+            supports.append((va, vb))
+            coeffs.append(scale)
+        supports += ((va, vy), (vb, vy), (vy,))
+        coeffs += (-2.0 * scale, -2.0 * scale, 3.0 * scale)
 
-    # freed before the result's dicts are built, where the peak would sit
-    del index, occ, freq
+    # every row has fallen, since one of degree >= 3 keeps its pairs' counts
+    # above 0; the arrays are freed before the result's dicts are built
+    del rows, masks, table, pairs
     return Quadratization(
-        poly=BinaryPolynomial._from_canonical(n_vars, dict(slots)), aux_map=tuple(aux_map)
+        poly=BinaryPolynomial._from_canonical(n_vars + len(aux_map), dict(zip(supports, coeffs))),
+        aux_map=tuple(aux_map),
     )
 
 

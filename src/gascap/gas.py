@@ -84,7 +84,12 @@ class GasTrace:
 def run_gas(sampler: IdealSampler, cfg: GasConfig, rng: np.random.Generator) -> GasTrace:
     """One seeded search run over the full bit cube of the sampler's
     polynomial.  The sampler is the backend; its table gives the value of
-    every drawn key."""
+    every drawn key.
+
+    At 0 variables the reach stays 1, so every L_i is 0 and no draw improves
+    on the first sample: only a classical budget, or a stop rule that sample
+    already meets, ends such a run.  Without one it raises ``ValueError``
+    before its first draw."""
     p, n = sampler.p, sampler.n_vars
     sqrt_space = math.sqrt(2.0 ** n)
     # an unset rule never stops the run: nothing is >= inf or <= NaN
@@ -95,6 +100,9 @@ def run_gas(sampler: IdealSampler, cfg: GasConfig, rng: np.random.Generator) -> 
 
     x = integers(0, 2, size=n).tolist()
     best_key, best_y = bits_to_int(x), p.evaluate(x)
+    if n == 0 and max_iters == math.inf and not best_y <= stop_y:
+        raise ValueError("a search over 0 variables draws L = 0 forever: it needs "
+                         "max_classical_iters or a stop_at_known_optimum it already meets")
     iterations: list[GasIteration] = []
     record = iterations.append
     i = quantum = 0

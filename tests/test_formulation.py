@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -748,3 +749,83 @@ def test_quadratize_matches_reference_on_objectives(hubo_asc, hubo_desc):
         want = quadratize_reference(form.objective, scale)
         assert got.aux_map == want.aux_map
         assert list(got.poly.terms.items()) == list(want.poly.terms.items())
+
+
+@st.composite
+def wide_polynomials(draw):
+    """Up to 60 terms of degree up to 8 on up to 40 variables.  About half
+    the runs make more auxiliaries than there are variables, so they
+    outgrow the first pair table (twice the variables of the degree->=3
+    terms), and rows fall to degree 2 on pairs that are substituted later."""
+    n = draw(st.integers(3, 40))
+    count = draw(st.integers(1, 60))
+    support = st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=min(n, 8)).map(
+        lambda s: tuple(sorted(s)))
+    coeff = st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    terms = st.dictionaries(support, coeff, min_size=count, max_size=count)
+    return BinaryPolynomial(n, draw(terms))
+
+
+# 13 auxiliaries on 10 variables: the pair table doubles at the 11th
+GROWS = BinaryPolynomial(10, {s: 1.0 + i for i, s in enumerate(
+    itertools.islice(itertools.combinations(range(10), 8), 12))})
+# (0, 1) -> 5 leaves (2, 5) from the cubic term, then (2, 5) is substituted
+# and its penalty lands on that slot
+FALLS_ON_PAIR = BinaryPolynomial(5, {(0, 1, 2): -1.0, (0, 1, 2, 3): 2.0, (0, 1, 2, 4): -1.5})
+
+
+@given(wide_polynomials(), st.sampled_from([1.0, 3.0, 0.5, 17.25]), st.booleans())
+@example(GROWS, 1.0, False)
+@example(FALLS_ON_PAIR, 3.0, False)
+@example(FALLS_ON_PAIR, 1.0, False)  # the slot cancels to exactly 0.0 and is dropped
+# the pair table spans the three variables of the cubic term, not all 10,000
+@example(BinaryPolynomial(10_000, {(5, 9_000, 9_999): 1.0, (5, 9_000): 2.0, (7,): 1.0}), 1.0, False)
+@settings(deadline=None, max_examples=40)
+def test_quadratize_matches_both_references_on_wide_polynomials(p, scale, cancel):
+    if cancel:
+        p = with_cancelling_pair(p, scale)
+    before = list(p.terms.items())
+    got = quadratize(p, scale)
+    assert list(p.terms.items()) == before
+    for reference in (quadratize_reference, quadratize_pair_count_reference):
+        want = reference(p, scale)
+        assert got.aux_map == want.aux_map
+        assert got.poly.n_vars == want.poly.n_vars
+        assert list(got.poly.terms.items()) == list(want.poly.terms.items())
+
+
+def test_wide_examples_reach_the_cases_they_name():
+    high_vars = {v for s in GROWS.terms if len(s) >= 3 for v in s}
+    assert len(quadratize(GROWS, 1.0).aux_map) > len(high_vars)
+    q = quadratize(FALLS_ON_PAIR, 3.0)
+    assert q.aux_map == (((0, 1), 5), ((2, 5), 6))
+    # the cubic term's slot, now (2, 5), holds its coefficient plus the scale
+    assert next(iter(q.poly.terms.items())) == ((2, 5), 2.0)
+    assert (2, 5) not in quadratize(FALLS_ON_PAIR, 1.0).poly.terms
+
+
+@pytest.mark.parametrize("kind", ["hubo-asc", "hubo-desc"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_quadratize_matches_pair_count_reference_on_bench_objectives(seed, kind):
+    # the 16 x 6 objectives that `formulate` quadratizes in the compile bench
+    p = build_formulation(synthetic_instance(16, 6, seed), kind).objective
+    scale = default_quadratization_scale(p)
+    got = quadratize(p, scale)
+    want = quadratize_pair_count_reference(p, scale)
+    assert got.aux_map == want.aux_map
+    assert got.poly.n_vars == want.poly.n_vars
+    assert list(got.poly.terms.items()) == list(want.poly.terms.items())
+
+
+def test_quadratize_peak_memory():
+    # the result holds about 0.8 MB; the Counter version peaked at 3.6 MB
+    p = build_formulation(synthetic_instance(16, 6, 1), "hubo-asc").objective
+    scale = default_quadratization_scale(p)
+    tracemalloc.start()
+    try:
+        quadratize(p, scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000

@@ -111,6 +111,37 @@ def test_quantum_budget_stops(hubo_asc):
     assert trace.quantum_queries - trace.iterations[-1].l_i < 25
 
 
+class NoDraws(IdealSampler):
+    """A sampler that fails a test at its first draw, so that a run which
+    would loop forever fails instead."""
+
+    def sample(self, y, l_ops, rng):
+        raise AssertionError("drew from a search that cannot end")
+
+
+@pytest.mark.parametrize("cfg", [
+    GasConfig(max_quantum_queries=25),
+    GasConfig(max_quantum_queries=25, stop_at_known_optimum=-1.0),
+    GasConfig(stop_at_known_optimum=-1.0),
+])
+def test_zero_variable_search_that_cannot_end_is_rejected(cfg):
+    # every draw at 0 variables has L = 0 and the value 0.0, so these rules
+    # never stop the run
+    with pytest.raises(ValueError, match="0 variables"):
+        run_gas(NoDraws(BinaryPolynomial(0, {})), cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("cfg, draws", [
+    (GasConfig(max_classical_iters=3), 3),
+    (GasConfig(max_quantum_queries=25, max_classical_iters=4), 4),
+    (GasConfig(max_quantum_queries=25, stop_at_known_optimum=0.0), 0),
+])
+def test_zero_variable_search_with_an_ending_rule_runs(cfg, draws):
+    trace = run_gas(IdealSampler(BinaryPolynomial(0, {})), cfg, np.random.default_rng(0))
+    assert len(trace.iterations) == draws
+    assert trace.quantum_queries == 0 and trace.best_y == 0.0
+
+
 def test_seed_determinism(hubo_asc):
     cfg = GasConfig(max_classical_iters=80, master_seed=77)
     sampler = IdealSampler(hubo_asc.objective)
@@ -432,7 +463,8 @@ def budget_config(rule, p, seed):
     if rule == "classical":
         return GasConfig(max_classical_iters=30, master_seed=seed)
     if rule == "quantum":
-        # a 0-variable search draws L = 0 forever, so it needs another rule
+        # a 0-variable search draws L = 0 forever, so run_gas refuses it
+        # with this rule alone
         assume(p.n_vars > 0)
         return GasConfig(max_quantum_queries=25, master_seed=seed)
     return GasConfig(stop_at_known_optimum=p.exhaustive_min()[1], master_seed=seed)
