@@ -128,6 +128,16 @@ class CoeffTable:
         return cls(np.zeros((n_ap, n_ap)), epsilon=value)
 
 
+def _pair_cost(i: int, k: int, s_i: float, s_k: float, i_ik: float, i_ki: float) -> float:
+    """C_ik from the own-user gains s_i, s_k and the cross gains i_ik, i_ki."""
+    if i_ik == 0.0 or i_ki == 0.0:
+        raise ValueError(f"cross-gain path loss between APs {i} and {k} underflows to zero")
+    c = -math.log2(1.0 + s_i / i_ik) - math.log2(1.0 + s_k / i_ki)
+    if not math.isfinite(c):
+        raise ValueError(f"co-channel cost C_{i}{k} is not finite")
+    return c
+
+
 def interference_coeff(inst: CapInstance, i: int, k: int) -> float:
     """Pairwise co-channel cost C_ik; symmetric in (i, k)."""
     if i == k:
@@ -138,30 +148,24 @@ def interference_coeff(inst: CapInstance, i: int, k: int) -> float:
     if i > k:
         i, k = k, i
 
-    def gain(ap: int, users: Sequence[int]) -> float:
-        # overflow to inf is caught below, by the finiteness check on C_ik
-        with np.errstate(over="ignore"):
-            return float(np.sum(inst.distances[ap, list(users)] ** (-inst.alpha)))
-
-    s_i = gain(i, inst.assoc[i])      # AP i to its own users
-    s_k = gain(k, inst.assoc[k])
-    i_ik = gain(i, inst.assoc[k])     # AP i to AP k's users
-    i_ki = gain(k, inst.assoc[i])
-    if i_ik == 0.0 or i_ki == 0.0:
-        raise ValueError(f"cross-gain path loss between APs {i} and {k} underflows to zero")
-    c = -math.log2(1.0 + s_i / i_ik) - math.log2(1.0 + s_k / i_ki)
-    if not math.isfinite(c):
-        raise ValueError(f"co-channel cost C_{i}{k} is not finite")
-    return c
+    # own gains, then cross gains; overflow to inf fails C_ik's finiteness check
+    with np.errstate(over="ignore"):
+        gains = [float(np.sum(inst.distances[ap, list(inst.assoc[u])] ** (-inst.alpha)))
+                 for ap, u in ((i, i), (k, k), (i, k), (k, i))]
+    return _pair_cost(i, k, *gains)
 
 
 def coeff_table(inst: CapInstance) -> CoeffTable:
-    n = inst.n_ap
+    """Every C_ik, its gains summed from one path-loss matrix as in ``interference_coeff``."""
+    n, users = inst.n_ap, [list(g) for g in inst.assoc]
     c = np.zeros((n, n))
-    for i in range(n):
-        for k in range(i + 1, n):
-            c[i, k] = interference_coeff(inst, i, k)
-            c[k, i] = c[i, k]
+    with np.errstate(over="ignore"):  # as in interference_coeff
+        gains = inst.distances ** (-inst.alpha)
+        own = [float(np.sum(gains[i, u])) for i, u in enumerate(users)]
+        for i in range(n):
+            for k in range(i + 1, n):
+                cross = float(np.sum(gains[i, users[k]])), float(np.sum(gains[k, users[i]]))
+                c[i, k] = c[k, i] = _pair_cost(i, k, own[i], own[k], *cross)
     return CoeffTable(c, epsilon=inst.epsilon)
 
 

@@ -214,8 +214,11 @@ def coefficient_width(p: BinaryPolynomial, y: float = 0.0) -> int:
     overflow is tolerated because each measured key is valued exactly from
     the classical value table before the threshold moves.
     """
-    values = np.fromiter((c for s, c in p.terms.items() if s), np.float64)
-    values = np.append(values, p.constant_term - y)
+    values = np.fromiter(p.terms.values(), np.float64, len(p.terms))
+    if () in p.terms:
+        values[list(p.terms).index(())] -= y
+    else:
+        values = np.append(values, 0.0 - y)
     return _width(values.min(), values.max())  # numpy's extremes keep a NaN
 
 

@@ -193,7 +193,7 @@ def _from_table(table: CoeffTable, n_ch: int, kind: str, w: float) -> Formulatio
     goes to the end of the dict."""
     enc = Encoding(kind)
     check_penalty(w)
-    width, pair, pieces = _templates(n_ch, enc, w)
+    width, pair, pieces = _templates(n_ch, enc, float(w))  # the pieces reach the objective as built
     n_ap = table.n_ap
     # relabeling keeps each support sorted, since AP i's variables precede
     # AP k's for i < k; split each support into its AP "0" and AP "1" halves
@@ -202,8 +202,8 @@ def _from_table(table: CoeffTable, n_ch: int, kind: str, w: float) -> Formulatio
         for s in pair
     ]
     coeffs = list(pair.values())
-    low = [[tuple(j + i * width for j in lo) for lo, _ in halves] for i in range(n_ap)]
-    high = [[tuple(j + k * width for j in hi) for _, hi in halves] for k in range(n_ap)]
+    low = [[tuple(map((i * width).__add__, lo)) for lo, _ in halves] for i in range(n_ap)]
+    high = [[tuple(map((k * width).__add__, hi)) for _, hi in halves] for k in range(n_ap)]
 
     terms: dict[tuple[int, ...], float] = {}
     get, pop = terms.get, terms.pop
@@ -222,7 +222,7 @@ def _from_table(table: CoeffTable, n_ch: int, kind: str, w: float) -> Formulatio
     for piece in pieces:
         for i in range(n_ap):
             for p, c in piece.items():
-                s = tuple(j + i * width for j in p)
+                s = tuple(map((i * width).__add__, p))
                 total = get(s, 0.0) + c
                 if total == 0.0:
                     pop(s, None)
@@ -231,7 +231,7 @@ def _from_table(table: CoeffTable, n_ch: int, kind: str, w: float) -> Formulatio
 
     return Formulation(
         encoding=enc,
-        objective=BinaryPolynomial._from_canonical(n_ap * width, terms),
+        objective=BinaryPolynomial._wrap(n_ap * width, terms),
         penalty=w,
         n_ap=n_ap,
         n_ch=n_ch,
@@ -363,9 +363,9 @@ def quadratize(p: BinaryPolynomial, scale: float) -> Quadratization:
             pairs[support] = high[r]
 
         # Only (a, b) can already be present, since y is fresh.  A sum there
-        # that cancels to exactly 0.0 stays in its slot until BinaryPolynomial
-        # drops it: no degree->=3 term holds both a and b any more, so (a, b)
-        # is never substituted again and no later term lands on it.
+        # that cancels to exactly 0.0 stays in its slot until the result's
+        # dict drops it: no degree->=3 term holds both a and b any more, so
+        # (a, b) is never substituted again and no later term lands on it.
         j = pairs.get((va, vb))
         if j is not None:
             coeffs[j] += scale
@@ -376,10 +376,10 @@ def quadratize(p: BinaryPolynomial, scale: float) -> Quadratization:
         coeffs += (-2.0 * scale, -2.0 * scale, 3.0 * scale)
 
     # every row has fallen, since one of degree >= 3 keeps its pairs' counts
-    # above 0; the arrays are freed before the result's dicts are built
+    # above 0; the arrays are freed before the result's dict is built
     del rows, masks, table, pairs
     return Quadratization(
-        poly=BinaryPolynomial._from_canonical(n_vars + len(aux_map), dict(zip(supports, coeffs))),
+        poly=BinaryPolynomial._wrap(n_vars + len(aux_map), {s: c for s, c in zip(supports, coeffs) if c}),
         aux_map=tuple(aux_map),
     )
 

@@ -40,7 +40,11 @@ from .simulator import IdealSampler
 
 
 LAMBDA = 8.0 / 7.0  # growth of the reach k after each non-improving draw
-OPTIMUM_TOL = 1e-12  # a run within this of the known optimum has reached it
+# A run within this of the known optimum has reached it.  Channel-symmetric
+# optima can differ in their last bits: of the bundled network's 6 hubo-asc
+# optima 2 are exactly at the minimum, the others 4.4e-16 and 1.6e-15 above
+# it, so the stop rule, reached_optimum and oracle_matched rest on this.
+OPTIMUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -70,15 +70,17 @@ class BinaryPolynomial:
     def _from_canonical(
         cls, n_vars: int, terms: Mapping[tuple[int, ...], float]
     ) -> "BinaryPolynomial":
-        """Wrap ``terms`` whose supports are already sorted, distinct and in
-        0..n_vars-1, as the algebra and the builders make them.  Of the
-        public constructor's work only two steps can still change such a
-        dict, and only they are done: each coefficient becomes a ``float``
-        and exact zeros, -0.0 included, are dropped, in input order."""
-        canon = {s: f for s, c in terms.items() if (f := float(c)) != 0.0}
+        """Wrap ``terms`` whose supports are sorted, distinct and in
+        0..n_vars-1, as the algebra makes them, with each coefficient made a
+        ``float`` and exact zeros, -0.0 included, dropped in input order."""
+        return cls._wrap(n_vars, {s: f for s, c in terms.items() if (f := float(c)) != 0.0})
+
+    @classmethod
+    def _wrap(cls, n_vars: int, terms: dict[tuple[int, ...], float]) -> "BinaryPolynomial":
+        """Take canonical ``terms`` of nonzero floats as its own dict, uncopied."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "n_vars", n_vars)
-        object.__setattr__(poly, "terms", canon)
+        object.__setattr__(poly, "terms", terms)
         return poly
 
     def __setattr__(self, *_):
@@ -102,21 +104,22 @@ class BinaryPolynomial:
 
     @property
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(len(s) for s in self.terms)
+        return max(map(len, self.terms), default=0)
 
     @property
     def constant_term(self) -> float:
         return self.terms.get((), 0.0)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], float]]:
-        """Terms in graded lexicographic order: by degree, then by support.
+    def _graded(self) -> list[list[tuple[int, ...]]]:
+        """Supports by degree, lowest first, each group sorted: graded order."""
+        groups: dict[int, list[tuple[int, ...]]] = {}
+        for s in self.terms:
+            groups.setdefault(len(s), []).append(s)
+        return [sorted(groups[d]) for d in sorted(groups)]
 
-        Sorting the supports, then stably by length, gives that order, since
-        tuples of one length compare as their supports."""
-        terms = self.terms
-        return [(s, terms[s]) for s in sorted(sorted(terms), key=len)]
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], float]]:
+        """Terms in graded lexicographic order: by degree, then by support."""
+        return [(s, self.terms[s]) for group in self._graded() for s in group]
 
     def coefficient(self, support: Iterable[int]) -> float:
         return self.terms.get(tuple(sorted(set(support))), 0.0)
@@ -233,17 +236,18 @@ class BinaryPolynomial:
     def dumps(self) -> str:
         """One term per line, ``coeff : i1 i2 ...``, canonical order.
 
-        Each distinct coefficient is formatted once: equal floats have equal
-        reprs apart from 0.0 and -0.0, and a canonical polynomial holds no
-        zero coefficient.  A NaN is equal to no other float, so each NaN is
-        its own key and still formats as ``nan``.
-        """
-        reprs = {c: repr(c) for c in set(self.terms.values())}
-        names = [str(i) for i in range(self.n_vars)]
-        return "\n".join([
-            f"{reprs[c]} : {' '.join([names[i] for i in s])}" if s else f"{reprs[c]} :"
-            for s, c in self.sorted_terms()
-        ])
+        Each degree's lines are joined from columns: the heads ``repr(c) + " :"``,
+        one per distinct coefficient (equal floats have equal reprs apart from
+        +-0.0, which a canonical polynomial never holds, and each NaN is its
+        own key), then one column of ``" i"`` names per position."""
+        terms = self.terms
+        heads = {c: repr(c) + " :" for c in set(terms.values())}
+        name = [f" {i}" for i in range(self.n_vars)].__getitem__
+        lines: list[str] = []
+        for group in self._graded():
+            column = map(heads.__getitem__, map(terms.__getitem__, group))
+            lines += map("".join, zip(column, *(map(name, c) for c in zip(*group))))
+        return "\n".join(lines)
 
 
 def loads_poly(text: str, n_vars: int) -> BinaryPolynomial:

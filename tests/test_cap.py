@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gascap import (
     BinaryPolynomial,
@@ -253,3 +255,62 @@ def test_validation_raises(instance, table, hubo_asc, call, error, want):
 def test_round_trip_through_dict(instance):
     again = instance_from_dict(instance_to_dict(instance))
     assert np.allclose(again.distances, instance.distances)
+
+
+# -- the table against the per-pair coefficient ------------------------------
+
+
+@st.composite
+def path_loss_instances(draw, extreme: bool):
+    """2-5 APs with 1-12 users each, in unequal, shuffled groups; with
+    ``extreme``, some distances are 1e-200 or 1e200, whose gains overflow or
+    underflow at alpha > 1."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=5))
+    users = draw(st.permutations(range(sum(sizes))))
+    bounds = np.cumsum([0, *sizes]).tolist()
+    assoc = [list(users[a:b]) for a, b in zip(bounds, bounds[1:])]
+    distance = st.floats(1e-6, 1e3)
+    if extreme:
+        distance = st.one_of(distance, st.sampled_from([1e-200, 1e200]))
+    row = st.lists(distance, min_size=len(users), max_size=len(users))
+    return instance_from_dict({
+        "n_ap": len(sizes), "n_ch": 1, "alpha": draw(st.sampled_from([1.0, 2.0, 3.5])),
+        "distances": draw(st.lists(row, min_size=len(sizes), max_size=len(sizes))),
+        "assoc": assoc,
+    })
+
+
+def per_pair_table(inst):
+    """The table as one ``interference_coeff`` call per pair i < k, in row
+    order: it raises what the first failing pair raises."""
+    c = np.zeros((inst.n_ap, inst.n_ap))
+    for i, k in itertools.combinations(range(inst.n_ap), 2):
+        c[i, k] = c[k, i] = interference_coeff(inst, i, k)
+    return CoeffTable(c, epsilon=inst.epsilon)
+
+
+def two_failing_pairs():
+    """Four APs of one user each, at alpha 2: AP 0's gain at AP 3's user
+    underflows, and AP 1's at AP 2's user is subnormal, so S_1 / I_12
+    overflows and C_12 is not finite.  Row order meets (0, 3) first, column
+    order (1, 2)."""
+    distances = np.ones((4, 4))
+    distances[0, 3], distances[1, 2] = 1e200, 1e160
+    return instance_from_dict({"n_ap": 4, "n_ch": 1, "alpha": 2.0, "distances": distances.tolist(),
+                               "assoc": [[0], [1], [2], [3]]})
+
+
+@given(st.booleans().flatmap(path_loss_instances))
+@example(two_failing_pairs())
+@settings(deadline=None, max_examples=150)
+def test_coeff_table_matches_interference_coeff_bit_for_bit(inst):
+    try:
+        want = per_pair_table(inst)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            coeff_table(inst)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+        return
+    got = coeff_table(inst)
+    assert got.c.tobytes() == want.c.tobytes() and got.d.tobytes() == want.d.tobytes()
+    assert got.c_min == want.c_min and got.d_sum == want.d_sum

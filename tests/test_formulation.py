@@ -147,6 +147,17 @@ def test_builders_reject_non_finite_penalty(instance, w):
         build_formulation(instance, "hubo-asc", w)
 
 
+@pytest.mark.parametrize("kind", ["qubo", "hubo-asc", "hubo-desc"])
+@pytest.mark.parametrize("w", [2, np.float64(2.0)])
+def test_builders_give_float_coefficients_at_any_real_penalty(instance, table, kind, w):
+    # the objective keeps the builder's dict as built, so an int or numpy
+    # penalty must not leave its type in a coefficient (numpy's repr would
+    # reach the .poly files)
+    got = build_formulation(instance, kind, w, table).objective
+    assert {type(c) for c in got.terms.values()} == {float}
+    assert got.dumps() == build_formulation(instance, kind, 2.0, table).objective.dumps()
+
+
 def test_builders_reject_coefficients_a_finite_penalty_overflows(instance):
     # w * N_AP and 2w overflow in the one-hot penalty; w' times the codeword
     # indicator's coefficients overflows, and opposite infinities sum to nan

@@ -15,6 +15,7 @@ from gascap import (
     amplified_probability,
     apply,
     brute_force_cap,
+    build_formulation,
     build_grover,
     build_state_prep,
     coefficient_width,
@@ -23,6 +24,7 @@ from gascap import (
     run_gas,
     run_seed,
     sample,
+    reference_instance,
     synthetic_instance,
     coeff_table,
     zero_state,
@@ -100,6 +102,29 @@ def test_stop_at_known_optimum(hubo_desc):
     cfg = GasConfig(max_classical_iters=500, stop_at_known_optimum=opt, master_seed=5)
     trace = run_gas(IdealSampler(hubo_desc.objective), cfg, np.random.default_rng(5))
     assert trace.best_y == pytest.approx(opt)
+
+
+# (formulation, instance) -> assignment keys exactly at the minimum; each
+# network has 6 channel-symmetric optima (3! permutations of its channels)
+EXACT_MINIMA = {("qubo", "bundled"): 6, ("hubo-asc", "bundled"): 2, ("hubo-desc", "bundled"): 6,
+                ("hubo-asc", "8x3 seed 1"): 3}
+
+
+@pytest.mark.parametrize("kind, network", sorted(EXACT_MINIMA))
+def test_optimum_tolerance_spans_the_channel_symmetric_optima(kind, network):
+    # a tolerance of 0 would count hubo-asc's optima as fewer than 6
+    inst = reference_instance() if network == "bundled" else synthetic_instance(8, 3, seed=1)
+    values = build_formulation(inst, kind).objective.evaluate_all()
+    lo = values.min()
+    assert np.count_nonzero(values == lo) == EXACT_MINIMA[kind, network]
+    assert np.count_nonzero(values <= lo + gas.OPTIMUM_TOL) == 6
+    # the next value above the tolerance is a different channel plan
+    assert values[values > lo + gas.OPTIMUM_TOL].min() - lo > 1e-3
+
+
+def test_bundled_hubo_asc_optima_differ_in_their_last_bits(hubo_asc):
+    distinct = np.unique(hubo_asc.objective.evaluate_all())
+    assert distinct[1] - distinct[0] == 2.0 ** -51  # 4.4e-16
 
 
 def test_quantum_budget_stops(hubo_asc):
