@@ -134,7 +134,7 @@ def codeword_indicator(ap: int, bits: Sequence[int], n_vars: int, slots: int) ->
     for r, b in enumerate(bits):
         var = ap * slots + r
         x = BinaryPolynomial.variable(var, n_vars)
-        factor = x if b else BinaryPolynomial.constant(1.0, n_vars) - x
+        factor = x if b else BinaryPolynomial.constant(1.0, n_vars).add(x.scale(-1.0))
         poly = poly.multiply(factor)
     return poly
 
@@ -202,8 +202,8 @@ def _from_table(table: CoeffTable, n_ch: int, kind: str, w: float) -> Formulatio
         for s in pair
     ]
     coeffs = list(pair.values())
-    low = [[tuple(map((i * width).__add__, lo)) for lo, _ in halves] for i in range(n_ap)]
-    high = [[tuple(map((k * width).__add__, hi)) for _, hi in halves] for k in range(n_ap)]
+    low = [[tuple([i * width + j for j in lo]) for lo, _ in halves] for i in range(n_ap)]
+    high = [[tuple([k * width + j for j in hi]) for _, hi in halves] for k in range(n_ap)]
 
     terms: dict[tuple[int, ...], float] = {}
     get, pop = terms.get, terms.pop
@@ -222,7 +222,7 @@ def _from_table(table: CoeffTable, n_ch: int, kind: str, w: float) -> Formulatio
     for piece in pieces:
         for i in range(n_ap):
             for p, c in piece.items():
-                s = tuple(map((i * width).__add__, p))
+                s = tuple([i * width + j for j in p])
                 total = get(s, 0.0) + c
                 if total == 0.0:
                     pop(s, None)

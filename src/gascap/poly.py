@@ -160,28 +160,6 @@ class BinaryPolynomial:
                 terms[key] = terms.get(key, 0.0) + c1 * c2
         return BinaryPolynomial._from_canonical(n, terms)
 
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = BinaryPolynomial.constant(float(other), self.n_vars)
-        return self.add(other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = BinaryPolynomial.constant(float(other), self.n_vars)
-        return self.add(other.scale(-1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.scale(float(other))
-        return self.multiply(other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
     # -- evaluation ---------------------------------------------------
 
     def evaluate(self, x: Sequence[int]) -> float:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -356,8 +357,14 @@ def test_solve_benchmark_size_output_is_pinned(tmp_path, extra, want):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
-def test_trace_lines_are_the_csv_writers_rows():
-    # the rows cmd_solve wrote with csv.writer before it wrote lines
+def test_trace_lines_are_the_csv_writers_rows(tmp_path):
+    # the rows cmd_solve and cmd_estimate wrote with csv.writer before they
+    # wrote lines
+    def writer_text(rows):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
+
     its = [GasIteration(0, 2.0, 1.0, 0, 5, 2.0, False),
            GasIteration(1, 2.0, 1.1, 3, 1, -3.25, True),
            GasIteration(2, -3.25, 1.0, 1, 2, 1e-7, False),
@@ -377,7 +384,15 @@ def test_trace_lines_are_the_csv_writers_rows():
                 rows.append([4, kind, encoding, it.i, cli._fmt(it.y_i), it.l_i,
                              it.i + 2, cum_q, cli._fmt(100.0 * (best - lo) / span)])
             got = "".join(cli._trace_lines(f"4,{kind},{encoding}", trace, lo, span))
-            assert "h\n" + got == cli._csv_text(["h"], rows)
+            assert got == writer_text(rows)
+    # no field of resources.csv needs quoting, enumerated or not
+    for sizes, cap in (("4:16:1", "16"), ("4:12:2", "12"), ("4:40:3", "8")):
+        out = tmp_path / sizes.replace(":", "_")
+        assert main(["estimate", "--sweep", sizes, "--enum-cap", cap, "--out", str(out)]) == 0
+        text = (out / "resources.csv").read_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len({len(row) for row in rows}) == 1  # an unquoted "," adds a field
+        assert text == writer_text(rows)
 
 
 def test_solve_statevector_output_is_pinned(tmp_path):

@@ -401,7 +401,7 @@ def test_norm_preserved_gate_by_gate():
 def test_state_prep_keys_stay_uniform_with_exact_values():
     p = BinaryPolynomial(4, {(): 3.0, (0,): -2.0, (1, 3): 1.0})
     y = 1
-    m = value_register_width(p + (-y))
+    m = value_register_width(p.add(BinaryPolynomial.constant(float(-y), p.n_vars)))
     c = build_state_prep(p, y, m)
     sv = apply(c, zero_state(c.n_qubits))
     probs = (np.abs(sv) ** 2).reshape(1 << 4, 1 << m)
@@ -504,7 +504,7 @@ def test_statevector_matches_amplification_formula():
         p = BinaryPolynomial(n, terms)
         values = p.evaluate_all()
         y = float(rng.integers(int(values.min()), int(values.max()) + 1))
-        m = value_register_width(p + (-y))
+        m = value_register_width(p.add(BinaryPolynomial.constant(float(-y), p.n_vars)))
         t = int((values < y).sum())
         marked = np.where(values < y)[0]
         prep = build_state_prep(p, y, m)
