@@ -13,6 +13,7 @@ from gascap import (
     apply,
     build_grover,
     build_state_prep,
+    enumerate_resources,
     marked_probability,
     value_register_width,
     zero_state,
@@ -32,8 +33,10 @@ print(f"objective over {p.n_vars} bits, threshold y = {y}: "
 m = value_register_width(p.add(BinaryPolynomial.constant(float(-y), p.n_vars)))
 prep = build_state_prep(p, y, m)
 grover = build_grover(prep)
+res = enumerate_resources(prep)
+n_gates = res.h_count + res.r_count + sum(res.cr_counts.values()) + res.iqft_count
 print(f"compiled with a {m}-qubit value register "
-      f"({prep.n_qubits} qubits, {len(prep.gates)} gates in A_y)")
+      f"({prep.n_qubits} qubits, {n_gates} gates in A_y)")
 
 marked = np.where(values < y)[0]
 state = apply(prep, zero_state(prep.n_qubits))

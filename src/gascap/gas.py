@@ -71,7 +71,9 @@ class GasIteration(NamedTuple):
     y_i: float
     k_i: float
     l_i: int
-    sampled_key: int  # the sampler's index into its value table, x_0 most significant
+    # the sampler's index into its value table, x_0 most significant; among
+    # keys of equal value, which one is the sampler's choice
+    sampled_key: int
     sampled_y: float
     improved: bool
 
@@ -79,7 +81,7 @@ class GasIteration(NamedTuple):
 @dataclass
 class GasTrace:
     iterations: list[GasIteration] = field(default_factory=list)
-    best_key: int = 0
+    best_key: int = 0  # of value best_y: the initial sample or the last improving draw
     best_y: float = math.inf
     classical_queries: int = 0
     quantum_queries: int = 0

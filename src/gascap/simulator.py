@@ -226,41 +226,6 @@ def amplified_probability(t: int, n_states: int, l_ops: int) -> float:
     return math.sin((2 * l_ops + 1) * theta) ** 2
 
 
-# up to 2^10 entries numpy's stable argsort is the faster sort (31 against
-# _stable_order's 50 us at 2^10, 290 against 150 us at 2^12, on a 2-core
-# Xeon), and a process that sorts only such tables faults in no other sort
-# kernel (solve-sv's peak RSS stays 0.3 MB lower)
-_STABLE_SORT_VARS = 10
-
-
-def _stable_order(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.argsort(values, kind="stable")`` over the 2^n entries and the
-    values in that order, from one unstable sort.
-
-    The unstable order puts equal values together, NaN last, as the stable
-    one does; only the order within each group of equal values differs.  So
-    each index gets its group's rank in its high bits, ``rank << n | index``,
-    and these distinct keys sorted give the stable order.  The ranks are
-    written into the sorted values' buffer, which then takes the values
-    gathered in the final order.
-    """
-    order = np.argsort(values)
-    buf = values[order]
-    new_group = buf[1:] != buf[:-1]
-    if np.isnan(buf[-1]):
-        new_group[buf.searchsorted(np.nan):] = False  # NaN != NaN, yet one group
-    keys = buf.view(np.int64)
-    keys[0] = 0
-    np.cumsum(new_group, out=keys[1:])
-    del new_group
-    keys <<= n
-    keys |= order
-    keys.sort()
-    np.bitwise_and(keys, (1 << n) - 1, out=order)
-    np.take(values, order, out=buf)
-    return order, buf
-
-
 class IdealSampler:
     """Amplification outcomes for a polynomial from its classical value table.
 
@@ -269,7 +234,9 @@ class IdealSampler:
     ``sample`` returns the drawn key as an integer index into ``values``
     (x_0 most significant, as in ``evaluate_all``), so the caller reads the
     key's exact objective value from the table and builds its bit vector
-    only if it needs one.  Build one sampler per polynomial and share it
+    only if it needs one.  Which key of a group of equal values a draw
+    returns is ``np.argsort``'s choice; the drawn value is exact, and only
+    the value moves a search.  Build one sampler per polynomial and share it
     between runs: the table also gives the objective's range,
     ``sorted_values[0]`` to ``sorted_values[-1]``.
 
@@ -282,11 +249,8 @@ class IdealSampler:
     def __init__(self, p: BinaryPolynomial):
         self.p, self.n_vars = p, p.n_vars
         self.values = p.evaluate_all()
-        if self.n_vars <= _STABLE_SORT_VARS:
-            self.order = np.argsort(self.values, kind="stable")
-            self.sorted_values = self.values[self.order]
-        else:
-            self.order, self.sorted_values = _stable_order(self.values, self.n_vars)
+        self.order = np.argsort(self.values)
+        self.sorted_values = self.values[self.order]
         self.threshold = (math.nan, 0, 0.0)  # (y, t, theta); NaN matches no y
 
     def marked_count(self, y: float) -> int:

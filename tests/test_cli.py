@@ -348,7 +348,7 @@ def test_solve_output_is_pinned(tmp_path):
 def test_solve_benchmark_size_output_is_pinned(tmp_path, extra, want):
     # sha256 of the outputs while the sampler sorted its table stably and
     # worked out t and the marked probability on every draw; the 16-variable
-    # tables hold 25,652 and 11,615 distinct values, so tie order shows
+    # tables hold 25,652 and 11,615 distinct values, so many of their keys tie
     out = tmp_path / "pin-ideal-25"
     assert main(["solve", "--synthetic", "8,3", "--seed", "1", "--backend", "ideal",
                  "--formulation", "hubo-asc", "--formulation", "hubo-desc", "--runs", "25",
@@ -425,6 +425,45 @@ def test_solve_statevector_benchmark_size_output_is_pinned(tmp_path):
     }
     for name, digest in want.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["--backend", "ideal", "--formulation", "qubo", "--formulation", "hubo-asc",
+     "--formulation", "hubo-desc", "--runs", "10", "--seed", "3"],
+    ["--synthetic", "8,3", "--seed", "1", "--formulation", "hubo-asc",
+     "--formulation", "hubo-desc", "--runs", "10"],
+    ["--backend", "sv", "--formulation", "hubo-asc", "--formulation", "hubo-desc",
+     "--runs", "5", "--seed", "4"],
+])
+def test_solve_output_does_not_depend_on_tie_order(tmp_path, monkeypatch, argv):
+    # a draw returns some key of the drawn value's tie group, and only that
+    # value moves the search, so reversing the keys within every group of
+    # equal values changes no output
+    def written(name):
+        out = tmp_path / name
+        assert main(["solve", *argv, "--out", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+
+    want = written("sorted")
+    init = simulator.IdealSampler.__init__
+    reordered = []
+
+    def reversed_ties(self, p):
+        init(self, p)
+        v = self.sorted_values  # finite: an objective's table holds no NaN
+        group = np.cumsum(np.r_[True, v[1:] != v[:-1]])
+        # within a group, the later position first
+        order = self.order[np.lexsort((-np.arange(v.size), group))]
+        reordered.append((group[-1] < v.size, not np.array_equal(order, self.order)))
+        self.order, self.sorted_values = order, self.values[order]
+
+    monkeypatch.setattr(simulator.IdealSampler, "__init__", reversed_ties)
+    got = written("reversed")
+    # one sampler per formulation, each with ties to reverse
+    assert all(tied and moved for tied, moved in reordered)
+    assert got.keys() == want.keys() and len(got) == len(reordered) + 1
+    for name in want:
+        assert got[name] == want[name], name
 
 
 def test_solve_frees_each_value_table_before_the_next(tmp_path):

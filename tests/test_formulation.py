@@ -407,6 +407,37 @@ def test_codeword_map_is_inverted_by_decode(enc, n_ch, n_ap):
             assert decode(form, x) == DecodeResult(None, (f"AP {i}: slots {row} spell no channel",))
 
 
+@st.composite
+def sized_tables(draw):
+    """A ``CoeffTable`` of 2-5 APs with heavy-tailed costs, its channel
+    count and a kind whose bit cube has at most 2^16 keys."""
+    n_ap, n_ch = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    kinds = ["hubo-asc", "hubo-desc"] + (["qubo"] if n_ap * n_ch <= 16 else [])
+    cost = st.floats(-2, 4).map(lambda e: 10.0 ** e)
+    c = np.zeros((n_ap, n_ap))
+    for i in range(n_ap):
+        for k in range(i + 1, n_ap):
+            c[i, k] = c[k, i] = draw(cost)
+    return CoeffTable(c), n_ch, draw(st.sampled_from(kinds))
+
+
+@given(sized_tables())
+# N_CH + 1 APs at equal costs: every channel costs an AP w*, so at 0.99 w*
+# the minimum leaves one AP without a channel
+@example((CoeffTable.uniform(3), 2, "qubo"))
+@example((CoeffTable.uniform(4), 3, "hubo-asc"))
+@example((CoeffTable.uniform(4), 3, "hubo-desc"))
+@settings(deadline=None, max_examples=60)
+def test_minimum_is_an_assignment_above_the_penalty_bound(case):
+    # above w* = max_i sum_k d_ik / N_CH an AP that spells no channel pays
+    # more than its cheapest channel would cost it
+    table, n_ch, kind = case
+    w = 1.01 * max(table.d.sum(axis=1)) / n_ch
+    form = formulation_from_table(table, n_ch, kind, w)
+    x, _ = form.objective.exhaustive_min()
+    assert decode(form, x).valid
+
+
 # -- input validation -----------------------------------------------------
 
 
