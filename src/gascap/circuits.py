@@ -1,8 +1,9 @@
 """Compilation of binary polynomials into adaptive-search circuits.
 
 The state-preparation operator A_y acts on a key register of n qubits (one
-per binary variable) and a value register of m qubits.  It is Hadamards on
-everything, one phase layer, and a final inverse QFT on the value register.
+per binary variable) and a value register of m qubits.  It is always
+Hadamards on everything, one phase layer, and a final inverse QFT on the
+value register; a layer with no term is kept and expands to no gate.
 In the layer a term with coefficient a contributes theta = 2 pi a / 2^m and
 applies R(2^(m-1-j) * theta) to value qubit j, controlled on the term's key
 qubits.  The constant term absorbs -y and is uncontrolled.  With integer
@@ -36,6 +37,7 @@ from ``variable_counts``.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -46,7 +48,7 @@ from .formulation import Encoding, Formulation, bits_per_channel, check_penalty,
 from .poly import BinaryPolynomial
 
 GateKind = str  # "h", "r", "cr", "z", "iqft", "qft", "diffusion"
-_TARGETED = frozenset(("h", "r", "cr", "z"))  # act on one target qubit; r, cr take controls
+_TARGETED = frozenset(("h", "r", "cr", "z"))  # act on one target qubit; only cr takes controls
 _WHOLE_REGISTER = frozenset(("iqft", "qft", "diffusion"))
 
 
@@ -68,7 +70,7 @@ class GateSpec:
             raise ValueError(f"{kind} gates need an integer target, got {target!r}")
         elif kind == "cr" and not controls:
             raise ValueError("cr gates need at least one control")
-        elif kind in ("h", "z") and controls:
+        elif kind != "cr" and controls:
             raise ValueError(f"{kind} gates take no controls")
         elif target in controls:
             raise ValueError(f"control {target} equals the target")
@@ -95,15 +97,11 @@ class PhaseLayer:
     coefficient c has theta = 2 pi c / 2^m and applies R(2^(m-1-j) * theta)
     to value qubit j, controlled on its support.  The rotations are diagonal
     and commute, so the layer is one record; ``sign`` = -1 negates every
-    theta, which is the inverse, exactly.  ``len`` is the number of terms."""
+    theta, which is the inverse, exactly."""
 
     p: BinaryPolynomial
     y: float
     sign: int = 1
-
-    def __len__(self) -> int:
-        terms = self.p.terms
-        return len(terms) - (() in terms) + (self.p.constant_term - self.y != 0.0)
 
     def blocks(self, m: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """Each term's controls and theta, in gate order."""
@@ -248,7 +246,8 @@ def formulation_width(form: Formulation) -> int:
 
 def build_state_prep(p: BinaryPolynomial, y: float, m: int) -> CircuitSpec:
     """The operator A_y for polynomial p at threshold y with an m-qubit
-    value register."""
+    value register: n + m Hadamards, one ``PhaseLayer(p, y)`` and the IQFT,
+    whatever the term count."""
     if m < 1:
         raise ValueError(f"the value register needs at least the sign qubit, got m={m}")
     n = p.n_vars
@@ -263,9 +262,7 @@ def build_state_prep(p: BinaryPolynomial, y: float, m: int) -> CircuitSpec:
                     f"coefficient {coeff} ({label}) outside [-2^{m - 1}, 2^{m - 1}) for m={m}"
                 )
 
-    layer = PhaseLayer(p, y)
-    ops = (*(GateSpec("h", target=q) for q in range(n + m)), *((layer,) if len(layer) else ()),
-           GateSpec("iqft"))
+    ops = (*(GateSpec("h", target=q) for q in range(n + m)), PhaseLayer(p, y), GateSpec("iqft"))
     return CircuitSpec(n_key=n, m_val=m, ops=ops)
 
 
@@ -372,6 +369,7 @@ def closed_form_resources(
     smaller), so both binary kinds share this closed form.
     """
     binary = Encoding(kind).is_binary
+    n_ap, n_ch = operator.index(n_ap), operator.index(n_ch)
     if n_ap < 2:
         raise ValueError(f"a closed form needs at least 2 access points, got {n_ap}")
     if d_sum <= 0:

@@ -82,7 +82,7 @@ def _load_instance(args) -> CapInstance:
             n_ap, n_ch = (int(v) for v in args.synthetic.split(","))
         except ValueError:
             raise ValueError(f"--synthetic takes NAP,NCH integers, got {args.synthetic!r}") from None
-        return synthetic_instance(n_ap, n_ch, seed=_master_seed(args))
+        return synthetic_instance(n_ap, n_ch, seed=args.seed)
     return reference_instance()
 
 
@@ -272,7 +272,7 @@ def cmd_solve(args) -> int:
             max_classical_iters=args.budget_classical,
             max_quantum_queries=args.budget_quantum,
             stop_at_known_optimum=lo,
-            master_seed=_master_seed(args),
+            master_seed=args.seed,
         )
         lines = [header]
         hits = 0
@@ -432,7 +432,9 @@ def main(argv: list[str] | None = None) -> int:
         args.formulation = list(ENCODING_KINDS)
     try:
         if hasattr(args, "seed"):
-            _master_seed(args)  # a bad seed fails before any output is made
+            # resolved once, so a bad seed fails before any output is made
+            # and the manifest echoes the seed the run used
+            args.seed = _master_seed(args)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

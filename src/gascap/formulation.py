@@ -35,6 +35,7 @@ N_CH < 2^N_B, and leaves no invalid codewords to penalize.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations
@@ -71,6 +72,7 @@ class Encoding(Enum):
 
 def bits_per_channel(n_ch: int) -> int:
     """N_B = ceil(log2 N_CH), the slot width of the binary encodings."""
+    n_ch = operator.index(n_ch)
     if n_ch < 1:
         raise ValueError("n_ch must be positive")
     return max(1, (n_ch - 1).bit_length())
@@ -118,6 +120,7 @@ def channel_codeword(c: int, n_ch: int, enc: Encoding) -> BitVector:
     """Slot bits of channel c: N_CH bits with bit c - 1 set for one-hot, the
     big-endian N_B-bit codeword [c - 1] or [N_CH - c + 1] mod 2^N_B for the
     ascending or descending binary encoding."""
+    n_ch = operator.index(n_ch)
     if not 1 <= c <= n_ch:
         raise ValueError(f"channel {c} out of range 1..{n_ch}")
     if enc is Encoding.ONE_HOT:
@@ -191,7 +194,7 @@ def _from_table(table: CoeffTable, n_ch: int, kind: str, w: float) -> Formulatio
     Terms are added one at a time, as ``BinaryPolynomial.add`` adds them: a
     sum that is exactly zero is dropped, and a later term at that support
     goes to the end of the dict."""
-    enc = Encoding(kind)
+    enc, n_ch = Encoding(kind), operator.index(n_ch)
     check_penalty(w)
     width, pair, pieces = _templates(n_ch, enc, float(w))  # the pieces reach the objective as built
     n_ap = table.n_ap
@@ -421,6 +424,7 @@ def variable_counts(n_ap: int, n_ch: int) -> VariableCounts:
     (strictly below for powers of two); otherwise it reverses, e.g.
     n'' = 35 > n = 25 at 5 x 5.
     """
+    n_ap, n_ch = operator.index(n_ap), operator.index(n_ch)
     if n_ch < 2:
         raise ValueError("n_ch must be at least 2")
     n_b = bits_per_channel(n_ch)

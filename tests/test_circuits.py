@@ -302,7 +302,7 @@ def test_gate_spec_rejects_a_repeated_control():
         GateSpec("cr", target=2, controls=(0, 3, 0), theta=0.5)
 
 
-@pytest.mark.parametrize("kind", ["h", "z"])
+@pytest.mark.parametrize("kind", ["h", "z", "r"])  # r is uncontrolled; cr is its controlled form
 def test_hadamard_and_z_take_no_controls(kind):
     with pytest.raises(ValueError, match=f"{kind} gates take no controls"):
         GateSpec(kind, target=0, controls=(1,))

@@ -8,7 +8,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gascap import BinaryPolynomial, Encoding, GasTrace, cli, simulator
+from gascap import (
+    BinaryPolynomial,
+    Encoding,
+    GasTrace,
+    build_formulation,
+    cli,
+    default_quadratization_scale,
+    loads_poly,
+    quadratize,
+    simulator,
+)
 from gascap.cap import instance_to_dict, reference_instance, synthetic_instance
 from gascap.cli import main
 from gascap.gas import GasIteration
@@ -54,6 +64,26 @@ def test_formulate_one_hot_and_quadratized(tmp_path):
     assert summary["qubo"]["n_vars"] == 12
     assert summary["quadratized"]["n_vars"] == 12
     assert summary["quadratized"]["degree"] <= 2
+
+
+@pytest.mark.parametrize("source", [[], ["--synthetic", "6,3", "--seed", "5"]],
+                         ids=["bundled", "synthetic"])
+def test_formulate_poly_files_read_back_as_the_library_objectives(tmp_path, source):
+    out = tmp_path / "f"
+    kinds = ["qubo", "hubo-asc", "hubo-desc", "quadratized"]
+    argv = ["formulate", *source, "--out", str(out)]
+    assert main(argv + [arg for kind in kinds for arg in ("--formulation", kind)]) == 0
+    inst = synthetic_instance(6, 3, seed=5) if source else reference_instance()
+    asc = build_formulation(inst, "hubo-asc").objective
+    want = {kind: build_formulation(inst, kind).objective for kind in kinds[:3]}
+    want["quadratized"] = quadratize(asc, default_quadratization_scale(asc)).poly
+    for kind in kinds:
+        text = (out / f"{kind}.poly").read_text()
+        header = text.partition("\n")[0]
+        assert header.startswith("# ")  # the line loads_poly skips
+        assert loads_poly(text, json.loads(header[2:])["n_vars"]) == want[kind], kind
+    # a polynomial compares unequal to anything else, by the other side's rule
+    assert want["qubo"].__eq__(header) is NotImplemented and want["qubo"] != header
 
 
 def test_estimate_outputs_and_orderings(tmp_path):
@@ -149,6 +179,26 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert main(["solve", "--formulation", "hubo-asc", "--runs", "3",
                  "--budget-classical", "50", "--seed", "123", "--out", str(out2)]) == 0
     assert (out1 / "trace_hubo-asc.csv").read_bytes() == (out2 / "trace_hubo-asc.csv").read_bytes()
+
+
+def test_env_seeded_manifest_replays(tmp_path, monkeypatch):
+    # the manifest echoes the seed $GASCAP_SEED gave, so its args alone
+    # rerun the command to the same outputs
+    first, replay = tmp_path / "env", tmp_path / "replay"
+    monkeypatch.setenv("GASCAP_SEED", "123")
+    assert main(["solve", "--synthetic", "5,3", "--runs", "3", "--out", str(first)]) == 0
+    monkeypatch.delenv("GASCAP_SEED")
+    args = json.loads((first / "manifest.json").read_text())["args"]
+    assert args["seed"] == 123
+    argv = [args.pop("command")]
+    for key, value in {**args, "out": str(replay)}.items():
+        for v in value if isinstance(value, list) else [] if value is None else [value]:
+            argv += [f"--{key.replace('_', '-')}", str(v)]
+    assert main(argv) == 0
+    files = sorted(path.name for path in first.iterdir() if path.name != "manifest.json")
+    assert files == sorted(path.name for path in replay.iterdir() if path.name != "manifest.json")
+    for name in files:
+        assert (first / name).read_bytes() == (replay / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("value", ["-1", "abc"])

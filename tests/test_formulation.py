@@ -16,6 +16,7 @@ from gascap import (
     bits_per_channel,
     build_formulation,
     channel_codeword,
+    closed_form_resources,
     coeff_table,
     decode,
     default_quadratization_scale,
@@ -156,6 +157,38 @@ def test_builders_give_float_coefficients_at_any_real_penalty(instance, table, k
     got = build_formulation(instance, kind, w, table).objective
     assert {type(c) for c in got.terms.values()} == {float}
     assert got.dumps() == build_formulation(instance, kind, 2.0, table).objective.dumps()
+
+
+@pytest.mark.parametrize("kind", ["qubo", "hubo-asc", "hubo-desc"])
+@pytest.mark.parametrize("integer", [int, np.int64, np.int32])
+def test_counts_accept_any_integer_type(kind, integer):
+    # a numpy count works as an int, and no numpy type reaches a support
+    # or a field (numpy's repr would reach the outputs)
+    n_ap, n_ch = integer(4), integer(3)
+    form = formulation_from_table(CoeffTable.uniform(4), n_ch, kind)
+    assert form == formulation_from_table(CoeffTable.uniform(4), 3, kind)
+    assert type(form.n_ch) is int and type(form.n_ap) is int
+    assert {type(v) for s in form.objective.terms for v in s} == {int}
+    enc = Encoding(kind)
+    assert bits_per_channel(n_ch) == 2 and channel_codeword(2, n_ch, enc) == \
+        channel_codeword(2, 3, enc)
+    assert variable_counts(n_ap, n_ch) == variable_counts(4, 3)
+    assert closed_form_resources(n_ap, n_ch, 6.0, 1.0, kind) == \
+        closed_form_resources(4, 3, 6.0, 1.0, kind)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: formulation_from_table(CoeffTable.uniform(4), 3.0, "qubo"),
+    lambda: formulation_from_table(CoeffTable.uniform(4), 3.0, "hubo-asc"),
+    lambda: bits_per_channel(3.0),
+    lambda: channel_codeword(1, 3.0, Encoding.ONE_HOT),
+    lambda: variable_counts(4.0, 3),
+    lambda: closed_form_resources(4, 3.0, 6.0, 1.0, "qubo"),
+], ids=["qubo", "hubo-asc", "bits_per_channel", "channel_codeword", "variable_counts",
+        "closed_form_resources"])
+def test_a_float_count_raises_type_error(call):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        call()
 
 
 def test_builders_reject_coefficients_a_finite_penalty_overflows(instance):

@@ -9,7 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gascap import (
@@ -90,7 +90,12 @@ def state_preps(draw, max_vars=8, bound=1e3, widen=4):
     return p, y, draw(st.integers(max(1, width - 1), width + widen))
 
 
+# a constant-only polynomial at its own threshold: a layer with no term
+TERMLESS = (BinaryPolynomial(2, {(): 3.0}), 3.0, 2)
+
+
 @given(state_preps())
+@example(TERMLESS)
 @settings(deadline=None, max_examples=150)
 def test_state_prep_gates_equal_the_eager_builder(case):
     p, y, m = case
@@ -103,9 +108,8 @@ def test_state_prep_gates_equal_the_eager_builder(case):
     c = build_state_prep(p, y, m)
     # repr shows every float exactly, so equal reprs mean equal bits
     assert c.gates == want and repr(c.gates) == repr(want)
-    # n + m Hadamards, the layer (left out when it has no term) and the IQFT
-    has_layer = any(s for s in p.terms) or p.constant_term - y != 0.0
-    assert len(c.ops) == p.n_vars + m + 1 + has_layer
+    # n + m Hadamards, the layer (also when it has no term) and the IQFT
+    assert len(c.ops) == p.n_vars + m + 2
 
 
 @given(state_preps())
@@ -127,6 +131,7 @@ def test_resources_equal_a_histogram_over_the_gates(case):
 
 
 @given(state_preps(max_vars=6, bound=50.0, widen=3))
+@example(TERMLESS)
 @settings(deadline=None, max_examples=60)
 def test_state_prep_phase_vector_equals_the_gate_by_gate_sum(case):
     p, y, m = case
@@ -136,9 +141,8 @@ def test_state_prep_phase_vector_equals_the_gate_by_gate_sum(case):
         return
     phases = [arg for op, arg in simulator._compile(c) if op == "phase"]
     rotations = [g for g in c.gates if g.kind in ("r", "cr")]
-    assert len(phases) == (1 if rotations else 0)
-    if rotations:
-        assert np.array_equal(phases[0], phase_by_gate(rotations, c.n_qubits))
+    [phase] = phases  # one step, of ones when the layer has no term
+    assert np.array_equal(phase, phase_by_gate(rotations, c.n_qubits))
 
 
 @st.composite
@@ -200,10 +204,10 @@ def test_block_expands_to_its_rotations():
             GateSpec("cr", 5, (1,), x1),
             GateSpec("cr", 3, (0, 2), 4.0 * x02), GateSpec("cr", 4, (0, 2), 2.0 * x02),
             GateSpec("cr", 5, (0, 2), x02))
-    assert layer.expand(3, 3) == want and len(layer) == 3
+    assert layer.expand(3, 3) == want
     assert layer.inverse() == PhaseLayer(p, 0.5, -1) and layer.inverse().inverse() == layer
     assert layer.inverse().expand(3, 3) == tuple(g.inverse() for g in want)
-    assert len(PhaseLayer(p, 1.0)) == 2 and PhaseLayer(p, 1.0).expand(3, 1)[0].controls == (1,)
+    assert PhaseLayer(p, 1.0).expand(3, 1)[0].controls == (1,)
 
 
 @given(state_preps())
