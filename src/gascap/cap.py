@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -174,11 +175,12 @@ def assignment_interference(
 ) -> float:
     """Total shifted co-channel cost of a concrete assignment.
 
-    ``assign[i]`` is the channel (1..N_CH) used by AP i.  This is the
-    classical ground truth every binary formulation must agree with.
+    ``assign[i]`` is the integer channel (1..N_CH) used by AP i.  This is
+    the classical ground truth every binary formulation must agree with.
     """
     if len(assign) != inst.n_ap:
         raise ValueError(f"assignment length {len(assign)} != n_ap {inst.n_ap}")
+    assign = [operator.index(ch) for ch in assign]
     for i, ch in enumerate(assign):
         if not 1 <= ch <= inst.n_ch:
             raise ValueError(f"AP {i}: channel {ch} out of range 1..{inst.n_ch}")

@@ -359,14 +359,18 @@ def closed_form_resources(
     """The paper's closed-form register and gate counts for a formulation
     family.  The key register is ``variable_counts``' n (one-hot) or n'
     (binary); the value register is the paper's width at the given D_sum and
-    penalty w (``_closed_form_width``).  Gate counts are the term counts under
-    the normalization D_ik = w = 1, times that width.  A D_sum or w that is
-    not finite and positive raises ``ValueError`` for every kind, as the
-    builders refuse such a penalty whether or not the width reads it.
+    penalty w (``_closed_form_width``).  Gate counts are per-degree term
+    counts times that width.  A D_sum or w that is not finite and positive
+    raises ``ValueError`` for every kind, as the builders refuse such a
+    penalty whether or not the width reads it.
 
-    For the descending encoding the ascending formulas are upper bounds (the
-    whole point of the descending assignment is that its expansion is
-    smaller), so both binary kinds share this closed form.
+    Both binary kinds share the ascending term counts.  Against the
+    objective at D_ik = w = 1 they are exact for the ascending encoding at
+    N_AP >= 3 and for both kinds at a power-of-two N_CH, where every slot row
+    is a codeword.  Elsewhere they are upper bounds: the descending
+    expansion is smaller at every other N_CH, and at N_AP = 2 some
+    single-AP coefficients of the ascending one cancel (2x7: 20 degree-3
+    terms counted, 18 in the objective).
     """
     binary = Encoding(kind).is_binary
     n_ap, n_ch = operator.index(n_ap), operator.index(n_ch)

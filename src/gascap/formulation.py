@@ -119,8 +119,8 @@ class DecodeResult:
 def channel_codeword(c: int, n_ch: int, enc: Encoding) -> BitVector:
     """Slot bits of channel c: N_CH bits with bit c - 1 set for one-hot, the
     big-endian N_B-bit codeword [c - 1] or [N_CH - c + 1] mod 2^N_B for the
-    ascending or descending binary encoding."""
-    n_ch = operator.index(n_ch)
+    ascending or descending binary encoding.  c and N_CH are integers."""
+    c, n_ch = operator.index(c), operator.index(n_ch)
     if not 1 <= c <= n_ch:
         raise ValueError(f"channel {c} out of range 1..{n_ch}")
     if enc is Encoding.ONE_HOT:
@@ -265,7 +265,7 @@ def formulation_from_table(
 # -- quadratization -----------------------------------------------------
 
 
-_PAD = np.iinfo(np.int32).max  # pads a row of labels; above every label
+_PAD = np.iinfo(np.int32).max  # pads a row of variables; above every index
 
 
 @dataclass(frozen=True)
@@ -280,17 +280,17 @@ def quadratize(p: BinaryPolynomial, scale: float) -> Quadratization:
     vanishes exactly when y = ab.
 
     The pair in the most degree->=3 terms goes first, ties to the smallest
-    (a, b).  Those terms are rows of an int32 array of labels (their
-    variables in order, then the auxiliaries, so the table below follows
-    them and not ``p.n_vars``), padded above every label.  Each label has a
-    boolean mask of the rows holding it, and the pair counts fill the upper
-    triangle of one square int32 table, doubled as auxiliaries outgrow it,
-    whose row-major ``argmax`` is the next pair.  A substitution writes y
-    over a and the pad over b in the rows both masks hold, and moves the
-    ``bincount`` of their other variables off (u, a) and (u, b) and, for the
-    rows still of degree >= 3, onto (u, y).  A row that falls to degree 2 is
-    (r0, y): it takes its term's place in the term order, stays in r0's mask
-    alone, and joins the degree-2 supports that a later (a, b) can land on.
+    (a, b).  Those terms are rows of an int32 array of variable indices,
+    padded above every index.  Each variable has a boolean mask of the rows
+    holding it, and the pair counts fill the upper triangle of one square
+    int32 table, sized by ``p.n_vars`` (16 * n_vars**2 bytes at the start)
+    and doubled as auxiliaries outgrow it, whose row-major ``argmax`` is the
+    next pair.  A substitution writes y over a and the pad over b in the
+    rows both masks hold, and moves the ``bincount`` of their other
+    variables off (u, a) and (u, b) and, for the rows still of degree >= 3,
+    onto (u, y).  A row that falls to degree 2 is (r0, y): it takes its
+    term's place in the term order, stays in r0's mask alone, and joins the
+    degree-2 supports that a later (a, b) can land on.
     """
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be finite and positive, got {scale}")
@@ -305,19 +305,14 @@ def quadratize(p: BinaryPolynomial, scale: float) -> Quadratization:
 
     deg = lens[high]
     flat = np.fromiter(chain.from_iterable(map(supports.__getitem__, high)), np.int64, int(deg.sum()))
-    labels = np.flatnonzero(np.bincount(flat))
-    real = labels.tolist()                  # the variable of each label
-    label_of = np.zeros(real[-1] + 1, dtype=np.int32)
-    label_of[labels] = np.arange(len(real))
-    flat = label_of[flat]
     n_rows, width = len(high), int(deg.max())
     rows = np.full((n_rows, width), _PAD, dtype=np.int32)
     rows[np.arange(width) < deg[:, None]] = flat
-    held = np.zeros((len(real), n_rows), dtype=bool)
+    held = np.zeros((n_vars, n_rows), dtype=bool)
     held[flat, np.repeat(np.arange(n_rows), deg)] = True
     masks = list(held)
     # room for as many auxiliaries as variables before the first doubling
-    size = 2 * len(real)
+    size = 2 * n_vars
     keys = []
     for k in range(1, width):
         filled = deg > k
@@ -330,14 +325,12 @@ def quadratize(p: BinaryPolynomial, scale: float) -> Quadratization:
     # no count is ever negative, so substitution stops once the highest is 0
     while table.flat[top := int(table.argmax())]:
         a, b = divmod(top, size)
-        y = len(real)
+        y = n_vars + len(aux_map)
         if y == size:
             grown = np.zeros((2 * size, 2 * size), dtype=np.int32)
             grown[:size, :size] = table
             table, size = grown, 2 * size
-        va, vb, vy = real[a], real[b], n_vars + len(aux_map)
-        real.append(vy)
-        aux_map.append(((va, vb), vy))
+        aux_map.append(((a, b), y))
 
         hit = np.flatnonzero(masks[a] & masks[b])
         sub = rows[hit]
@@ -362,20 +355,20 @@ def quadratize(p: BinaryPolynomial, scale: float) -> Quadratization:
         mask_y[hit[~fallen]] = True
         masks.append(mask_y)
         for r, r0 in zip(hit[fallen].tolist(), r0s.tolist()):
-            support = supports[high[r]] = (real[r0], vy)
+            support = supports[high[r]] = (r0, y)
             pairs[support] = high[r]
 
         # Only (a, b) can already be present, since y is fresh.  A sum there
         # that cancels to exactly 0.0 stays in its slot until the result's
         # dict drops it: no degree->=3 term holds both a and b any more, so
         # (a, b) is never substituted again and no later term lands on it.
-        j = pairs.get((va, vb))
+        j = pairs.get((a, b))
         if j is not None:
             coeffs[j] += scale
         else:
-            supports.append((va, vb))
+            supports.append((a, b))
             coeffs.append(scale)
-        supports += ((va, vy), (vb, vy), (vy,))
+        supports += ((a, y), (b, y), (y,))
         coeffs += (-2.0 * scale, -2.0 * scale, 3.0 * scale)
 
     # every row has fallen, since one of degree >= 3 keeps its pairs' counts

@@ -220,6 +220,31 @@ def test_enumerated_hubo_never_exceeds_closed_form():
         assert rep.ancillae == form.objective.degree - 1
 
 
+@pytest.mark.parametrize("kind", ["hubo-asc", "hubo-desc"])
+def test_binary_closed_form_term_counts_are_exact_where_documented(kind):
+    # exact for the ascending encoding at N_AP >= 3 and for both kinds at a
+    # power-of-two N_CH; an upper bound elsewhere, where the descending
+    # expansion is smaller and at N_AP = 2 single-AP coefficients cancel
+    for n_ap in range(2, 7):
+        t = CoeffTable.uniform(n_ap)
+        for n_ch in range(2, 18):
+            rep = formulation_resources(formulation_from_table(t, n_ch, kind, 1.0))
+            closed = closed_form_resources(n_ap, n_ch, t.d_sum, 1.0, kind)
+            arities = range(1, max(rep.max_arity, closed.max_arity) + 1)
+            got = [closed.cr(k) // closed.m_val for k in arities]
+            want = [rep.cr(k) // rep.m_val for k in arities]
+            assert all(g >= w for g, w in zip(got, want))
+            if kind == "hubo-asc":
+                exact = n_ap >= 3 or n_ch not in (7, 11, 13, 14)
+            else:
+                exact = n_ch in (2, 4, 8, 16)
+            assert (got == want) == exact, (n_ap, n_ch)
+    if kind == "hubo-asc":
+        rep = formulation_resources(formulation_from_table(CoeffTable.uniform(2), 7, kind, 1.0))
+        closed = closed_form_resources(2, 7, 1.0, 1.0, kind)
+        assert (closed.cr(3) // closed.m_val, rep.cr(3) // rep.m_val) == (20, 18)
+
+
 def test_descending_cnot_never_above_ascending():
     for n_ap in (4, 6, 8, 10, 12):
         n_ch = n_ap // 2

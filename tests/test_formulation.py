@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gascap import (
@@ -189,6 +189,35 @@ def test_counts_accept_any_integer_type(kind, integer):
 def test_a_float_count_raises_type_error(call):
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         call()
+
+
+@pytest.mark.parametrize("enc", list(Encoding))
+@pytest.mark.parametrize("integer", [int, np.int64, np.int32])
+def test_channels_accept_any_integer_type(instance, table, enc, integer):
+    # a numpy channel spells the int's codeword, in Python ints
+    for c in range(1, 4):
+        got = channel_codeword(integer(c), 3, enc)
+        assert got == channel_codeword(c, 3, enc)
+        assert {type(b) for b in got} == {int}
+    form = formulation_from_table(table, 3, enc.value)
+    bits = encode_assignment(form, np.array([1, 2, 3, 1], dtype=integer))
+    assert bits == encode_assignment(form, (1, 2, 3, 1))
+    assert {type(b) for b in bits} == {int}
+    assign = tuple(map(integer, (2, 1, 3, 2)))
+    assert assignment_interference(instance, table, assign) == \
+        assignment_interference(instance, table, (2, 1, 3, 2))
+
+
+@pytest.mark.parametrize("enc", list(Encoding))
+def test_a_float_channel_raises_type_error(instance, table, enc):
+    # 1.5 was once scored as a channel of its own, and 2.0 as channel 2
+    form = formulation_from_table(table, 3, enc.value)
+    for call in (lambda: channel_codeword(2.0, 3, enc),
+                 lambda: encode_assignment(form, (1.0, 2, 3, 1)),
+                 lambda: assignment_interference(instance, table, (1.5, 1, 2, 3)),
+                 lambda: assignment_interference(instance, table, (2.0, 1, 3, 2))):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            call()
 
 
 def test_builders_reject_coefficients_a_finite_penalty_overflows(instance):
@@ -471,6 +500,58 @@ def test_minimum_is_an_assignment_above_the_penalty_bound(case):
     assert decode(form, x).valid
 
 
+@given(sized_tables(), st.floats(1e-2, 1e2), st.data())
+@settings(deadline=None, max_examples=60)
+def test_a_one_hot_row_with_several_bits_gains_by_keeping_one(case, w, data):
+    # the bound's first step, at any w > 0: j >= 2 bits pay w (j - 1)^2, one
+    # bit pays nothing, and clearing bits adds no co-channel cost
+    table, n_ch, _ = case
+    n_ap = table.n_ap
+    assume(n_ap * n_ch <= 16)
+    form = formulation_from_table(table, n_ch, "qubo", w)
+    x = data.draw(st.lists(st.integers(0, 1), min_size=n_ap * n_ch, max_size=n_ap * n_ch))
+    i = data.draw(st.integers(0, n_ap - 1))
+    ones = data.draw(st.lists(st.integers(0, n_ch - 1), min_size=2, unique=True))
+    keep = data.draw(st.sampled_from(ones))
+    x[i * n_ch:(i + 1) * n_ch] = [int(r in ones) for r in range(n_ch)]
+    cleared = list(x)
+    cleared[i * n_ch:(i + 1) * n_ch] = [int(r == keep) for r in range(n_ch)]
+    assert form.objective.evaluate(cleared) < form.objective.evaluate(x)
+
+
+@given(sized_tables(), st.lists(st.integers(0, 15), min_size=5, max_size=5), st.integers(0, 4))
+# N_CH + 1 APs at equal costs, the others on every channel: each channel
+# costs the AP that spells none exactly w*, so the step is tight
+@example((CoeffTable.uniform(4), 3, "qubo"), [0, 0, 1, 2, 0], 0)
+@example((CoeffTable.uniform(4), 3, "hubo-asc"), [0, 0, 1, 2, 0], 0)
+@example((CoeffTable.uniform(4), 3, "hubo-desc"), [0, 0, 1, 2, 0], 0)
+@settings(deadline=None, max_examples=60)
+def test_an_ap_that_spells_no_channel_gains_by_moving_to_its_cheapest(case, picks, i):
+    # the bound's second step, at w = 1.01 w*: such an AP pays w and no
+    # co-channel cost, and its cheapest channel costs at most sum_k d_ik / N_CH
+    table, n_ch, kind = case
+    n_ap, i = table.n_ap, i % table.n_ap
+    form = formulation_from_table(table, n_ch, kind, 1.01 * max(table.d.sum(axis=1)) / n_ch)
+    enc = form.encoding
+    codewords = [channel_codeword(c, n_ch, enc) for c in range(1, n_ch + 1)]
+    if enc is Encoding.ONE_HOT:
+        width, empty = n_ch, [(0,) * n_ch]   # rows with more bits are the first step's
+    else:
+        width = bits_per_channel(n_ch)
+        empty = [row for row in itertools.product((0, 1), repeat=width) if row not in codewords]
+    # every other row spells at most one channel
+    allowed = codewords + empty
+    x = [b for r in picks[:n_ap] for b in allowed[r % len(allowed)]]
+    for row in empty:
+        x[i * width:(i + 1) * width] = row
+        moved = []
+        for cw in codewords:
+            y = list(x)
+            y[i * width:(i + 1) * width] = cw
+            moved.append(form.objective.evaluate(y))
+        assert min(moved) < form.objective.evaluate(x)
+
+
 # -- input validation -----------------------------------------------------
 
 
@@ -721,6 +802,9 @@ def with_cancelling_pair(p, scale):
 
 @given(high_degree_polynomials(), st.sampled_from([1.0, 3.0, 0.5, 17.25]), st.booleans())
 @example(BinaryPolynomial(4, {(0, 1, 2): 1.0, (0, 1, 3): 2.0, (0, 1): -3.0, (2,): 1.0}), 3.0, False)
+# the cubic term uses 3 of the 12 variables: most of the pair table's rows
+# are never touched
+@example(BinaryPolynomial(12, {(0,): 1.5, (7, 8, 9): 2.0, (7, 8): -1.0}), 3.0, False)
 @settings(deadline=None)
 def test_quadratize_matches_reference(p, scale, cancel):
     if cancel:
@@ -830,8 +914,8 @@ def test_quadratize_matches_reference_on_objectives(hubo_asc, hubo_desc):
 def wide_polynomials(draw):
     """Up to 60 terms of degree up to 8 on up to 40 variables.  About half
     the runs make more auxiliaries than there are variables, so they
-    outgrow the first pair table (twice the variables of the degree->=3
-    terms), and rows fall to degree 2 on pairs that are substituted later."""
+    outgrow the first pair table (twice the variables), and rows fall to
+    degree 2 on pairs that are substituted later."""
     n = draw(st.integers(3, 40))
     count = draw(st.integers(1, 60))
     support = st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=min(n, 8)).map(
@@ -854,7 +938,7 @@ FALLS_ON_PAIR = BinaryPolynomial(5, {(0, 1, 2): -1.0, (0, 1, 2, 3): 2.0, (0, 1, 
 @example(GROWS, 1.0, False)
 @example(FALLS_ON_PAIR, 3.0, False)
 @example(FALLS_ON_PAIR, 1.0, False)  # the slot cancels to exactly 0.0 and is dropped
-# the pair table spans the three variables of the cubic term, not all 10,000
+# the cubic term uses 3 of 10,000 variables; the pair table spans them all
 @example(BinaryPolynomial(10_000, {(5, 9_000, 9_999): 1.0, (5, 9_000): 2.0, (7,): 1.0}), 1.0, False)
 @settings(deadline=None, max_examples=40)
 def test_quadratize_matches_both_references_on_wide_polynomials(p, scale, cancel):
