@@ -30,7 +30,7 @@ n_states = values.size
 print(f"objective over {p.n_vars} bits, threshold y = {y}: "
       f"{t} of {n_states} states are improvements")
 
-m = value_register_width(p.add(BinaryPolynomial.constant(float(-y), p.n_vars)))
+m = value_register_width(p.add(BinaryPolynomial(p.n_vars, {(): float(-y)})))
 prep = build_state_prep(p, y, m)
 grover = build_grover(prep)
 res = enumerate_resources(prep)

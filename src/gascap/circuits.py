@@ -214,7 +214,8 @@ def coefficient_width(p: BinaryPolynomial, y: float = 0.0) -> int:
     """
     values = np.fromiter(p.terms.values(), np.float64, len(p.terms))
     if () in p.terms:
-        values[list(p.terms).index(())] -= y
+        # a Python float difference overflows to inf without numpy's warning
+        values[list(p.terms).index(())] = p.terms[()] - float(y)
     else:
         values = np.append(values, 0.0 - y)
     return _width(values.min(), values.max())  # numpy's extremes keep a NaN

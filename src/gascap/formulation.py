@@ -133,12 +133,11 @@ def channel_codeword(c: int, n_ch: int, enc: Encoding) -> BitVector:
 def codeword_indicator(ap: int, bits: Sequence[int], n_vars: int, slots: int) -> BinaryPolynomial:
     """Polynomial over AP ``ap``'s slot variables equal to 1 exactly when the
     slots spell ``bits``: factor x for a 1-bit, (1 - x) for a 0-bit."""
-    poly = BinaryPolynomial.constant(1.0, n_vars)
+    poly = BinaryPolynomial(n_vars, {(): 1.0})
     for r, b in enumerate(bits):
         var = ap * slots + r
-        x = BinaryPolynomial.variable(var, n_vars)
-        factor = x if b else BinaryPolynomial.constant(1.0, n_vars).add(x.scale(-1.0))
-        poly = poly.multiply(factor)
+        factor = {(var,): 1.0} if b else {(): 1.0, (var,): -1.0}
+        poly = poly.multiply(BinaryPolynomial(n_vars, factor))
     return poly
 
 
@@ -164,7 +163,7 @@ def _templates(n_ch: int, enc: Encoding, w: float):
     codewords = [channel_codeword(c, n_ch, enc) for c in range(1, n_ch + 1)]
     # P's coefficients are integers, so expanding it once gives the same bits
     # as expanding it per pair
-    pair = BinaryPolynomial.zero(2 * n_b)
+    pair = BinaryPolynomial(2 * n_b)
     for bits in codewords:
         pair = pair.add(
             codeword_indicator(0, bits, 2 * n_b, n_b).multiply(

@@ -28,6 +28,7 @@ random numbers.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -49,6 +50,13 @@ OPTIMUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GasConfig:
+    """A run ends at the first rule set that holds: ``max_classical_iters``
+    draws, ``max_quantum_queries`` Grover operators asked for, or a best
+    value within ``OPTIMUM_TOL`` of ``stop_at_known_optimum``.  Budgets are
+    integers of at least 1 and a NaN stop is refused; a stop below the
+    objective's minimum never holds, so with no budget the run never ends
+    (the CLI always sets ``--budget-classical``, default 500)."""
+
     max_classical_iters: int | None = None
     max_quantum_queries: int | None = None
     stop_at_known_optimum: float | None = None
@@ -56,9 +64,12 @@ class GasConfig:
 
     def __post_init__(self):
         for name in ("max_classical_iters", "max_quantum_queries"):
-            budget = getattr(self, name)
-            if budget is not None and budget < 1:
-                raise ValueError(f"{name} must be at least 1, got {budget}")
+            if (budget := getattr(self, name)) is not None:
+                object.__setattr__(self, name, budget := operator.index(budget))
+                if budget < 1:
+                    raise ValueError(f"{name} must be at least 1, got {budget}")
+        if self.stop_at_known_optimum is not None and math.isnan(self.stop_at_known_optimum):
+            raise ValueError("stop_at_known_optimum must not be NaN")
         rules = (self.max_classical_iters, self.max_quantum_queries, self.stop_at_known_optimum)
         if all(r is None for r in rules):
             raise ValueError("at least one termination rule must be set")

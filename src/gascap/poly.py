@@ -1,12 +1,14 @@
 """Multilinear pseudo-Boolean polynomials.
 
 A polynomial over binary variables x_0, ..., x_{n-1} is stored as a map from
-monomial supports (sorted tuples of distinct variable indices, () for the
-constant term) to nonzero real coefficients.  Every index is an integer in
-0..n_vars-1; any other index, a negative, bool or non-integer one included,
-is rejected with a ValueError.  Because x^2 = x for x in {0, 1}, every
-product reduces to this multilinear canonical form, and two polynomials are
-equal as functions iff their term maps are equal.
+monomial supports (sorted tuples of distinct Python int variable indices, ()
+for the constant term) to nonzero real coefficients.  The constructor is the
+one way to build one from terms, and it checks every input term, one whose
+coefficient is zero or cancels included: an index that is not an integer in
+0..n_vars-1 (a negative, bool or float one, say) or that repeats in its
+support raises ValueError.  Because x^2 = x for x in {0, 1}, every product
+reduces to this multilinear canonical form, and two polynomials are equal as
+functions iff their term maps are equal.
 
 Variable index 0 is the most significant position of a bit vector: the
 integer enumeration order of assignments coincides with lexicographic order
@@ -15,6 +17,7 @@ on (x_0, x_1, ..., x_{n-1}).
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,36 +36,28 @@ class CapExceededError(BudgetExceededError, ValueError):
     state.  Also a ValueError, since the size comes from the caller's input."""
 
 
-def _canonical_terms(terms: Mapping[Sequence[int], float]) -> dict[tuple[int, ...], float]:
-    out: dict[tuple[int, ...], float] = {}
-    for support, coeff in terms.items():
-        for i in support:
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-                raise ValueError(f"variable index {i!r} is not an integer")
-        key = tuple(sorted(set(support)))
-        if len(key) != len(tuple(support)):
-            raise ValueError(f"duplicate variable in monomial support {support!r}")
-        c = out.get(key, 0.0) + float(coeff)
-        if c == 0.0:
-            out.pop(key, None)
-        else:
-            out[key] = c
-    return out
-
-
 class BinaryPolynomial:
     """Immutable multilinear polynomial in canonical form."""
 
     __slots__ = ("n_vars", "terms")
 
     def __init__(self, n_vars: int, terms: Mapping[Sequence[int], float] | None = None):
-        if n_vars < 0:
+        if (n_vars := operator.index(n_vars)) < 0:
             raise ValueError("n_vars must be nonnegative")
-        canon = _canonical_terms(terms or {})
-        for support in canon:
-            if support and not (support[0] >= 0 and support[-1] < n_vars):
-                index = support[0] if support[0] < 0 else support[-1]
-                raise ValueError(f"variable index {index} out of range for n_vars={n_vars}")
+        canon: dict[tuple[int, ...], float] = {}
+        for support, coeff in (terms or {}).items():
+            for i in support:
+                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                    raise ValueError(f"variable index {i!r} is not an integer")
+                if not 0 <= i < n_vars:
+                    raise ValueError(f"variable index {i} out of range for n_vars={n_vars}")
+            key = tuple(sorted(set(map(int, support))))
+            if len(key) != len(support):
+                raise ValueError(f"duplicate variable in monomial support {support!r}")
+            # a sum of zero drops the term, so a later one goes to the end
+            c = canon[key] = canon.get(key, 0.0) + float(coeff)
+            if c == 0.0:
+                del canon[key]
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "terms", canon)
 
@@ -85,20 +80,6 @@ class BinaryPolynomial:
 
     def __setattr__(self, *_):
         raise AttributeError("BinaryPolynomial is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, n_vars: int = 0) -> "BinaryPolynomial":
-        return cls(n_vars, {})
-
-    @classmethod
-    def constant(cls, value: float, n_vars: int = 0) -> "BinaryPolynomial":
-        return cls(n_vars, {(): value})
-
-    @classmethod
-    def variable(cls, index: int, n_vars: int) -> "BinaryPolynomial":
-        return cls(n_vars, {(index,): 1.0})
 
     # -- basic queries ------------------------------------------------
 
@@ -229,13 +210,15 @@ class BinaryPolynomial:
 
 
 def loads_poly(text: str, n_vars: int) -> BinaryPolynomial:
-    """Parse the ``coeff : i1 i2 ...`` dump format."""
+    """Parse the ``coeff : i1 i2 ...`` dump format, skipping blank and # lines."""
     terms: dict[tuple[int, ...], float] = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        coeff_str, _, idx_str = line.partition(":")
+        coeff_str, colon, idx_str = line.partition(":")
+        if not colon:
+            raise ValueError(f"term line {line!r} has no ':'")
         support = tuple(int(t) for t in idx_str.split())
         terms[support] = terms.get(support, 0.0) + float(coeff_str)
     return BinaryPolynomial(n_vars, terms)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Iterable
 
 import numpy as np
@@ -278,8 +279,8 @@ class StateVectorSampler(IdealSampler):
 
     The value register is ``value_width`` qubits, by default
     ``coefficient_width(p)``, and wider where the constant folded with -y
-    needs it; the base width is checked against the simulation cap at
-    construction, before any draw.  A_y|0> puts exactly 2^-n of the key
+    needs it; the base width, an integer of at least the sign qubit, is
+    checked against the simulation cap at construction, before any draw.  A_y|0> puts exactly 2^-n of the key
     distribution on every key, so an L = 0 draw is the key floor(u 2^n) of
     one uniform u, the one ``sample`` of that distribution's cdf gives, and
     simulates nothing.
@@ -308,7 +309,9 @@ class StateVectorSampler(IdealSampler):
     """
 
     def __init__(self, p: BinaryPolynomial, value_width: int | None = None):
-        self.base_m = value_width if value_width is not None else coefficient_width(p)
+        self.base_m = coefficient_width(p) if value_width is None else operator.index(value_width)
+        if self.base_m < 1:
+            raise ValueError(f"the value register needs at least the sign qubit, got m={self.base_m}")
         _check_cap(p.n_vars + self.base_m)
         super().__init__(p)
         # the distinct values, and each key's row of psi as an index into

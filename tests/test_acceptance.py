@@ -206,7 +206,7 @@ def test_acceptance_08_value_register_exactness():
         n = int(rng.integers(2, 7))
         p = _random_integer_poly(rng, n)
         y = int(rng.integers(-3, 4))
-        m = value_register_width(p.add(BinaryPolynomial.constant(float(-y), p.n_vars)))
+        m = value_register_width(p.add(BinaryPolynomial(p.n_vars, {(): float(-y)})))
         if m > 6:
             continue
         circuit = build_state_prep(p, y, m)
@@ -229,7 +229,7 @@ def test_acceptance_09_amplification_law():
         p = _random_integer_poly(rng, n)
         values = p.evaluate_all()
         y = int(rng.integers(int(values.min()) - 1, int(values.max()) + 2))
-        m = value_register_width(p.add(BinaryPolynomial.constant(float(-y), p.n_vars)))
+        m = value_register_width(p.add(BinaryPolynomial(p.n_vars, {(): float(-y)})))
         if n + m > 15:
             continue
         t = int((values < y).sum())

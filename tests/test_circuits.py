@@ -34,7 +34,7 @@ def test_value_register_width_reference():
 
 
 def test_value_register_width_zero_polynomial():
-    assert value_register_width(BinaryPolynomial.zero(3)) == 1
+    assert value_register_width(BinaryPolynomial(3)) == 1
 
 
 def test_value_register_width_monotone_in_bounds():
@@ -128,7 +128,7 @@ def test_state_prep_rejects_overflowing_coefficient():
 
 
 def test_constant_polynomial_readout_is_deterministic():
-    p = BinaryPolynomial.constant(1.0, 1)
+    p = BinaryPolynomial(1, {(): 1.0})
     c = build_state_prep(p, 0.0, m=2)
     sv = apply(c, zero_state(c.n_qubits))
     probs = (np.abs(sv) ** 2).reshape(2, 4)
@@ -164,7 +164,7 @@ def test_cnot_cost_rule():
 
 
 def test_enumerate_constant_only():
-    p = BinaryPolynomial.constant(3.0, 0)
+    p = BinaryPolynomial(0, {(): 3.0})
     c = build_state_prep(p, 0.0, m=3)
     rep = enumerate_resources(c)
     assert rep.r_count == 3

@@ -7,6 +7,7 @@ below is the earlier construction, kept here verbatim in behaviour.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -171,6 +172,7 @@ small = st.floats(-1e6, 1e6)
 
 @settings(deadline=None, max_examples=400)
 @given(polynomials(), finite)
+@example(BinaryPolynomial(0, {(): -sys.float_info.max}), 1e292)  # the constant - y overflows
 def test_coefficient_width_equals_the_search(p, y):
     same_outcome(lambda: coefficient_width(p, y), lambda: loop_coefficient_width(p, y))
 

@@ -107,7 +107,7 @@ def test_indicator_evaluates_as_kronecker(instance):
 def test_indicators_partition_the_cube():
     # sum over all codewords is the constant polynomial 1
     for n_b in (1, 2, 3):
-        total = BinaryPolynomial.zero(n_b)
+        total = BinaryPolynomial(n_b)
         for value in range(1 << n_b):
             bits = int_to_bits(value, n_b)
             total = total.add(codeword_indicator(0, bits, n_b, n_b))
@@ -636,10 +636,10 @@ def hubo_from_table_reference(table, n_ch, enc, w_prime):
         for i in range(n_ap)
         for c in range(1, n_ch + 1)
     }
-    objective = BinaryPolynomial.zero(n_vars)
+    objective = BinaryPolynomial(n_vars)
     for i in range(n_ap):
         for k in range(i + 1, n_ap):
-            pair = BinaryPolynomial.zero(n_vars)
+            pair = BinaryPolynomial(n_vars)
             for c in range(1, n_ch + 1):
                 pair = pair.add(indicators[(i, c)].multiply(indicators[(k, c)]))
             objective = objective.add(pair.scale(float(table.d[i, k])))

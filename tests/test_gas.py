@@ -49,6 +49,31 @@ def test_config_rejects_budgets_below_one(budget):
         GasConfig(max_quantum_queries=budget, max_classical_iters=5)
 
 
+@pytest.mark.parametrize("budgets", [{}, {"max_classical_iters": 5}, {"max_quantum_queries": 5}])
+def test_config_rejects_a_nan_stop(budgets):
+    # best_y <= NaN never holds, so a NaN stop without a budget never ends
+    with pytest.raises(ValueError, match="^stop_at_known_optimum must not be NaN$"):
+        GasConfig(stop_at_known_optimum=math.nan, **budgets)
+    with pytest.raises(ValueError, match="NaN"):
+        GasConfig(stop_at_known_optimum=np.float64("nan"), **budgets)
+
+
+@pytest.mark.parametrize("budget", [1.5, 2.0, "3"])
+def test_config_rejects_budgets_that_are_not_integers(budget):
+    with pytest.raises(TypeError):
+        GasConfig(max_classical_iters=budget)
+    with pytest.raises(TypeError):
+        GasConfig(max_quantum_queries=budget, max_classical_iters=5)
+
+
+def test_config_takes_a_numpy_integer_budget_as_an_int():
+    cfg = GasConfig(max_classical_iters=np.int64(3), max_quantum_queries=np.int32(40))
+    assert cfg == GasConfig(max_classical_iters=3, max_quantum_queries=40)
+    assert type(cfg.max_classical_iters) is int and type(cfg.max_quantum_queries) is int
+    trace = run_gas(IdealSampler(BinaryPolynomial(2, {(0,): 1.0})), cfg, np.random.default_rng(0))
+    assert len(trace.iterations) == 3
+
+
 def test_threshold_history_is_monotone(hubo_desc):
     cfg = GasConfig(max_classical_iters=120, master_seed=17)
     trace = run_gas(IdealSampler(hubo_desc.objective), cfg, np.random.default_rng(17))
@@ -65,7 +90,7 @@ def test_query_accounting(hubo_asc):
 
 def test_reach_grows_geometrically_until_cap():
     # a constant objective never improves, so k follows min(lambda^j, sqrt(2^n))
-    p = BinaryPolynomial.constant(2.0, 4)
+    p = BinaryPolynomial(4, {(): 2.0})
     cfg = GasConfig(max_classical_iters=40, master_seed=0)
     trace = run_gas(IdealSampler(p), cfg, np.random.default_rng(0))
     lam, cap = 8.0 / 7.0, math.sqrt(2.0 ** 4)
@@ -412,7 +437,7 @@ def search_polynomials(draw, max_vars=8, bound=1e3):
 
 
 @given(search_polynomials(), st.integers(0, 2**32 - 1), st.integers(1, 80), st.booleans())
-@example(BinaryPolynomial.constant(0.1, 4), 0, 30, False)
+@example(BinaryPolynomial(4, {(): 0.1}), 0, 30, False)
 @example(BinaryPolynomial(3, {(0,): 0.1, (1,): 0.1, (2,): 0.2}), 5, 40, True)
 @settings(deadline=None, max_examples=80)
 def test_ideal_trace_equals_evaluate_per_draw_reference(p, seed, iters, stop):
@@ -497,7 +522,7 @@ def budget_config(rule, p, seed):
 
 @given(search_polynomials(max_vars=8), st.integers(0, 2**32 - 1),
        st.sampled_from(["classical", "quantum", "optimum"]))
-@example(BinaryPolynomial.constant(0.1, 4), 0, "optimum")
+@example(BinaryPolynomial(4, {(): 0.1}), 0, "optimum")
 @example(BinaryPolynomial(0, {}), 3, "classical")
 @example(BinaryPolynomial(2, {(0,): -math.inf, (1,): 1.0}), 5, "classical")  # no stop at -inf
 @settings(deadline=None, max_examples=60)

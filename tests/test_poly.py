@@ -31,7 +31,7 @@ def test_evaluate_reference_polynomial():
 
 
 def test_evaluate_empty_polynomial():
-    p = BinaryPolynomial.zero(3)
+    p = BinaryPolynomial(3)
     assert p.evaluate((1, 0, 1)) == 0.0
 
 
@@ -41,17 +41,17 @@ def test_evaluate_rejects_length_mismatch():
 
 
 def test_idempotence_and_projector():
-    x1 = BinaryPolynomial.variable(0, 1)
+    x1 = BinaryPolynomial(1, {(0,): 1.0})
     assert x1.multiply(x1) == x1
-    proj = BinaryPolynomial.constant(1.0, 1).add(x1.scale(-1.0))
+    proj = BinaryPolynomial(1, {(): 1.0}).add(x1.scale(-1.0))
     assert proj.multiply(proj) == proj
 
 
 def test_zero_coefficients_are_dropped():
     p = BinaryPolynomial(2, {(0,): 1.0, (1,): 0.0})
     assert (1,) not in p.terms
-    one_minus_x0 = BinaryPolynomial.constant(1.0, 2).add(BinaryPolynomial.variable(0, 2).scale(-1.0))
-    q = one_minus_x0.add(p).multiply(BinaryPolynomial.variable(0, 2))
+    one_minus_x0 = BinaryPolynomial(2, {(): 1.0}).add(BinaryPolynomial(2, {(0,): 1.0}).scale(-1.0))
+    q = one_minus_x0.add(p).multiply(BinaryPolynomial(2, {(0,): 1.0}))
     assert all(1 not in s for s in q.terms)
 
 
@@ -116,6 +116,106 @@ def test_loads_poly_rejects_out_of_range_index(text, index):
         loads_poly(text, 2)
 
 
+def test_loads_poly_rejects_a_line_without_a_colon():
+    # dumps writes every term, the constant one included, as "c : ..."
+    with pytest.raises(ValueError, match="^term line '3' has no ':'$"):
+        loads_poly("3\n", 1)
+    with pytest.raises(ValueError, match="'2.5 0 1'"):
+        loads_poly("1.0 :\n  2.5 0 1  \n", 2)
+    assert loads_poly("# header\n\n  \n1.0 :\n# 2 : 0\n-2.0 : 0\n", 1) == \
+        BinaryPolynomial(1, {(): 1.0, (0,): -2.0})
+
+
+def constructor_reference(n_vars, terms):
+    """The constructor that merged the terms first and range-checked only
+    the merged supports, so a term whose coefficient is zero or cancels went
+    unchecked for range."""
+    if n_vars < 0:
+        raise ValueError("n_vars must be nonnegative")
+    out = {}
+    for support, coeff in terms.items():
+        for i in support:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise ValueError(f"variable index {i!r} is not an integer")
+        key = tuple(sorted(set(support)))
+        if len(key) != len(tuple(support)):
+            raise ValueError(f"duplicate variable in monomial support {support!r}")
+        c = out.get(key, 0.0) + float(coeff)
+        if c == 0.0:
+            out.pop(key, None)
+        else:
+            out[key] = c
+    for support in out:
+        if support and not (support[0] >= 0 and support[-1] < n_vars):
+            index = support[0] if support[0] < 0 else support[-1]
+            raise ValueError(f"variable index {index} out of range for n_vars={n_vars}")
+    return out
+
+
+def has_bad_index(n_vars, terms):
+    """Whether some input term holds an index that is not an integer of
+    0..n_vars-1, or holds one index twice."""
+    for support in terms:
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n_vars
+               for i in support):
+            return True
+        if len(set(support)) != len(support):
+            return True
+    return False
+
+
+@st.composite
+def raw_term_maps(draw):
+    """Term maps whose supports mix good indices with negative, out-of-range,
+    bool, float and np.int64 ones, and whose coefficients are often zero or
+    cancel: a few coefficients of both signs over few variables, so the same
+    support recurs in another order."""
+    n = draw(st.integers(0, 4))
+    good = st.integers(0, n - 1) if n else st.nothing()
+    index = st.one_of(
+        good, good, good.map(np.int64),
+        st.integers(-3, n + 3), st.integers(-3, n + 3).map(np.int64),
+        st.booleans(), st.sampled_from([0.0, 1.0, 1.5, -1.0]),
+    )
+    coeff = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3]), st.floats(allow_nan=False))
+    pairs = draw(st.lists(st.tuples(st.lists(index, max_size=4).map(tuple), coeff), max_size=10))
+    return n, dict(pairs)
+
+
+@given(raw_term_maps())
+@example((2, {(0, 5): 0.0}))
+@example((2, {(0, 5): 1.0, (5, 0): -1.0}))
+@example((3, {(1, -1): -0.0}))
+@example((3, {(0,): 1.0, (2, True): 0.0}))
+@example((3, {(np.int64(2), 0): 1.5, (0, 2): 1.0, (1,): 2.0}))
+@settings(deadline=None)
+def test_constructor_checks_every_input_term(case):
+    n, terms = case
+    if has_bad_index(n, terms):
+        with pytest.raises(ValueError):
+            BinaryPolynomial(n, terms)
+        return
+    p, ref = BinaryPolynomial(n, terms), constructor_reference(n, terms)
+    assert list(p.terms) == list(ref)
+    assert [c.hex() for c in p.terms.values()] == [c.hex() for c in ref.values()]
+    assert all(type(i) is int for s in p.terms for i in s)
+
+
+def test_constructor_rejects_out_of_range_indices_that_cancel_or_vanish():
+    with pytest.raises(ValueError, match="^variable index 5 out of range for n_vars=2$"):
+        BinaryPolynomial(2, {(0, 5): 0.0})
+    with pytest.raises(ValueError, match="^variable index 5 out of range for n_vars=2$"):
+        loads_poly("1.0 : 0 5\n-1.0 : 5 0\n", 2)
+
+
+def test_constructor_takes_n_vars_as_an_integer():
+    with pytest.raises(TypeError):
+        BinaryPolynomial(2.0)
+    p = BinaryPolynomial(np.int64(3), {(np.int64(2),): 1.0})
+    assert type(p.n_vars) is int and p.n_vars == 3
+    assert [type(i) for s in p.terms for i in s] == [int]
+
+
 # exact zeros of both signs, ints and numpy scalars, which the private
 # constructor must turn into the floats the public one stores
 CANONICAL_COEFFS = st.one_of(
@@ -156,7 +256,7 @@ def test_value_register_width_reference_polynomial():
 
 
 def test_value_register_width_constant():
-    p = BinaryPolynomial.constant(5.0)
+    p = BinaryPolynomial(0, {(): 5.0})
     assert p.degree == 0
     # both value bounds are the constant itself
     assert value_register_width(p) == _width(5.0, 5.0) == 4
@@ -172,7 +272,7 @@ def test_value_register_width_admits_exhaustive_range():
 
 
 def test_exhaustive_min_simple():
-    p = BinaryPolynomial.variable(0, 1)
+    p = BinaryPolynomial(1, {(0,): 1.0})
     x, v = p.exhaustive_min()
     assert x == (0,) and v == 0.0
 
@@ -190,7 +290,7 @@ def test_exhaustive_min_tie_break_is_lexicographic():
 
 def test_exhaustive_min_cap():
     with pytest.raises(ValueError):
-        BinaryPolynomial.zero(25).exhaustive_min()
+        BinaryPolynomial(25).exhaustive_min()
 
 
 def test_evaluate_all_matches_pointwise():
@@ -211,8 +311,8 @@ def polynomials(draw):
 
 
 @given(polynomials())
-@example(BinaryPolynomial.zero(3))
-@example(BinaryPolynomial.constant(-2.5, 4))
+@example(BinaryPolynomial(3))
+@example(BinaryPolynomial(4, {(): -2.5}))
 @settings(deadline=None)
 def test_evaluate_all_equals_evaluate_exactly(p):
     values = p.evaluate_all()
@@ -264,10 +364,10 @@ def dump_polynomials(draw, finite=False):
 
 
 @given(dump_polynomials())
-@example(BinaryPolynomial.zero(0))
-@example(BinaryPolynomial.zero(40))
-@example(BinaryPolynomial.constant(-2.5, 0))
-@example(BinaryPolynomial.constant(float("nan"), 12))
+@example(BinaryPolynomial(0))
+@example(BinaryPolynomial(40))
+@example(BinaryPolynomial(0, {(): -2.5}))
+@example(BinaryPolynomial(12, {(): float("nan")}))
 @example(BinaryPolynomial(12, {(): 0.5, (11,): 0.5, (3, 10): float("inf"), (2, 4, 9): 0.5}))
 @settings(deadline=None)
 def test_dumps_and_sorted_terms_equal_their_references(p):
@@ -276,8 +376,8 @@ def test_dumps_and_sorted_terms_equal_their_references(p):
 
 
 @given(dump_polynomials(finite=True))
-@example(BinaryPolynomial.zero(7))
-@example(BinaryPolynomial.constant(5e-324, 3))
+@example(BinaryPolynomial(7))
+@example(BinaryPolynomial(3, {(): 5e-324}))
 @settings(deadline=None)
 def test_dumps_round_trips_finite_coefficients(p):
     assert loads_poly(p.dumps(), p.n_vars) == p

@@ -277,8 +277,8 @@ def test_grover_computes_one_diagonal_however_often_applied(hubo_asc, monkeypatc
 
 @given(search_polynomials(max_vars=6, bound=1e3), st.floats(-2e3, 2e3, allow_nan=False),
        st.none() | st.integers(1, 4))
-@example(BinaryPolynomial.constant(2.5, 3), 2.5, None)  # A_y without a phase layer
-@example(BinaryPolynomial.constant(-4.0, 0), 1.0, 2)  # no key qubit
+@example(BinaryPolynomial(3, {(): 2.5}), 2.5, None)  # A_y without a phase layer
+@example(BinaryPolynomial(0, {(): -4.0}), 1.0, 2)  # no key qubit
 @settings(deadline=None, max_examples=100)
 def test_sampler_psi_matches_gate_level_state_prep(p, y, widen):
     # psi from the value table against A_y simulated gate run by gate run.
@@ -306,7 +306,7 @@ def psi_per_key(values, n, y, m):
        st.integers(0, 3))
 @example(BinaryPolynomial(4, {(0,): 1.0, (1,): 2.0, (2,): 4.0, (3,): 8.0}), 3.5, 0)  # distinct
 @example(BinaryPolynomial(4, {(0,): 1.0, (1,): 1.0, (2, 3): -2.0}), 0.5, 1)  # repeated
-@example(BinaryPolynomial.constant(1.5, 3), -2.0, 2)  # one value
+@example(BinaryPolynomial(3, {(): 1.5}), -2.0, 2)  # one value
 @settings(deadline=None, max_examples=100)
 def test_sampler_psi_per_distinct_value_is_the_per_key_psi(p, y, widen):
     # each distinct value's row, gathered into psi, has the bits of the row
@@ -401,7 +401,7 @@ def test_norm_preserved_gate_by_gate():
 def test_state_prep_keys_stay_uniform_with_exact_values():
     p = BinaryPolynomial(4, {(): 3.0, (0,): -2.0, (1, 3): 1.0})
     y = 1
-    m = value_register_width(p.add(BinaryPolynomial.constant(float(-y), p.n_vars)))
+    m = value_register_width(p.add(BinaryPolynomial(p.n_vars, {(): float(-y)})))
     c = build_state_prep(p, y, m)
     sv = apply(c, zero_state(c.n_qubits))
     probs = (np.abs(sv) ** 2).reshape(1 << 4, 1 << m)
@@ -504,7 +504,7 @@ def test_statevector_matches_amplification_formula():
         p = BinaryPolynomial(n, terms)
         values = p.evaluate_all()
         y = float(rng.integers(int(values.min()), int(values.max()) + 1))
-        m = value_register_width(p.add(BinaryPolynomial.constant(float(-y), p.n_vars)))
+        m = value_register_width(p.add(BinaryPolynomial(p.n_vars, {(): float(-y)})))
         t = int((values < y).sum())
         marked = np.where(values < y)[0]
         prep = build_state_prep(p, y, m)
@@ -643,11 +643,11 @@ def test_ideal_sampler_draws_as_the_parent_sampler_at_every_marked_count():
 
 def test_ideal_sampler_cap():
     with pytest.raises(ValueError):
-        IdealSampler(BinaryPolynomial.zero(25))
+        IdealSampler(BinaryPolynomial(25))
 
 
 def test_every_size_cap_raises_the_budget_error_type():
-    big = BinaryPolynomial.zero(25)
+    big = BinaryPolynomial(25)
     calls = (big.evaluate_all, big.exhaustive_min,
              lambda: IdealSampler(big),
              # the cap is checked before the amplitudes are touched
@@ -672,6 +672,23 @@ def test_statevector_threshold_past_the_cap_fails_at_its_first_amplified_draw():
         sampler.sample(top, 1, np.random.default_rng(0))
     with pytest.raises(CapExceededError, match="^25 qubits"):
         StateVectorSampler(p, 22)
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_statevector_sampler_refuses_a_width_below_the_sign_qubit(width):
+    with pytest.raises(ValueError, match=f"^the value register needs at least the sign qubit, got m={width}$"):
+        StateVectorSampler(BinaryPolynomial(2, {(0,): 1.0}), width)
+
+
+@pytest.mark.parametrize("width", [2.5, 3.0])
+def test_statevector_sampler_refuses_a_width_that_is_not_an_integer(width):
+    with pytest.raises(TypeError):
+        StateVectorSampler(BinaryPolynomial(2, {(0,): 1.0}), width)
+
+
+def test_statevector_sampler_takes_a_numpy_integer_width_as_an_int():
+    sampler = StateVectorSampler(BinaryPolynomial(2, {(0,): 1.0}), np.int64(3))
+    assert sampler.base_m == 3 and type(sampler.base_m) is int
 
 
 def _peak_sampler():
